@@ -438,7 +438,7 @@ def criterion_10(seed):
         worst_rev, used = 0.0, 0
         for st in states:
             fwd = integrate_geodesic(chart, st, 0.4)
-            if fwd.termination is Termination.SINGULARITY \
+            if fwd.termination.abandoned \
                     or len(fwd.ts) < 3 or fwd.length < 1e-3:
                 continue
             end = fwd.final_state()

@@ -39,6 +39,19 @@ def _emit(data, path=None):
             fh.write(text)
 
 
+def _positive(args, flag, default):
+    """The value of a numeric flag, or default when the flag is not given.
+
+    An explicit zero or negative value is a usage error, not the default.
+    """
+    value = getattr(args, flag)
+    if value is None:
+        return default
+    if not value > 0:
+        raise UsageError("--%s must be positive, got %s" % (flag, value))
+    return value
+
+
 def _parse_field(text, flag):
     try:
         return expr.parse_prefix(text)
@@ -126,7 +139,8 @@ def cmd_geodesic(args):
 
     state = GeodesicState(args.x0, args.y0, args.vx0, args.vy0)
     try:
-        trace = integrate_geodesic(chart, state, args.tmax)
+        trace = integrate_geodesic(chart, state,
+                                   _positive(args, "tmax", 1.0))
     except DomainError as err:
         raise UsageError("bad initial condition: %s" % err)
 
@@ -165,13 +179,13 @@ def cmd_check(args):
                              % (args.chart, args.map, ", ".join(have) or "none"))
         cmap = bundle.maps[args.map]
         if args.kind == "isometry":
-            rep = check_isometry(chart, cmap, tol=args.tol or 1e-8,
-                                 seed=args.seed)
+            rep = check_isometry(chart, cmap, seed=args.seed,
+                                 tol=_positive(args, "tol", 1e-8))
             _emit(rep.to_json_dict(), args.json)
             return 0 if rep.passed else 1
         if args.kind == "affine":
-            rep = check_affinity(chart, cmap, tol=args.tol or 1e-6,
-                                 seed=args.seed)
+            rep = check_affinity(chart, cmap, seed=args.seed,
+                                 tol=_positive(args, "tol", 1e-6))
             _emit(rep.to_json_dict(), args.json)
             return 0 if rep.passed else 1
         other = pullback(chart, cmap, name="%s*%s" % (args.map, chart.name))
@@ -183,8 +197,9 @@ def cmd_check(args):
         raise UsageError("give --chart-b (projective) or --map")
 
     rep = check_projective_equivalence(
-        chart, other, n_traces=args.samples or 20,
-        drift_tol=args.tol or 1e-6, t_max=args.tmax or 1.0, seed=args.seed)
+        chart, other, n_traces=_positive(args, "samples", 20),
+        drift_tol=_positive(args, "tol", 1e-6),
+        t_max=_positive(args, "tmax", 1.0), seed=args.seed)
     _emit(rep.to_json_dict(), args.json)
     return 0 if rep.verdict == EQUIVALENT else 1
 
@@ -193,7 +208,7 @@ def cmd_verify(args):
     seed = args.seed if args.seed is not None else sampling.default_seed()
 
     if args.identity == "rescaling":
-        n = args.samples or 1000
+        n = _positive(args, "samples", 1000)
         worst, at = zoo.sample_rescaling_identity(n, seed=seed)
         out = {"schema": 1, "identity": "rescaling", "samples": n,
                "seed": seed, "worst_residual": worst, "tol": 1e-10,
@@ -202,7 +217,7 @@ def cmd_verify(args):
         return 0 if out["pass"] else 1
 
     if args.identity == "shift-relation":
-        n = args.samples or 100
+        n = _positive(args, "samples", 100)
         bundle = zoo.projective_shift()
         rng = np.random.default_rng(seed)
         worst = 0.0
@@ -217,7 +232,7 @@ def cmd_verify(args):
         return 0 if out["pass"] else 1
 
     if args.identity == "tannery-reparam":
-        n = args.samples or 101
+        n = _positive(args, "samples", 101)
         worst = 0.0
         for t in np.linspace(-5.0, 5.0, n):
             x = zoo.tannery_reparam_x(float(t))
@@ -235,10 +250,12 @@ def cmd_verify(args):
     h1 = 2.0 + expr.sin(4.0 * math.pi * expr.X)
     h2 = 5.0 - expr.sin(4.0 * math.pi * expr.Y)
     alt = liouville_integral_printed(h1, h2, sign=1)
-    std = check_conservation(chart, sep, n_samples=args.samples or 20,
-                             t_max=args.tmax or 1.0, seed=seed, tol=1e-6)
-    other = check_conservation(chart, alt, n_samples=args.samples or 20,
-                               t_max=args.tmax or 1.0, seed=seed, tol=1e-6)
+    n = _positive(args, "samples", 20)
+    t_max = _positive(args, "tmax", 1.0)
+    std = check_conservation(chart, sep, n_samples=n, t_max=t_max, seed=seed,
+                             tol=1e-6)
+    other = check_conservation(chart, alt, n_samples=n, t_max=t_max,
+                               seed=seed, tol=1e-6)
     out = {"schema": 1, "identity": "liouville-variants", "seed": seed,
            "separable_drift": std.max_drift,
            "alternate_form_drift": other.max_drift,

@@ -263,6 +263,7 @@ class ConservationReport:
     integral: str
     n_samples: int
     n_used: int
+    dropped: dict    # drop reason -> number of traces, see DROP_REASONS
     seed: int
     t_max: float
     tol: float
@@ -276,10 +277,18 @@ class ConservationReport:
             "chart": self.chart,
             "integral": self.integral,
             "n_samples": self.n_samples,
+            "n_used": self.n_used,
+            "dropped": self.dropped,
             "seed": self.seed,
+            "t_max": self.t_max,
+            "tol": self.tol,
             "max_drift": self.max_drift,
             "pass": self.passed,
         }
+
+
+DROP_REASONS = ("short", Termination.SINGULARITY.value,
+                Termination.STEP_BUDGET.value)
 
 
 def check_conservation(chart, integral, n_samples=20, t_max=1.0, seed=None,
@@ -290,9 +299,11 @@ def check_conservation(chart, integral, n_samples=20, t_max=1.0, seed=None,
     Each trace contributes max_t |I(t) - I(0)| / (scale * elapsed), with the
     scale set by |I(0)| (floored at 1e-3 so near-null values do not inflate
     the statistic).  Traces that exit the domain almost immediately are
-    dropped from the statistic but counted in the report, and by default so
-    are traces the integrator abandons at a blow-up: past the point where
-    the step size collapses, the numbers say nothing about conservation.
+    dropped from the statistic as "short", and by default so are traces the
+    integrator abandons at a blow-up ("singularity": past the point where
+    the step size collapses, the numbers say nothing about conservation) or
+    when the step budget runs out ("step-budget").  The report counts the
+    dropped traces per reason.
     """
     seed = sampling.default_seed() if seed is None else int(seed)
     rng = np.random.default_rng(seed)
@@ -300,12 +311,15 @@ def check_conservation(chart, integral, n_samples=20, t_max=1.0, seed=None,
     states = sampling.sample_states(chart, n_samples, rng, causal=causal,
                                     min_speed_sq=min_speed_sq)
     drifts = []
+    dropped = dict.fromkeys(DROP_REASONS, 0)
     for s in states:
         trace = integrate_geodesic(chart, s, t_max, opts=opts)
         elapsed = trace.length
-        if len(trace.ts) < 3 or elapsed < 1e-3:
+        if skip_singular and trace.termination.abandoned:
+            dropped[trace.termination.value] += 1
             continue
-        if skip_singular and trace.termination is Termination.SINGULARITY:
+        if len(trace.ts) < 3 or elapsed < 1e-3:
+            dropped["short"] += 1
             continue
         vals = np.array([integral.value_at_state(trace.state_at_index(i))
                          for i in range(len(trace.ts))])
@@ -314,7 +328,7 @@ def check_conservation(chart, integral, n_samples=20, t_max=1.0, seed=None,
     max_drift = max(drifts) if drifts else math.inf
     return ConservationReport(
         chart=chart.name, integral=integral.name, n_samples=n_samples,
-        n_used=len(drifts), seed=seed, t_max=t_max, tol=tol,
+        n_used=len(drifts), dropped=dropped, seed=seed, t_max=t_max, tol=tol,
         max_drift=max_drift, drifts=drifts,
         passed=bool(drifts) and max_drift <= tol)
 

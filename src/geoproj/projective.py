@@ -20,7 +20,7 @@ import numpy as np
 
 from . import expr, sampling
 from .expr import X, Y
-from .flow import IntegratorOptions, Termination, integrate_geodesic
+from .flow import IntegratorOptions, integrate_geodesic
 from .integrals import (DegenerateRatioError, check_conservation,
                         darboux_integral)
 from .metric import ChartMap, christoffel, pullback
@@ -142,7 +142,7 @@ def check_projective_equivalence(g, gbar, n_traces=20, drift_tol=1e-6,
         tr_b = integrate_geodesic(gbar, state, t_max, opts=opts)
         ok = []
         for tr in (tr_g, tr_b):
-            if len(tr.ts) < 5 or tr.termination is Termination.SINGULARITY:
+            if len(tr.ts) < 5 or tr.termination.abandoned:
                 break
             pts = _dense_positions(tr)
             if _chord_length(pts) < 1e-3:

@@ -112,6 +112,27 @@ def test_translation_verdicts(capsys):
     assert json.loads(out)["verdict"] == "equivalent"
 
 
+def test_explicit_zero_flags_are_usage_errors(capsys):
+    rc, out, err = run_cli(capsys, "check", "projective", "--chart", "band",
+                           "--chart-b", "flat", "--tmax", "0")
+    assert rc == 2
+    assert out == ""
+    assert "--tmax" in err
+    rc, _, err = run_cli(capsys, "check", "isometry",
+                         "--chart", "projective-shift", "--map", "shift",
+                         "--tol", "0")
+    assert rc == 2
+    assert "--tol" in err
+    rc, _, err = run_cli(capsys, "verify", "rescaling", "--samples", "0")
+    assert rc == 2
+    assert "--samples" in err
+    rc, _, err = run_cli(capsys, "geodesic", "--chart", "flat", "--x0", "0",
+                         "--y0", "0", "--vx0", "1", "--vy0", "0",
+                         "--tmax", "0")
+    assert rc == 2
+    assert "--tmax" in err
+
+
 def test_check_rejects_mismatched_flags(capsys):
     rc, _, err = run_cli(capsys, "check", "isometry", "--chart", "flat",
                          "--chart-b", "band")

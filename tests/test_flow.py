@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from geoproj import flow, metric
+from geoproj import flow, metric, sampling, zoo
 from geoproj.flow import (GeodesicState, IntegratorOptions, Termination,
                           detect_closure, find_conjugate_points,
                           integrate_geodesic, integrate_jacobi, trace_to_csv)
@@ -114,6 +114,108 @@ def test_singularity_on_null_plane_blowup():
     assert tr.termination == Termination.SINGULARITY
     assert tr.ts[-1] < 1.01
     assert tr.final_state().x > 100.0
+
+
+# Attempted steps (n_accepted + n_rejected) of the blow-up above when the
+# trace ran on until its step size fell below h_min.
+NULL_PLANE_STEPS_TO_H_MIN = 1796
+
+
+def test_null_plane_blowup_exits_on_step_collapse():
+    m = null_plane_chart()
+    tr = integrate_geodesic(m, GeodesicState(1.0, 0.0, 1.0, 0.0), 2.0)
+    assert tr.termination == Termination.SINGULARITY
+    assert tr.n_accepted + tr.n_rejected <= NULL_PLANE_STEPS_TO_H_MIN // 2
+
+
+def test_pole_grazing_geodesic_reaches_time_limit():
+    # a great circle through the equator whose closest approach to the
+    # pole is colatitude 1e-3 (Clairaut: sin^2(x) vy = sin(1e-3)); the
+    # steps shrink by almost four decades there and grow back
+    m = sphere_chart()
+    c = 1e-3
+    vy = math.sin(c)
+    s0 = GeodesicState(math.pi / 2, 0.0, -math.sqrt(1.0 - vy * vy), vy)
+    tr = integrate_geodesic(m, s0, 3.0)
+    assert tr.termination == Termination.TIME_LIMIT
+    assert float(np.min(tr.ys[:, 0])) == pytest.approx(c, rel=1e-6)
+
+
+@pytest.mark.parametrize("state, want", [
+    # heads for the origin and reaches the excluded disc of radius 1e-6
+    (GeodesicState(1e-3, 0.0, -1.0, 0.0), Termination.DOMAIN_EXIT),
+    # slows down on the way in and stops about 1.4e-4 from the origin
+    (GeodesicState(1e-2, 0.0, -1.0, 1e-4), Termination.TIME_LIMIT),
+    # bends away and blows up in finite parameter
+    (GeodesicState(1e-2, 1e-3, -1.0, 0.0), Termination.SINGULARITY),
+])
+def test_clifton_pohl_near_excluded_disc_keeps_termination(state, want):
+    cp, _ = zoo.clifton_pohl()
+    assert integrate_geodesic(cp, state, 1.0).termination == want
+
+
+def test_tiny_final_step_is_not_a_collapse():
+    # stop 1e-9 past an accepted step: the last step is cut to 1e-9, far
+    # below the trace's largest step, and still ends the trace on time
+    m = sphere_chart()
+    s0 = GeodesicState(1.2, 0.0, 0.3, 1.0)
+    t_stop = float(integrate_geodesic(m, s0, 3.0).ts[5]) + 1e-9
+    tr = integrate_geodesic(m, s0, t_stop)
+    assert tr.termination == Termination.TIME_LIMIT
+    assert tr.ts[-1] - tr.ts[-2] == pytest.approx(1e-9, rel=1e-3)
+
+
+def test_step_budget_ends_the_trace():
+    m = sphere_chart()
+    s0 = GeodesicState(math.pi / 2, 0.0, 0.3, 1.0)
+    tr = integrate_geodesic(m, s0, 10.0, IntegratorOptions(max_steps=50))
+    assert tr.termination == Termination.STEP_BUDGET
+    assert tr.termination.value == "step-budget"
+    assert tr.n_accepted + tr.n_rejected == 50
+    assert tr.ts[-1] < 10.0
+
+
+# Termination class of the first 20 states sample_states draws per
+# catalogue chart with default_rng(12345), each traced for t_max=1:
+# T time-limit, D domain-exit, S singularity.  For each singular trace, the
+# steps (n_accepted + n_rejected) it took when it ran on to h_min.
+GOLDEN_TERMINATIONS = {
+    "flat": "TTTTTTTTTTTTTTTTTTTT",
+    "clifton-pohl": "TTTTTTTTTTTTTTTTTTTT",
+    "band": "TTTTTTTTSTTTTTSTTTTT",
+    "punctured-family": "TSTTTTTTTTTTTTTTTTTT",
+    "tannery": "TTTTTTTTTTTTTTTTTTTT",
+    "tannery-deformed": "TTTTTTTTTTTTTTTTTTTT",
+    "projective-shift": "TTTTTTTSSSTTSSSTTSSS",
+    "liouville": "TTTTTTTTTTTTTTTTTTTT",
+    "clairaut-truncation": "TTTTTTTTTTTTTTTTTTTT",
+}
+GOLDEN_SINGULAR_STEPS_TO_H_MIN = {
+    ("band", 8): 2059, ("band", 14): 2056,
+    ("punctured-family", 1): 1771,
+    ("projective-shift", 7): 2213, ("projective-shift", 8): 2452,
+    ("projective-shift", 9): 2181, ("projective-shift", 12): 2195,
+    ("projective-shift", 13): 2225, ("projective-shift", 14): 2234,
+    ("projective-shift", 17): 2692, ("projective-shift", 18): 2227,
+    ("projective-shift", 19): 2241,
+}
+
+
+def test_catalogue_termination_classes_are_golden():
+    code = {Termination.TIME_LIMIT: "T", Termination.DOMAIN_EXIT: "D",
+            Termination.SINGULARITY: "S"}
+    assert set(GOLDEN_TERMINATIONS) == set(zoo.catalogue())
+    for name, want in GOLDEN_TERMINATIONS.items():
+        chart = zoo.build_bundle(name).chart
+        states = sampling.sample_states(chart, 20,
+                                        np.random.default_rng(12345))
+        for i, s in enumerate(states):
+            tr = integrate_geodesic(chart, s, 1.0)
+            assert code.get(tr.termination) == want[i], (name, i)
+            if tr.termination is Termination.SINGULARITY:
+                steps = tr.n_accepted + tr.n_rejected
+                assert steps < GOLDEN_SINGULAR_STEPS_TO_H_MIN[name, i], \
+                    (name, i)
 
 
 def test_initial_state_outside_domain_raises():

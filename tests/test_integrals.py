@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from geoproj import expr, integrals, metric, sampling
-from geoproj.flow import GeodesicState
+from geoproj import expr, integrals, metric, sampling, zoo
+from geoproj.flow import GeodesicState, IntegratorOptions
 from geoproj.integrals import (check_conservation, clairaut_integral,
                                darboux_integral, energy_integral,
                                independence_gram, integral_pullback,
@@ -164,10 +164,29 @@ def test_conservation_report_shape_and_determinism():
     d1 = rep1.to_json_dict()
     d2 = rep2.to_json_dict()
     assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
-    assert set(d1) == {"schema", "chart", "integral", "n_samples", "seed",
-                       "max_drift", "pass"}
+    assert set(d1) == {"schema", "chart", "integral", "n_samples", "n_used",
+                       "dropped", "seed", "t_max", "tol", "max_drift", "pass"}
     assert d1["schema"] == 1
     assert d1["seed"] == 77
+
+
+def test_conservation_report_counts_drop_reasons():
+    # at seed 12345 and t_max=0.5, five of the 20 sampled shift-metric
+    # geodesics blow up before t_max
+    chart = zoo.projective_shift().chart
+    rep = check_conservation(chart, energy_integral(chart), n_samples=20,
+                             t_max=0.5, seed=12345)
+    assert rep.dropped == {"short": 0, "singularity": 5, "step-budget": 0}
+    assert rep.n_used == 15
+    d = rep.to_json_dict()
+    assert d["dropped"] == rep.dropped
+    assert (d["n_used"], d["t_max"], d["tol"]) == (15, 0.5, 1e-6)
+
+    m = sphere_chart()
+    rep = check_conservation(m, energy_integral(m), n_samples=4, seed=3,
+                             opts=IntegratorOptions(max_steps=5))
+    assert rep.dropped == {"short": 0, "singularity": 0, "step-budget": 4}
+    assert rep.n_used == 0 and not rep.passed
 
 
 def test_drift_statistic_is_scale_invariant():

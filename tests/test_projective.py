@@ -7,6 +7,7 @@ import pytest
 
 from geoproj import expr, zoo
 from geoproj.expr import X, Y
+from geoproj.flow import IntegratorOptions
 from geoproj.integrals import (check_conservation, integral_pullback,
                                liouville_integral)
 from geoproj.metric import (ChartMap, Domain, MetricChart, Signature,
@@ -63,6 +64,18 @@ def test_equivalence_inconclusive_when_ratio_collapses():
     report = check_projective_equivalence(bad, flat, seed=5)
     assert report.verdict == INCONCLUSIVE
     assert "ratio" in report.reason
+
+
+def test_exhausted_step_budget_gives_a_verdict():
+    # most traces run out of their 50 steps; the decider drops them and
+    # reports that it has too little evidence instead of raising
+    base, _ = zoo.band_chart(a=1.0, l=0.0)
+    other, _ = zoo.band_chart(a=2.0, l=0.3)
+    report = check_projective_equivalence(
+        base, other, n_traces=6, seed=7, opts=IntegratorOptions(max_steps=50))
+    assert report.verdict == INCONCLUSIVE
+    assert report.n_conserved < 5
+    assert "too few usable traces" in report.reason
 
 
 def test_equivalence_report_json_shape():
