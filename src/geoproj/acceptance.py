@@ -50,6 +50,10 @@ class CriterionResult:
                 "elapsed": round(self.elapsed, 3)}
 
 
+def _result(cid, passed, details):
+    return CriterionResult(cid, _DESC[cid], passed, details)
+
+
 _BAND_MEMBERS = [(2.0, 0.3), (-1.0, 0.4), (1.0, -0.5)]
 _FAMILY_MEMBERS = [(1.0, 0.0), (1.0, 0.5), (2.0, -1.0)]
 
@@ -67,21 +71,18 @@ def criterion_1(seed):
             t_max=1.0, seed=seed + i)
         pair_elapsed = time.perf_counter() - t0
         if report.verdict != EQUIVALENT:
-            return CriterionResult(
-                1, _DESC[1], False,
+            return _result(
+                1, False,
                 "pair (a=%g,l=%g) verdict %s, drift %.3g, overlap %.3g"
-                % (a, l, report.verdict, report.max_drift,
-                   report.max_overlap))
+                % (a, l, report.verdict, report.max_drift, report.max_overlap))
         if pair_elapsed > 10.0:
-            return CriterionResult(
-                1, _DESC[1], False,
-                "pair (a=%g,l=%g) took %.1fs, budget 10s"
+            return _result(
+                1, False, "pair (a=%g,l=%g) took %.1fs, budget 10s"
                 % (a, l, pair_elapsed))
         worst_drift = max(worst_drift, report.max_drift)
         worst_overlap = max(worst_overlap, report.max_overlap)
-    return CriterionResult(
-        1, _DESC[1], True,
-        "3 pairs equivalent, worst drift %.2e, worst overlap %.2e"
+    return _result(
+        1, True, "3 pairs equivalent, worst drift %.2e, worst overlap %.2e"
         % (worst_drift, worst_overlap))
 
 
@@ -97,9 +98,8 @@ def criterion_2(seed):
         base, spoiled, n_traces=20, drift_tol=1e-6, overlap_tol=1e-4,
         t_max=1.0, seed=seed)
     ok = report.verdict == NOT_EQUIVALENT and report.max_drift >= 1e-2
-    return CriterionResult(
-        2, _DESC[2], ok,
-        "verdict %s, drift %.3g (needs >= 1e-2)"
+    return _result(
+        2, ok, "verdict %s, drift %.3g (needs >= 1e-2)"
         % (report.verdict, report.max_drift))
 
 
@@ -117,8 +117,8 @@ def criterion_3(seed):
         err = abs(got_axis - want_axis) / max(1.0, abs(want_axis))
         worst = max(worst, err)
         if worst > 1e-5:
-            return CriterionResult(
-                3, _DESC[3], False,
+            return _result(
+                3, False,
                 "member (a=%g,l=%g): diagonal %.6g (want %.6g), axis %.6g "
                 "(want %.6g)" % (a, l, got_diag, want_diag, got_axis,
                                  want_axis))
@@ -127,12 +127,12 @@ def criterion_3(seed):
     cp_diag = gaussian_curvature(cp, (1.0, 1.0))
     worst = max(worst, abs(cp_axis), abs(cp_diag + 2.0) / 2.0)
     if worst > 1e-5:
-        return CriterionResult(
-            3, _DESC[3], False,
+        return _result(
+            3, False,
             "null-plane chart: axis %.6g (want 0), diagonal %.6g (want -2)"
             % (cp_axis, cp_diag))
-    return CriterionResult(
-        3, _DESC[3], True,
+    return _result(
+        3, True,
         "3 members plus the null-plane chart, worst fingerprint error "
         "%.2e (tol 1e-5)" % worst)
 
@@ -147,30 +147,29 @@ def criterion_4(seed):
         for st in states:
             times, _ = find_conjugate_points(chart, st, 1.2)
             if times:
-                return CriterionResult(
-                    4, _DESC[4], False,
+                return _result(
+                    4, False,
                     "member (a=%g,l=%g) produced a conjugate point at "
                     "t=%.6g from (%.3f,%.3f)" % (a, l, times[0], st.x, st.y))
     sphere, _ = zoo.tannery_chart()
     times, _ = find_conjugate_points(
         sphere, GeodesicState(math.pi / 2, 0.3, 0.0, 1.0), 4.0)
     if not times or abs(times[0] - math.pi) > 1e-5:
-        return CriterionResult(
-            4, _DESC[4], False,
-            "sphere control found %r, wanted pi +- 1e-5" % (times,))
-    return CriterionResult(
-        4, _DESC[4], True,
-        "60 family segments clean; sphere control at %.8f" % times[0])
+        return _result(
+            4, False, "sphere control found %r, wanted pi +- 1e-5" % (times,))
+    return _result(
+        4, True, "60 family segments clean; sphere control at %.8f" % times[0])
 
 
 def criterion_5(seed):
     """The strip closure identity over 1000 random admissible tuples."""
+    tol = zoo.IDENTITIES["rescaling"].tol
     worst, tup = zoo.sample_rescaling_identity(1000, seed=seed)
-    ok = worst <= 1e-10
-    detail = "worst residual %.2e (tol 1e-10)" % worst
+    ok = worst <= tol
+    detail = "worst residual %.2e (tol %g)" % (worst, tol)
     if not ok:
         detail += " at tuple %r" % (tup,)
-    return CriterionResult(5, _DESC[5], ok, detail)
+    return _result(5, ok, detail)
 
 
 def criterion_6(seed):
@@ -186,8 +185,8 @@ def criterion_6(seed):
     for r in rs:
         for th in ths:
             if deformed.det_at((float(r), float(th))) >= 0.0:
-                return CriterionResult(
-                    6, _DESC[6], False,
+                return _result(
+                    6, False,
                     "determinant sign wrong at (%.4f, %.4f)" % (r, th))
 
     rng = np.random.default_rng(seed)
@@ -203,8 +202,8 @@ def criterion_6(seed):
         st = GeodesicState(r, rng.uniform(0.0, 2.0 * math.pi), vx, vy)
         rep = detect_closure(deformed, st, t_max=150.0, tol=1e-5)
         if not rep.closed:
-            return CriterionResult(
-                6, _DESC[6], False,
+            return _result(
+                6, False,
                 "spacelike geodesic from (%.4f,%.4f) v=(%.4f,%.4f) did not "
                 "close within t=150" % (st.x, st.y, st.vx, st.vy))
         n_closed += 1
@@ -218,34 +217,26 @@ def criterion_6(seed):
         vx = math.copysign(math.sqrt(max(vx2, 0.0)), rng.uniform(-1, 1))
         p = (r, rng.uniform(0.0, 2.0 * math.pi))
         if abs(metric_eval(base, p, (vx, vy)) - 1.0) > 1e-10:
-            return CriterionResult(6, _DESC[6], False,
-                                   "cone sample lost base normalisation")
+            return _result(6, False, "cone sample lost base normalisation")
         worst_cone = max(worst_cone, abs(metric_eval(deformed, p, (vx, vy))))
         if classify(deformed, p, (vx, vy)) is not CausalClass.LIGHTLIKE:
-            return CriterionResult(
-                6, _DESC[6], False,
+            return _result(
+                6, False,
                 "constructed cone vector not classified lightlike at "
                 "(%.4f, %.4f)" % p)
     if worst_cone > 1e-8:
-        return CriterionResult(
-            6, _DESC[6], False,
-            "lightlike cone residual %.2e exceeds 1e-8" % worst_cone)
+        return _result(
+            6, False, "lightlike cone residual %.2e exceeds 1e-8" % worst_cone)
 
-    worst_reparam = 0.0
-    for t in np.linspace(-5.0, 5.0, 101):
-        x = zoo.tannery_reparam_x(t)
-        s2 = math.sin(x) ** 2
-        lhs = s2 / (1.0 - 2.0 * s2)
-        rhs = -math.cosh(t) ** 2
-        worst_reparam = max(worst_reparam, abs(lhs - rhs) / abs(rhs))
-    if worst_reparam > 1e-10:
-        return CriterionResult(
-            6, _DESC[6], False,
-            "characteristic curve residual %.2e exceeds 1e-10"
-            % worst_reparam)
+    tol = zoo.IDENTITIES["tannery-reparam"].tol
+    worst_reparam = zoo.tannery_reparam_residual(101)
+    if worst_reparam > tol:
+        return _result(
+            6, False, "characteristic curve residual %.2e exceeds %g"
+            % (worst_reparam, tol))
 
-    return CriterionResult(
-        6, _DESC[6], True,
+    return _result(
+        6, True,
         "2500 grid determinants negative; %d spacelike closures; cone "
         "residual %.1e; curve residual %.1e"
         % (n_closed, worst_cone, worst_reparam))
@@ -264,24 +255,18 @@ def criterion_7(seed):
         fv = expr.evaluate(expr.substitute(
             bundle.f, X - expr.floor_of(X), expr.Y), (float(x), 0.0))
         if not (lam > lam_lo and 1.0 + lam * fv > 0.0):
-            return CriterionResult(
-                7, _DESC[7], False, "bounds fail at x=%.4f" % x)
+            return _result(7, False, "bounds fail at x=%.4f" % x)
 
-    seam = zoo.shift_seam_residual(bundle, seams=(0.0, 1.0, 2.0, 3.0))
+    seam = zoo.shift_seam_residual(bundle)
     if seam > 1e-8:
-        return CriterionResult(
-            7, _DESC[7], False, "seam residual %.2e exceeds 1e-8" % seam)
+        return _result(7, False, "seam residual %.2e exceeds 1e-8" % seam)
 
-    rng = np.random.default_rng(seed)
-    worst_rel = 0.0
-    for _ in range(100):
-        x = float(rng.uniform(-2.0, 2.0))
-        n = int(rng.integers(-2, 4))
-        worst_rel = max(worst_rel, zoo.shift_relation_residual(bundle, x, n))
-    if worst_rel > 1e-8:
-        return CriterionResult(
-            7, _DESC[7], False,
-            "closure relation residual %.2e exceeds 1e-8" % worst_rel)
+    tol = zoo.IDENTITIES["shift-relation"].tol
+    worst_rel = zoo.sample_shift_relation(bundle, 100, seed=seed)
+    if worst_rel > tol:
+        return _result(
+            7, False,
+            "closure relation residual %.2e exceeds %g" % (worst_rel, tol))
 
     iso = check_isometry(g, bundle.tau, n=30, seed=seed)
     aff = check_affinity(g, bundle.tau, n=30, seed=seed)
@@ -289,8 +274,8 @@ def criterion_7(seed):
     eq = check_projective_equivalence(g, moved, n_traces=15, t_max=0.7,
                                       seed=seed)
     if iso.passed or aff.passed or eq.verdict != EQUIVALENT:
-        return CriterionResult(
-            7, _DESC[7], False,
+        return _result(
+            7, False,
             "translation grading wrong: isometry=%s affinity=%s "
             "projective=%s" % (iso.passed, aff.passed, eq.verdict))
 
@@ -300,15 +285,13 @@ def criterion_7(seed):
     except zoo.ZooError:
         gate = True
     if not gate:
-        return CriterionResult(
-            7, _DESC[7], False, "out-of-range eps was accepted")
+        return _result(7, False, "out-of-range eps was accepted")
 
     elapsed = time.perf_counter() - t0
     if elapsed > 30.0:
-        return CriterionResult(
-            7, _DESC[7], False, "criterion took %.1fs, budget 30s" % elapsed)
-    return CriterionResult(
-        7, _DESC[7], True,
+        return _result(7, False, "criterion took %.1fs, budget 30s" % elapsed)
+    return _result(
+        7, True,
         "bounds hold; seams %.1e; relation %.1e; translation projective "
         "only; eps gate closed" % (seam, worst_rel))
 
@@ -325,17 +308,16 @@ def criterion_8(seed):
             worst_kernel = max(worst_kernel, abs(
                 tb.integral.value((math.pi / 2, th), (0.0, vy))))
     if worst_kernel > 1e-10:
-        return CriterionResult(
-            8, _DESC[8], False,
+        return _result(
+            8, False,
             "boundary kernel residual %.2e exceeds 1e-10" % worst_kernel)
 
     rng = np.random.default_rng(seed)
     for _ in range(50):
         p = sampling.sample_points(tb.base, 1, rng)[0]
         if tb.partner.det_at(p) <= 0.0:
-            return CriterionResult(
-                8, _DESC[8], False,
-                "partner degenerates at %r inside the region" % (p,))
+            return _result(
+                8, False, "partner degenerates at %r inside the region" % (p,))
         ang = rng.uniform(0.0, 2.0 * math.pi)
         v = (math.cos(ang), math.sin(ang))
         norm = metric_eval(tb.base, p, v)
@@ -343,20 +325,20 @@ def criterion_8(seed):
             continue
         v = (v[0] / math.sqrt(norm), v[1] / math.sqrt(norm))
         if tb.integral.value(p, v) <= 0.0:
-            return CriterionResult(
-                8, _DESC[8], False,
+            return _result(
+                8, False,
                 "defining form not positive at %r inside the region" % (p,))
 
     pair = darboux_integral(tb.base, tb.partner)
     report = check_conservation(tb.base, pair, n_samples=20, t_max=0.8,
                                 seed=seed, tol=1e-6)
     if not report.passed or report.n_used < 10:
-        return CriterionResult(
-            8, _DESC[8], False,
+        return _result(
+            8, False,
             "pair integral drift %.3g over %d usable traces (tol 1e-6)"
             % (report.max_drift, report.n_used))
-    return CriterionResult(
-        8, _DESC[8], True,
+    return _result(
+        8, True,
         "kernel %.1e; form positive on 50 interior samples; drift %.2e "
         "over %d traces" % (worst_kernel, report.max_drift, report.n_used))
 
@@ -365,39 +347,34 @@ def criterion_9(seed):
     """Separable symmetry search: finds the quarter-period swap with its
     constant, rejects a mismatched pair, and the found map is an isometry
     that moves the separation integral to a new conserved quantity."""
-    h1 = 2.0 + expr.sin(4.0 * math.pi * expr.X)
-    h2 = 5.0 - expr.sin(4.0 * math.pi * expr.Y)
-    found = liouville_isometry_search(h1, h2, period=0.5)
+    found = liouville_isometry_search(*zoo.liouville_profiles(), period=0.5)
     swap = found.candidates["swap"]
     if not found.found or abs(swap["k"] - 0.25) > 1e-6 \
             or abs(swap["c"] - 3.0) > 1e-6:
-        return CriterionResult(
-            9, _DESC[9], False,
-            "search returned k=%.8g c=%.8g residual=%.2e"
+        return _result(
+            9, False, "search returned k=%.8g c=%.8g residual=%.2e"
             % (swap["k"], swap["c"], swap["residual"]))
 
     chart, sep = zoo.liouville_chart()
     phi = liouville_swap_map(swap["k"], "swap")
     iso = check_isometry(chart, phi, n=30, seed=seed)
     if not iso.passed:
-        return CriterionResult(
-            9, _DESC[9], False,
-            "found map fails the isometry check (residual %.2e)"
+        return _result(
+            9, False, "found map fails the isometry check (residual %.2e)"
             % iso.max_residual)
 
     pulled = integral_pullback(sep, phi, name="swapped-separable")
     p, v = (0.3, 0.6), (0.7, -0.4)
     moved = abs(sep.value(p, v) - pulled.value(p, v))
     if moved <= 1e-3:
-        return CriterionResult(
-            9, _DESC[9], False,
-            "pulled integral coincides with the original (diff %.2e)"
+        return _result(
+            9, False, "pulled integral coincides with the original (diff %.2e)"
             % moved)
     cons = check_conservation(chart, pulled, n_samples=10, t_max=0.8,
                               seed=seed, tol=1e-6)
     if not cons.passed:
-        return CriterionResult(
-            9, _DESC[9], False,
+        return _result(
+            9, False,
             "pulled integral drifts %.3g (tol 1e-6)" % cons.max_drift)
 
     neg = liouville_isometry_search(
@@ -405,13 +382,12 @@ def criterion_9(seed):
         2.0 + expr.sin(4.0 * math.pi * expr.Y), period=1.0)
     if neg.found or any(c["residual"] < 1e-3
                         for c in neg.candidates.values()):
-        return CriterionResult(
-            9, _DESC[9], False,
-            "mismatched pair was accepted (residuals %r)"
+        return _result(
+            9, False, "mismatched pair was accepted (residuals %r)"
             % {k: v["residual"] for k, v in neg.candidates.items()})
 
-    return CriterionResult(
-        9, _DESC[9], True,
+    return _result(
+        9, True,
         "swap k=%.8f c=%.8f; isometry %.1e; integral moved %.2g and "
         "conserved %.1e; negative pair rejected"
         % (swap["k"], swap["c"], iso.max_residual, moved, cons.max_drift))
@@ -428,8 +404,8 @@ def criterion_10(seed):
                                  n_samples=50, t_max=0.5, seed=seed,
                                  tol=1e-7)
         if not rep.passed or rep.n_used < 25:
-            return CriterionResult(
-                10, _DESC[10], False,
+            return _result(
+                10, False,
                 "%s: energy drift %.3g over %d usable traces (tol 1e-7)"
                 % (name, rep.max_drift, rep.n_used))
 
@@ -454,20 +430,17 @@ def criterion_10(seed):
             worst_rev = max(worst_rev, err)
             used += 1
         if used < 6 or worst_rev > 1e-6:
-            return CriterionResult(
-                10, _DESC[10], False,
+            return _result(
+                10, False,
                 "%s: reversibility %.3g over %d round trips (tol 1e-6)"
                 % (name, worst_rev, used))
         lines.append("%s %.1e/%.1e" % (name, rep.max_drift, worst_rev))
 
     elapsed = time.perf_counter() - t0
     if elapsed > 300.0:
-        return CriterionResult(
-            10, _DESC[10], False,
-            "criterion took %.0fs, budget 300s" % elapsed)
-    return CriterionResult(
-        10, _DESC[10], True,
-        "drift/reversal per chart: " + ", ".join(lines))
+        return _result(
+            10, False, "criterion took %.0fs, budget 300s" % elapsed)
+    return _result(10, True, "drift/reversal per chart: " + ", ".join(lines))
 
 
 _DESC = {
@@ -499,9 +472,8 @@ def run_all(seed=None):
         try:
             res = fn(seed)
         except Exception as err:
-            res = CriterionResult(
-                cid, _DESC[cid], False,
-                "raised %s: %s" % (type(err).__name__, err))
+            res = _result(cid, False,
+                          "raised %s: %s" % (type(err).__name__, err))
         res.elapsed = time.perf_counter() - t0
         results.append(res)
     return results

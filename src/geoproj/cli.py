@@ -11,17 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-
-import numpy as np
 
 from . import acceptance, expr, sampling, zoo
 from .expr import ExpressionError
 from .flow import GeodesicState, integrate_geodesic, trace_to_csv
-from .integrals import (check_conservation, energy_integral,
-                        liouville_integral, liouville_integral_printed)
+from .integrals import energy_integral
 from .metric import DomainError, chart_from_dict, chart_to_dict, pullback
 from .projective import (EQUIVALENT, check_affinity, check_isometry,
                          check_projective_equivalence)
@@ -59,17 +55,23 @@ def _parse_field(text, flag):
         raise UsageError("bad expression for %s: %s" % (flag, err))
 
 
+# flag, bundle keyword, conversion, help
 _PARAM_FLAGS = [
-    ("a", "a", float), ("ell", "l", float), ("eps", "eps", float),
-    ("c", "c", float), ("sign", "sign", int),
-    ("f", "f", "field"), ("h", "h", "field"),
-    ("h1", "h1", "field"), ("h2", "h2", "field"),
+    ("a", "a", float, "family scale parameter"),
+    ("ell", "l", float, "family shape parameter"),
+    ("eps", "eps", float, "shear gain per period"),
+    ("c", "c", float, "profile offset"),
+    ("sign", "sign", int, "separable metric signature, +1 or -1"),
+    ("f", "f", "field", "profile f(x), prefix expression"),
+    ("h", "h", "field", "odd profile h(x), prefix expression"),
+    ("h1", "h1", "field", "separable h1(x), prefix expression"),
+    ("h2", "h2", "field", "separable h2(y), prefix expression"),
 ]
 
 
 def _collect_overrides(args):
     kwargs = {}
-    for flag, key, conv in _PARAM_FLAGS:
+    for flag, key, conv, _ in _PARAM_FLAGS:
         value = getattr(args, flag, None)
         if value is None:
             continue
@@ -178,14 +180,11 @@ def cmd_check(args):
             raise UsageError("chart %r has no map %r; available: %s"
                              % (args.chart, args.map, ", ".join(have) or "none"))
         cmap = bundle.maps[args.map]
-        if args.kind == "isometry":
-            rep = check_isometry(chart, cmap, seed=args.seed,
-                                 tol=_positive(args, "tol", 1e-8))
-            _emit(rep.to_json_dict(), args.json)
-            return 0 if rep.passed else 1
-        if args.kind == "affine":
-            rep = check_affinity(chart, cmap, seed=args.seed,
-                                 tol=_positive(args, "tol", 1e-6))
+        if args.kind != "projective":
+            check, tol = ((check_isometry, 1e-8) if args.kind == "isometry"
+                          else (check_affinity, 1e-6))
+            rep = check(chart, cmap, seed=args.seed,
+                        tol=_positive(args, "tol", tol))
             _emit(rep.to_json_dict(), args.json)
             return 0 if rep.passed else 1
         other = pullback(chart, cmap, name="%s*%s" % (args.map, chart.name))
@@ -206,60 +205,11 @@ def cmd_check(args):
 
 def cmd_verify(args):
     seed = args.seed if args.seed is not None else sampling.default_seed()
-
-    if args.identity == "rescaling":
-        n = _positive(args, "samples", 1000)
-        worst, at = zoo.sample_rescaling_identity(n, seed=seed)
-        out = {"schema": 1, "identity": "rescaling", "samples": n,
-               "seed": seed, "worst_residual": worst, "tol": 1e-10,
-               "pass": worst <= 1e-10}
-        _emit(out, args.json)
-        return 0 if out["pass"] else 1
-
-    if args.identity == "shift-relation":
-        n = _positive(args, "samples", 100)
-        bundle = zoo.projective_shift()
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(n):
-            x = float(rng.uniform(-2.0, 2.0))
-            k = int(rng.integers(-2, 4))
-            worst = max(worst, zoo.shift_relation_residual(bundle, x, k))
-        out = {"schema": 1, "identity": "shift-relation", "samples": n,
-               "seed": seed, "worst_residual": worst, "tol": 1e-8,
-               "pass": worst <= 1e-8}
-        _emit(out, args.json)
-        return 0 if out["pass"] else 1
-
-    if args.identity == "tannery-reparam":
-        n = _positive(args, "samples", 101)
-        worst = 0.0
-        for t in np.linspace(-5.0, 5.0, n):
-            x = zoo.tannery_reparam_x(float(t))
-            s2 = math.sin(x) ** 2
-            rhs = -math.cosh(float(t)) ** 2
-            worst = max(worst, abs(s2 / (1.0 - 2.0 * s2) - rhs) / abs(rhs))
-        out = {"schema": 1, "identity": "tannery-reparam", "samples": n,
-               "worst_residual": worst, "tol": 1e-10, "pass": worst <= 1e-10}
-        _emit(out, args.json)
-        return 0 if out["pass"] else 1
-
-    # liouville-variants: the separation integral against the alternate
-    # transcription; only the standard form has to conserve
-    chart, sep = zoo.liouville_chart()
-    h1 = 2.0 + expr.sin(4.0 * math.pi * expr.X)
-    h2 = 5.0 - expr.sin(4.0 * math.pi * expr.Y)
-    alt = liouville_integral_printed(h1, h2, sign=1)
-    n = _positive(args, "samples", 20)
-    t_max = _positive(args, "tmax", 1.0)
-    std = check_conservation(chart, sep, n_samples=n, t_max=t_max, seed=seed,
-                             tol=1e-6)
-    other = check_conservation(chart, alt, n_samples=n, t_max=t_max,
-                               seed=seed, tol=1e-6)
-    out = {"schema": 1, "identity": "liouville-variants", "seed": seed,
-           "separable_drift": std.max_drift,
-           "alternate_form_drift": other.max_drift,
-           "tol": 1e-6, "pass": std.passed}
+    ident = zoo.IDENTITIES[args.identity]
+    fields, residual = ident.run(_positive(args, "samples", ident.samples),
+                                 seed, _positive(args, "tmax", 1.0))
+    out = dict(fields, schema=1, identity=args.identity, tol=ident.tol)
+    out["pass"] = residual <= ident.tol
     _emit(out, args.json)
     return 0 if out["pass"] else 1
 
@@ -276,15 +226,8 @@ def cmd_accept(args):
 
 
 def _add_param_flags(p):
-    p.add_argument("--a", help="family scale parameter")
-    p.add_argument("--ell", help="family shape parameter")
-    p.add_argument("--eps", help="shear gain per period")
-    p.add_argument("--c", help="profile offset")
-    p.add_argument("--sign", help="separable metric signature, +1 or -1")
-    p.add_argument("--f", help="profile f(x), prefix expression")
-    p.add_argument("--h", help="odd profile h(x), prefix expression")
-    p.add_argument("--h1", help="separable h1(x), prefix expression")
-    p.add_argument("--h2", help="separable h2(y), prefix expression")
+    for flag, _, _, text in _PARAM_FLAGS:
+        p.add_argument("--" + flag, help=text)
 
 
 def _add_common(p):
@@ -319,7 +262,7 @@ def _build_parser():
     p.add_argument("--y0", type=float, required=True)
     p.add_argument("--vx0", type=float, required=True)
     p.add_argument("--vy0", type=float, required=True)
-    p.add_argument("--tmax", type=float, default=1.0)
+    p.add_argument("--tmax", type=float)
     p.add_argument("--csv", metavar="PATH", help="write the trace as CSV")
     _add_common(p)
     p.set_defaults(func=cmd_geodesic)
@@ -338,9 +281,7 @@ def _build_parser():
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("verify", help="closed-form identity spot checks")
-    p.add_argument("identity", choices=[
-        "rescaling", "shift-relation", "tannery-reparam",
-        "liouville-variants"])
+    p.add_argument("identity", choices=list(zoo.IDENTITIES))
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--tmax", type=float, default=None)
     _add_common(p)

@@ -16,16 +16,17 @@ which is also the chart-file syntax accepted by the command line tools.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
 __all__ = [
     "ScalarField", "Const", "Var", "X", "Y",
     "ExpressionError", "EvaluationError",
-    "const", "var", "sin", "cos", "sinh", "cosh", "exp", "log", "arcsin",
+    "const", "sin", "cos", "sinh", "cosh", "exp", "log", "arcsin",
     "sqrt", "cbrt", "absval", "sign", "floor_of", "expinv", "smoothstep",
     "mod_field", "periodic", "pow23",
-    "differentiate", "evaluate", "substitute",
+    "evaluate", "substitute",
     "compile_fields", "to_prefix", "parse_prefix",
 ]
 
@@ -133,10 +134,6 @@ class ScalarField:
             self._fn = fn
         return fn(x, y)[0]
 
-    def eval_tree(self, x, y):
-        """Reference tree-walking evaluator, used to cross-check the compiler."""
-        raise NotImplementedError
-
     def children(self):
         return ()
 
@@ -158,9 +155,6 @@ class Const(ScalarField):
         super().__init__()
         self.value = float(value)
 
-    def eval_tree(self, x, y):
-        return self.value
-
     def _diff(self, name):
         return _ZERO
 
@@ -176,9 +170,6 @@ class Var(ScalarField):
             raise ExpressionError("variable must be 'x' or 'y', got %r" % (name,))
         super().__init__()
         self.name = name
-
-    def eval_tree(self, x, y):
-        return x if self.name == "x" else y
 
     def _diff(self, name):
         return _ONE if name == self.name else _ZERO
@@ -199,62 +190,41 @@ class _Binary(ScalarField):
     def children(self):
         return (self.a, self.b)
 
+    def _emit(self, names):
+        return "(%s %s %s)" % (names[id(self.a)], self.op, names[id(self.b)])
+
 
 class Add(_Binary):
     __slots__ = ()
     op = "+"
 
-    def eval_tree(self, x, y):
-        return self.a.eval_tree(x, y) + self.b.eval_tree(x, y)
-
     def _diff(self, name):
         return _add(self.a.diff(name), self.b.diff(name))
-
-    def _emit(self, names):
-        return "(%s + %s)" % (names[id(self.a)], names[id(self.b)])
 
 
 class Sub(_Binary):
     __slots__ = ()
     op = "-"
 
-    def eval_tree(self, x, y):
-        return self.a.eval_tree(x, y) - self.b.eval_tree(x, y)
-
     def _diff(self, name):
         return _sub(self.a.diff(name), self.b.diff(name))
-
-    def _emit(self, names):
-        return "(%s - %s)" % (names[id(self.a)], names[id(self.b)])
 
 
 class Mul(_Binary):
     __slots__ = ()
     op = "*"
 
-    def eval_tree(self, x, y):
-        return self.a.eval_tree(x, y) * self.b.eval_tree(x, y)
-
     def _diff(self, name):
         return _add(_mul(self.a.diff(name), self.b), _mul(self.a, self.b.diff(name)))
-
-    def _emit(self, names):
-        return "(%s * %s)" % (names[id(self.a)], names[id(self.b)])
 
 
 class Div(_Binary):
     __slots__ = ()
     op = "/"
 
-    def eval_tree(self, x, y):
-        return self.a.eval_tree(x, y) / self.b.eval_tree(x, y)
-
     def _diff(self, name):
         da, db = self.a.diff(name), self.b.diff(name)
         return _div(_sub(_mul(da, self.b), _mul(self.a, db)), _mul(self.b, self.b))
-
-    def _emit(self, names):
-        return "(%s / %s)" % (names[id(self.a)], names[id(self.b)])
 
 
 class Neg(ScalarField):
@@ -266,9 +236,6 @@ class Neg(ScalarField):
 
     def children(self):
         return (self.a,)
-
-    def eval_tree(self, x, y):
-        return -self.a.eval_tree(x, y)
 
     def _diff(self, name):
         return _neg(self.a.diff(name))
@@ -289,12 +256,6 @@ class Pow(ScalarField):
 
     def children(self):
         return (self.a,)
-
-    def eval_tree(self, x, y):
-        base = self.a.eval_tree(x, y)
-        if self.p == int(self.p):
-            return base ** int(self.p)
-        return math.pow(base, self.p)
 
     def _diff(self, name):
         da = self.a.diff(name)
@@ -320,14 +281,11 @@ class Unary(ScalarField):
     def children(self):
         return (self.a,)
 
-    def eval_tree(self, x, y):
-        return _UNARY_EVAL[self.kind](self.a.eval_tree(x, y))
-
     def _diff(self, name):
         return _UNARY_DIFF[self.kind](self, self.a.diff(name))
 
     def _emit(self, names):
-        return "%s(%s)" % (_UNARY_FN[self.kind], names[id(self.a)])
+        return "%s(%s)" % (self.kind, names[id(self.a)])
 
 
 class ExpInvPoly(ScalarField):
@@ -351,9 +309,6 @@ class ExpInvPoly(ScalarField):
     def children(self):
         return (self.a,)
 
-    def eval_tree(self, x, y):
-        return _eip(self.a.eval_tree(x, y), self.coeffs)
-
     def _diff(self, name):
         # d/du [exp(-1/u) P(1/u)] = exp(-1/u) * (1/u)**2 * (P - P')(1/u)
         q = [0.0] * (len(self.coeffs) + 2)
@@ -374,12 +329,6 @@ _UNARY_EVAL = {
     "sin": math.sin, "cos": math.cos, "sinh": math.sinh, "cosh": math.cosh,
     "exp": math.exp, "log": math.log, "arcsin": math.asin, "sqrt": math.sqrt,
     "cbrt": _cbrt, "abs": abs, "sign": _signum, "floor": lambda v: float(math.floor(v)),
-}
-
-_UNARY_FN = {
-    "sin": "sin", "cos": "cos", "sinh": "sinh", "cosh": "cosh",
-    "exp": "exp", "log": "log", "arcsin": "asin", "sqrt": "sqrt",
-    "cbrt": "_cbrt", "abs": "abs", "sign": "_signum", "floor": "_floorf",
 }
 
 _UNARY_DIFF = {
@@ -488,6 +437,9 @@ def _pow(a, p):
     return Pow(a, p)
 
 
+# folding constructor of each binary operator
+_FOLD = {"+": _add, "-": _sub, "*": _mul, "/": _div}
+
 _ZERO = Const(0.0)
 _ONE = Const(1.0)
 
@@ -497,10 +449,6 @@ Y = Var("y")
 
 def const(v):
     return Const(v)
-
-
-def var(name):
-    return Var(name)
 
 
 def _unary_ctor(kind):
@@ -562,10 +510,6 @@ def pow23(u):
     return _mul(c, c)
 
 
-def differentiate(field, name):
-    return field.diff(name)
-
-
 def evaluate(field, point):
     """Evaluate at point = (x, y); raise EvaluationError off the field's domain."""
     x, y = point
@@ -592,22 +536,14 @@ def substitute(field, ex, ey):
             out = ex if node.name == "x" else ey
         elif isinstance(node, Const):
             out = node
-        elif isinstance(node, Add):
-            out = _add(walk(node.a), walk(node.b))
-        elif isinstance(node, Sub):
-            out = _sub(walk(node.a), walk(node.b))
-        elif isinstance(node, Mul):
-            out = _mul(walk(node.a), walk(node.b))
-        elif isinstance(node, Div):
-            out = _div(walk(node.a), walk(node.b))
+        elif isinstance(node, _Binary):
+            out = _FOLD[node.op](walk(node.a), walk(node.b))
         elif isinstance(node, Neg):
             out = _neg(walk(node.a))
         elif isinstance(node, Pow):
             out = _pow(walk(node.a), node.p)
         elif isinstance(node, Unary):
-            child = walk(node.a)
-            out = Const(_UNARY_EVAL[node.kind](child.value)) if _is_const(child) \
-                else Unary(node.kind, child)
+            out = _unary_ctor(node.kind)(walk(node.a))
         elif isinstance(node, ExpInvPoly):
             out = ExpInvPoly(walk(node.a), node.coeffs)
         else:
@@ -620,13 +556,8 @@ def substitute(field, ex, ey):
 
 # -- compilation --------------------------------------------------------------
 
-_COMPILE_NS = {
-    "sin": math.sin, "cos": math.cos, "sinh": math.sinh, "cosh": math.cosh,
-    "exp": math.exp, "log": math.log, "asin": math.asin, "sqrt": math.sqrt,
-    "abs": abs, "_cbrt": _cbrt, "_signum": _signum, "_eip": _eip,
-    "_pow": math.pow, "_floorf": lambda v: float(math.floor(v)),
-    "__builtins__": {},
-}
+# compiled code calls each unary function by its kind name
+_COMPILE_NS = dict(_UNARY_EVAL, _eip=_eip, _pow=math.pow, __builtins__={})
 
 
 def compile_fields(fields):
@@ -707,9 +638,6 @@ def to_prefix(field):
 
 _ATOMS = {"x": X, "y": Y, "pi": Const(math.pi), "e": Const(math.e)}
 
-_PARSE_UNARY = {"sin", "cos", "sinh", "cosh", "exp", "log", "arcsin", "sqrt",
-                "cbrt", "abs", "sign", "floor", "neg"}
-
 
 def _tokenize(text):
     return text.replace("(", " ( ").replace(")", " ) ").split()
@@ -762,26 +690,14 @@ def parse_prefix(text):
             if len(args) != n:
                 raise ExpressionError("'%s' takes %d argument(s), got %d" % (head, n, len(args)))
 
-        if head == "+":
+        if head in ("+", "*"):
             if len(args) < 2:
-                raise ExpressionError("'+' needs at least two arguments")
-            out = args[0]
-            for a in args[1:]:
-                out = _add(out, a)
-            return out
-        if head == "*":
-            if len(args) < 2:
-                raise ExpressionError("'*' needs at least two arguments")
-            out = args[0]
-            for a in args[1:]:
-                out = _mul(out, a)
-            return out
-        if head == "-":
+                raise ExpressionError(
+                    "'%s' needs at least two arguments" % head)
+            return functools.reduce(_FOLD[head], args)
+        if head in ("-", "/"):
             need(2)
-            return _sub(args[0], args[1])
-        if head == "/":
-            need(2)
-            return _div(args[0], args[1])
+            return _FOLD[head](args[0], args[1])
         if head == "pow":
             need(2)
             if not isinstance(args[1], Const):
@@ -807,14 +723,12 @@ def parse_prefix(text):
         if head == "sq":
             need(1)
             return _mul(args[0], args[0])
-        if head in _PARSE_UNARY:
+        if head == "neg":
             need(1)
-            if head == "neg":
-                return _neg(args[0])
-            ctor = {"arcsin": arcsin, "abs": absval, "floor": floor_of}.get(head)
-            if ctor is None:
-                ctor = globals()[head]
-            return ctor(args[0])
+            return _neg(args[0])
+        if head in _UNARY_EVAL:
+            need(1)
+            return _unary_ctor(head)(args[0])
         raise ExpressionError("unknown operator %r" % (head,))
 
     result = parse_one()

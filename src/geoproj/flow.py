@@ -42,7 +42,7 @@ from .metric import DomainError
 __all__ = [
     "Termination", "IntegratorOptions", "GeodesicState", "GeodesicTrace",
     "JacobiTrace", "ClosureReport", "integrate_geodesic", "integrate_jacobi",
-    "find_conjugate_points", "detect_closure", "trace_to_csv",
+    "find_conjugate_points", "detect_closure", "golden_min", "trace_to_csv",
 ]
 
 
@@ -74,12 +74,6 @@ class GeodesicState:
     vx: float
     vy: float
     t: float = 0.0
-
-    def position(self):
-        return (self.x, self.y)
-
-    def velocity(self):
-        return (self.vx, self.vy)
 
     def as_array(self):
         return np.array([self.x, self.y, self.vx, self.vy])
@@ -138,14 +132,6 @@ class DenseOutput:
         self.y0s.append(y0)
         self.qs.append(q)
 
-    @property
-    def t_min(self):
-        return self.t0s[0]
-
-    @property
-    def t_max(self):
-        return self.t0s[-1] + self.hs[-1]
-
     def __call__(self, t):
         if not self.t0s:
             raise ValueError("empty trace has no interpolant")
@@ -155,17 +141,6 @@ class DenseOutput:
         u = (t - t0) / h
         p = np.array([u, u * u, u ** 3, u ** 4])
         return y0 + h * (q @ p)
-
-
-@dataclass
-class _RunResult:
-    ts: np.ndarray
-    ys: np.ndarray
-    termination: Termination
-    dense: DenseOutput
-    n_accepted: int
-    n_rejected: int
-    observer_payload: object = None
 
 
 def _rms(v):
@@ -188,7 +163,11 @@ def _initial_step(rhs, t0, y0, f0, t_span, atol, rtol):
 
 
 def _adaptive_rk(rhs, t0, y0, t_max, opts, in_domain=None, observer=None):
-    """Core stepper.  rhs(t, y) -> array; exceptions reject the step."""
+    """Core stepper.  rhs(t, y) -> array; exceptions reject the step.
+
+    Returns the trace fields (ts, ys, termination, dense, n_accepted,
+    n_rejected) and the payload of an observer that stopped the run.
+    """
     y = np.asarray(y0, dtype=float)
     n = y.size
     t = float(t0)
@@ -284,8 +263,8 @@ def _adaptive_rk(rhs, t0, y0, t_max, opts, in_domain=None, observer=None):
             n_rej += 1
             h *= min(0.9, max(0.2, 0.9 * err ** -0.2))
 
-    return _RunResult(np.array(ts), np.array(ys), termination, dense,
-                      n_acc, n_rej, payload)
+    return ((np.array(ts), np.array(ys), termination, dense, n_acc, n_rej),
+            payload)
 
 
 @dataclass
@@ -318,15 +297,9 @@ class GeodesicTrace:
         return float(self.ts[-1] - self.ts[0])
 
 
-@dataclass
-class JacobiTrace:
-    chart_name: str
-    ts: np.ndarray
-    ys: np.ndarray   # columns x, y, vx, vy, jx, jy, wx, wy
-    termination: Termination
-    dense: DenseOutput
-    n_accepted: int
-    n_rejected: int
+class JacobiTrace(GeodesicTrace):
+    """A geodesic trace whose ys carry the Jacobi field too: columns x, y,
+    vx, vy, jx, jy, wx, wy with W = (wx, wy) the derivative of J."""
 
     def jacobi_cross(self, t=None):
         """cross(J, gamma') at sample times (or one t): the conjugate detector."""
@@ -387,56 +360,55 @@ def _jacobi_rhs(runtime):
     return rhs
 
 
-def _require_inside(chart, state):
-    if not chart.runtime().in_domain(state.x, state.y):
+def _run(chart, system, trace_type, state, y0, t_end, opts, observer=None):
+    """Step system(runtime) from y0 at state.t to t_end inside the chart.
+
+    Returns the trace_type trace and the observer's payload.
+    """
+    rt = chart.runtime()
+    if not rt.in_domain(state.x, state.y):
         raise DomainError("initial state (%g, %g) is outside chart %r"
                           % (state.x, state.y, chart.name))
+
+    def in_domain(y):
+        return rt.in_domain(y[0], y[1])
+
+    fields, payload = _adaptive_rk(system(rt), state.t, y0, t_end,
+                                   opts or IntegratorOptions(),
+                                   in_domain=in_domain, observer=observer)
+    return trace_type(chart.name, *fields), payload
 
 
 def integrate_geodesic(chart, state, t_max, opts=None, observer=None):
     """Integrate the geodesic through the state for parameter length t_max."""
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
-    opts = opts or IntegratorOptions()
-    _require_inside(chart, state)
-    rt = chart.runtime()
-    rhs = _geodesic_rhs(rt)
-
-    def in_domain(y):
-        return rt.in_domain(y[0], y[1])
-
-    res = _adaptive_rk(rhs, state.t, state.as_array(), state.t + t_max, opts,
-                       in_domain=in_domain, observer=observer)
-    trace = GeodesicTrace(chart.name, res.ts, res.ys, res.termination,
-                          res.dense, res.n_accepted, res.n_rejected)
-    if isinstance(res.observer_payload, ClosureReport):
-        trace.closure = res.observer_payload
+    trace, payload = _run(chart, _geodesic_rhs, GeodesicTrace, state,
+                          state.as_array(), state.t + t_max, opts, observer)
+    if isinstance(payload, ClosureReport):
+        trace.closure = payload
     return trace
 
 
-def integrate_jacobi(chart, trace, j0, dj0, opts=None):
+def _jacobi_run(chart, state, j0, dj0, t_end):
+    """The geodesic through state jointly with the Jacobi field (j0, dj0)."""
+    y0 = np.array([state.x, state.y, state.vx, state.vy,
+                   j0[0], j0[1], dj0[0], dj0[1]])
+    return _run(chart, _jacobi_rhs, JacobiTrace, state, y0, t_end, None)[0]
+
+
+def integrate_jacobi(chart, trace, j0, dj0):
     """Integrate the Jacobi equation jointly with the base geodesic.
 
     The base geodesic is re-integrated from the trace's initial state over
     the same parameter range, so the variational data never relies on
     interpolating a previously stored trajectory.
     """
-    opts = opts or IntegratorOptions()
-    s0 = trace.initial_state()
-    _require_inside(chart, s0)
-    rt = chart.runtime()
-    y0 = np.array([s0.x, s0.y, s0.vx, s0.vy, j0[0], j0[1], dj0[0], dj0[1]])
-
-    def in_domain(y):
-        return rt.in_domain(y[0], y[1])
-
-    res = _adaptive_rk(_jacobi_rhs(rt), s0.t, y0, float(trace.ts[-1]), opts,
-                       in_domain=in_domain)
-    return JacobiTrace(chart.name, res.ts, res.ys, res.termination,
-                       res.dense, res.n_accepted, res.n_rejected)
+    return _jacobi_run(chart, trace.initial_state(), j0, dj0,
+                       float(trace.ts[-1]))
 
 
-def find_conjugate_points(chart, state, t_max, opts=None):
+def find_conjugate_points(chart, state, t_max):
     """Parameter times of conjugate points along the geodesic through state.
 
     Integrates the Jacobi field with J(0) = 0 and a unit first derivative
@@ -446,22 +418,11 @@ def find_conjugate_points(chart, state, t_max, opts=None):
     """
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
-    opts = opts or IntegratorOptions()
-    _require_inside(chart, state)
     speed = math.hypot(state.vx, state.vy)
     if speed == 0.0:
         raise ValueError("zero initial velocity has no geodesic")
     u = (-state.vy / speed, state.vx / speed)
-    rt = chart.runtime()
-    y0 = np.array([state.x, state.y, state.vx, state.vy, 0.0, 0.0, u[0], u[1]])
-
-    def in_domain(y):
-        return rt.in_domain(y[0], y[1])
-
-    res = _adaptive_rk(_jacobi_rhs(rt), state.t, y0, state.t + t_max, opts,
-                       in_domain=in_domain)
-    jt = JacobiTrace(chart.name, res.ts, res.ys, res.termination,
-                     res.dense, res.n_accepted, res.n_rejected)
+    jt = _jacobi_run(chart, state, (0.0, 0.0), u, state.t + t_max)
 
     w = jt.jacobi_cross()
     times = []
@@ -489,12 +450,18 @@ def find_conjugate_points(chart, state, t_max, opts=None):
     return times, jt
 
 
-def _golden_min(f, a, b, tol=1e-10):
+def golden_min(f, a, b, tol):
+    """Golden-section search for a minimum of f on [a, b].
+
+    Narrows the bracket until it is at most tol wide, or until rounding
+    stops it from shrinking (tol below the float spacing at a and b).
+    Returns (t, f(t)) for the better of the two interior probes.
+    """
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - inv * (b - a)
     x2 = a + inv * (b - a)
     f1, f2 = f(x1), f(x2)
-    while (b - a) > tol:
+    while b - a > tol and a < x1 < x2 < b:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - inv * (b - a)
@@ -507,7 +474,7 @@ def _golden_min(f, a, b, tol=1e-10):
     return t, min(f1, f2)
 
 
-def detect_closure(chart, state, t_max, tol=1e-6, opts=None):
+def detect_closure(chart, state, t_max, tol=1e-6):
     """Detect whether the geodesic through state closes up within t_max.
 
     A geodesic counts as closed when the full phase-space point (position,
@@ -564,7 +531,8 @@ def detect_closure(chart, state, t_max, tol=1e-6, opts=None):
             if not (db <= da and db <= dc):
                 continue
 
-            tstar, dstar = _golden_min(lambda t: distance_of(dense(t)), ta, tc)
+            tstar, dstar = golden_min(lambda t: distance_of(dense(t)),
+                                      ta, tc, 1e-10)
             if dstar < best["d"]:
                 best["d"], best["t"] = dstar, tstar
             if dstar <= tol:
@@ -573,7 +541,7 @@ def detect_closure(chart, state, t_max, tol=1e-6, opts=None):
                 return (Termination.CLOSURE, report)
         return None
 
-    trace = integrate_geodesic(chart, state, t_max, opts=opts, observer=observer)
+    trace = integrate_geodesic(chart, state, t_max, observer=observer)
     if trace.closure is not None:
         report = trace.closure
         report.trace = trace

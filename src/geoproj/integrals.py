@@ -106,19 +106,18 @@ def energy_integral(chart):
     return FiberIntegral("energy", q11=chart.g11, q12=chart.g12, q22=chart.g22)
 
 
-def clairaut_integral(chart, k, check=True, residual_tol=1e-8):
+def clairaut_integral(chart, k):
     """The linear integral C(v) = g(K, v) of a Killing field K.
 
-    With check enabled, the sampled Lie-derivative residual of K must stay
-    below residual_tol; otherwise C is not conserved and the construction
-    refuses to pretend it is.
+    The sampled Lie-derivative residual of K must stay below 1e-8;
+    otherwise C is not conserved and the construction refuses to pretend
+    it is.
     """
-    if check:
-        res = killing_residual(chart, k)
-        if res > residual_tol:
-            raise KillingFieldError(
-                "field %r has Killing residual %.3g on chart %r"
-                % (k.name, res, chart.name))
+    res = killing_residual(chart, k)
+    if res > 1e-8:
+        raise KillingFieldError(
+            "field %r has Killing residual %.3g on chart %r"
+            % (k.name, res, chart.name))
     l1 = chart.g11 * k.vx + chart.g12 * k.vy
     l2 = chart.g12 * k.vx + chart.g22 * k.vy
     return FiberIntegral("clairaut[%s]" % k.name, l1=l1, l2=l2)
@@ -159,15 +158,15 @@ def darboux_integral(g, gbar, grid=6):
                          q11=w * gbar.g11, q12=w * gbar.g12, q22=w * gbar.g22)
 
 
-def metric_from_quadratic_integral(chart, integral, name=None, domain=None,
-                                   sample_box=None, grid=8):
+def metric_from_quadratic_integral(chart, integral, name=None):
     """Partner metric induced by a purely quadratic integral of the flow.
 
     If J(v) = Q(v, v) is conserved along the geodesics of g, the matrix
     (det g / det Q)^2 Q is the one metric candidate whose degree-two pair
-    integral against g recovers J.  The coefficients are built symbolically;
-    the signature tag is read off the determinant sign on the sample grid,
-    which has to be consistent across the grid.
+    integral against g recovers J.  The coefficients are built symbolically
+    on the domain and sample box of g; the signature tag is read off the
+    determinant sign on the sample grid, which has to be consistent across
+    the grid.
     """
     for part, label in ((integral.l1, "l1"), (integral.l2, "l2"),
                         (integral.c, "c")):
@@ -183,13 +182,12 @@ def metric_from_quadratic_integral(chart, integral, name=None, domain=None,
     w = ratio * ratio
     g11, g12, g22 = w * integral.q11, w * integral.q12, w * integral.q22
 
-    dom = chart.domain if domain is None else domain
-    box = chart.sample_box if sample_box is None else sample_box
+    dom, box = chart.domain, chart.sample_box
     probe = MetricChart(name or ("partner[%s]" % integral.name),
                         g11, g12, g22, dom, Signature.RIEMANNIAN, box,
                         periods=chart.periods)
     signs = set()
-    for p in probe.grid_points(grid):
+    for p in probe.grid_points():
         try:
             d = probe.det_at(p)
         except expr.EvaluationError:
@@ -223,8 +221,8 @@ def liouville_integral(h1, h2, sign=1):
 def liouville_integral_printed(h1, h2, sign=1):
     """A commonly misprinted variant with the roles of h1, h2 swapped.
 
-    Kept only so the verification command can demonstrate that it drifts;
-    see the verify CLI.  Here h1 is evaluated on y and h2 on x.
+    Kept only so the liouville-variants identity (zoo.IDENTITIES) can
+    demonstrate that it drifts.  Here h1 is evaluated on y and h2 on x.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -292,14 +290,13 @@ DROP_REASONS = ("short", Termination.SINGULARITY.value,
 
 
 def check_conservation(chart, integral, n_samples=20, t_max=1.0, seed=None,
-                       tol=1e-6, causal=None, min_speed_sq=None, opts=None,
-                       skip_singular=True):
+                       tol=1e-6, opts=None):
     """Drift of the integral along sampled geodesics, per unit parameter.
 
     Each trace contributes max_t |I(t) - I(0)| / (scale * elapsed), with the
     scale set by |I(0)| (floored at 1e-3 so near-null values do not inflate
     the statistic).  Traces that exit the domain almost immediately are
-    dropped from the statistic as "short", and by default so are traces the
+    dropped from the statistic as "short", and so are traces the
     integrator abandons at a blow-up ("singularity": past the point where
     the step size collapses, the numbers say nothing about conservation) or
     when the step budget runs out ("step-budget").  The report counts the
@@ -308,14 +305,13 @@ def check_conservation(chart, integral, n_samples=20, t_max=1.0, seed=None,
     seed = sampling.default_seed() if seed is None else int(seed)
     rng = np.random.default_rng(seed)
     opts = opts or IntegratorOptions()
-    states = sampling.sample_states(chart, n_samples, rng, causal=causal,
-                                    min_speed_sq=min_speed_sq)
+    states = sampling.sample_states(chart, n_samples, rng)
     drifts = []
     dropped = dict.fromkeys(DROP_REASONS, 0)
     for s in states:
         trace = integrate_geodesic(chart, s, t_max, opts=opts)
         elapsed = trace.length
-        if skip_singular and trace.termination.abandoned:
+        if trace.termination.abandoned:
             dropped[trace.termination.value] += 1
             continue
         if len(trace.ts) < 3 or elapsed < 1e-3:

@@ -20,14 +20,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import expr
-from .expr import ScalarField, EvaluationError
+from .expr import ScalarField
 
 __all__ = [
     "Signature", "CausalClass", "Domain", "MetricChart", "ChartMap",
     "VectorField", "DegenerateMetricError", "SignatureError", "DomainError",
     "metric_eval", "christoffel", "gaussian_curvature", "classify",
     "pullback", "lie_derivative_fields", "killing_residual",
-    "identity_map", "chart_to_dict", "chart_from_dict",
+    "chart_to_dict", "chart_from_dict",
 ]
 
 
@@ -75,18 +75,6 @@ class Domain:
     exclude_radius: float = 0.0
     constraint: Optional[ScalarField] = None
 
-    def contains(self, x, y):
-        if not (self.x_min < x < self.x_max and self.y_min < y < self.y_max):
-            return False
-        if self.exclude_radius > 0.0 and x * x + y * y <= self.exclude_radius ** 2:
-            return False
-        if self.constraint is not None:
-            try:
-                return expr.evaluate(self.constraint, (x, y)) > 0.0
-            except EvaluationError:
-                return False
-        return True
-
     def combined_field(self):
         """One field positive exactly on the domain, or None if unconstrained."""
         factors = []
@@ -115,10 +103,6 @@ class VectorField:
     name: str
     vx: ScalarField
     vy: ScalarField
-
-    def at(self, point):
-        x, y = point
-        return (self.vx(x, y), self.vy(x, y))
 
 
 class _Runtime:
@@ -298,10 +282,6 @@ class ChartMap:
                         domain=other.domain, inverse=inv)
 
 
-def identity_map():
-    return ChartMap("id", expr.X, expr.Y)
-
-
 def restrict_domain(domain, extra_constraint):
     """The domain cut down by one more strict-positivity constraint."""
     cons = extra_constraint if domain.constraint is None \
@@ -309,15 +289,15 @@ def restrict_domain(domain, extra_constraint):
     return replace(domain, constraint=cons)
 
 
-def gaussian_curvature_limit(chart, base, direction,
-                             scales=(2e-2, 1e-2, 5e-3, 2.5e-3)):
+def gaussian_curvature_limit(chart, base, direction):
     """Extrapolated curvature limit approaching base along direction.
 
-    Evaluates K at base + s * direction for the given scales and removes the
-    leading error terms by polynomial extrapolation to s = 0.  Useful where
-    the coefficient fields degenerate on a curve through base.
+    Evaluates K at base + s * direction for s = 2e-2, 1e-2, 5e-3, 2.5e-3
+    and removes the leading error terms by polynomial extrapolation to
+    s = 0.  Useful where the coefficient fields degenerate on a curve
+    through base.
     """
-    xs = list(scales)
+    xs = [2e-2, 1e-2, 5e-3, 2.5e-3]
     ys = [gaussian_curvature(chart, (base[0] + s * direction[0],
                                      base[1] + s * direction[1]))
           for s in xs]
@@ -351,18 +331,17 @@ def gaussian_curvature(chart, point):
     return chart.runtime().curvature(x, y)
 
 
-def classify(chart, point, v, tol=None):
+def classify(chart, point, v):
     """Causal class of the tangent vector v at the point.
 
-    The lightlike band is |g(v,v)| <= tol; when tol is omitted it scales with
-    the local coefficient magnitude and |v|^2 so the answer is invariant under
+    The lightlike band is |g(v,v)| <= tol, where tol scales with the local
+    coefficient magnitude and |v|^2 so the answer is invariant under
     rescaling v.
     """
     E, F, G = chart.coefficients_at(point)
     w = E * v[0] * v[0] + 2.0 * F * v[0] * v[1] + G * v[1] * v[1]
-    if tol is None:
-        scale = max(abs(E), abs(F), abs(G)) * (v[0] * v[0] + v[1] * v[1])
-        tol = 1e-9 * (scale if scale > 0.0 else 1.0)
+    scale = max(abs(E), abs(F), abs(G)) * (v[0] * v[0] + v[1] * v[1])
+    tol = 1e-9 * (scale if scale > 0.0 else 1.0)
     if w > tol:
         return CausalClass.SPACELIKE
     if w < -tol:
@@ -427,13 +406,13 @@ def lie_derivative_fields(chart, k):
     return l11, l12, l22
 
 
-def killing_residual(chart, k, n=8):
+def killing_residual(chart, k):
     """Max sampled Lie-derivative magnitude, relative to the coefficient scale."""
     l11, l12, l22 = lie_derivative_fields(chart, k)
     fn = expr.compile_fields([l11, l12, l22, chart.g11, chart.g12, chart.g22,
                               k.vx, k.vy])
     worst = 0.0
-    for (x, y) in chart.grid_points(n):
+    for (x, y) in chart.grid_points():
         a, b, c, E, F, G, kx, ky = fn(x, y)
         scale = max(abs(E), abs(F), abs(G)) * max(1.0, abs(kx), abs(ky))
         worst = max(worst, max(abs(a), abs(b), abs(c)) / max(scale, 1e-300))

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import expr, sampling
 from .expr import X, Y
-from .flow import IntegratorOptions, integrate_geodesic
+from .flow import IntegratorOptions, golden_min, integrate_geodesic
 from .integrals import (DegenerateRatioError, check_conservation,
                         darboux_integral)
 from .metric import ChartMap, christoffel, pullback
@@ -92,6 +92,14 @@ def _dense_positions(trace, n=400):
     return out
 
 
+def _overlap_positions(trace):
+    """Dense positions of a trace fit for the overlap test, else None."""
+    if len(trace.ts) < 5 or trace.termination.abandoned:
+        return None
+    pts = _dense_positions(trace)
+    return pts if _chord_length(pts) >= 1e-3 else None
+
+
 def check_projective_equivalence(g, gbar, n_traces=20, drift_tol=1e-6,
                                  overlap_tol=1e-4, t_max=1.0, seed=None,
                                  opts=None):
@@ -138,21 +146,18 @@ def check_projective_equivalence(g, gbar, n_traces=20, drift_tol=1e-6,
             break
         if not in_bar(state.x, state.y):
             continue
-        tr_g = integrate_geodesic(g, state, t_max, opts=opts)
-        tr_b = integrate_geodesic(gbar, state, t_max, opts=opts)
-        ok = []
-        for tr in (tr_g, tr_b):
-            if len(tr.ts) < 5 or tr.termination.abandoned:
-                break
-            pts = _dense_positions(tr)
-            if _chord_length(pts) < 1e-3:
-                break
-            ok.append(pts)
-        if len(ok) < 2:
+        # the partner is traced only when the trace of g is usable
+        pts_g = _overlap_positions(integrate_geodesic(g, state, t_max,
+                                                      opts=opts))
+        if pts_g is None:
             continue
-        arc = min(_chord_length(ok[0]), _chord_length(ok[1]))
-        a = _resample_by_arclength(ok[0], fractions, arc)
-        b = _resample_by_arclength(ok[1], fractions, arc)
+        pts_b = _overlap_positions(integrate_geodesic(gbar, state, t_max,
+                                                      opts=opts))
+        if pts_b is None:
+            continue
+        arc = min(_chord_length(pts_g), _chord_length(pts_b))
+        a = _resample_by_arclength(pts_g, fractions, arc)
+        b = _resample_by_arclength(pts_b, fractions, arc)
         overlaps.append(float(np.max(np.hypot(*(a - b).T))))
 
     max_overlap = max(overlaps) if overlaps else math.inf
@@ -218,46 +223,44 @@ def _comparison_points(g, pulled, n, seed):
     return pts
 
 
-def check_isometry(g, phi, target=None, tol=1e-8, n=40, seed=None):
-    """Is phi an isometry pulling target (default g itself) back to g?
+def _map_check(kind, g, phi, tol, n, seed, values, scale):
+    """Worst relative gap between values(g, p) and values(phi^* g, p).
 
-    Compares coefficient triples of g and of the pullback of target along
-    phi at sampled points, normalised by the local coefficient scale.
+    The gap at a sampled point p is max |a - b| / scale(a, b).
     """
-    target = g if target is None else target
-    pulled = pullback(target, phi, name="%s*%s" % (phi.name, target.name))
+    pulled = pullback(g, phi, name="%s*%s" % (phi.name, g.name))
     worst = 0.0
     pts = _comparison_points(g, pulled, n, seed)
     for p in pts:
-        a = np.array(g.coefficients_at(p))
-        b = np.array(pulled.coefficients_at(p))
-        scale = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-12)
-        worst = max(worst, float(np.max(np.abs(a - b)) / scale))
+        a, b = values(g, p), values(pulled, p)
+        worst = max(worst, float(np.max(np.abs(a - b)) / scale(a, b)))
     passed = bool(pts) and worst <= tol
-    return MapCheck("isometry", g.name, phi.name, worst if pts else math.inf,
+    return MapCheck(kind, g.name, phi.name, worst if pts else math.inf,
                     tol, len(pts), passed)
 
 
-def check_affinity(g, phi, target=None, tol=1e-6, n=40, seed=None):
+def check_isometry(g, phi, tol=1e-8, n=40, seed=None):
+    """Is phi an isometry, pulling g back to itself?
+
+    Compares coefficient triples of g and of its pullback along phi at
+    sampled points, normalised by the local coefficient scale.
+    """
+    return _map_check(
+        "isometry", g, phi, tol, n, seed,
+        lambda chart, p: np.array(chart.coefficients_at(p)),
+        lambda a, b: max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-12))
+
+
+def check_affinity(g, phi, tol=1e-6, n=40, seed=None):
     """Does phi preserve the parametrised geodesics (the connection)?
 
-    Compares the Christoffel symbols of g with those of the pullback of
-    target (default g) along phi at sampled points.  Isometries pass, and
-    so do the affine maps that rescale the metric without bending its
-    geodesics; a merely projective map fails.
+    Compares the Christoffel symbols of g with those of its pullback along
+    phi at sampled points.  Isometries pass, and so do the affine maps that
+    rescale the metric without bending its geodesics; a merely projective
+    map fails.
     """
-    target = g if target is None else target
-    pulled = pullback(target, phi, name="%s*%s" % (phi.name, target.name))
-    worst = 0.0
-    pts = _comparison_points(g, pulled, n, seed)
-    for p in pts:
-        a = christoffel(g, p)
-        b = christoffel(pulled, p)
-        scale = max(np.max(np.abs(a)), 1.0)
-        worst = max(worst, float(np.max(np.abs(a - b)) / scale))
-    passed = bool(pts) and worst <= tol
-    return MapCheck("affinity", g.name, phi.name, worst if pts else math.inf,
-                    tol, len(pts), passed)
+    return _map_check("affinity", g, phi, tol, n, seed, christoffel,
+                      lambda a, b: max(np.max(np.abs(a)), 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -275,17 +278,6 @@ class LiouvilleSymmetry:
     residual: float
     degenerate: bool
     candidates: dict = dc_field(default_factory=dict)
-
-    def to_json_dict(self):
-        return {
-            "schema": 1,
-            "found": self.found,
-            "kind": self.kind,
-            "k": self.k,
-            "c": self.c,
-            "residual": self.residual,
-            "degenerate": self.degenerate,
-        }
 
 
 def liouville_swap_map(k, kind="swap"):
@@ -322,40 +314,21 @@ def _h1_period_residual(h1_at, xs, k):
     return float(np.mean((h1_at(xs + 2.0 * k) - h1_at(xs)) ** 2))
 
 
-def _golden_refine(fn, lo, hi, iters=80):
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = fn(d)
-        if b - a < 1e-13:
-            break
-    return (a + b) / 2.0
-
-
-def liouville_isometry_search(h1, h2, period, grid=512, samples=256,
-                              accept_tol=1e-8):
+def liouville_isometry_search(h1, h2, period):
     """Search for a swap or anti-swap isometry of the separable metric.
 
-    Scans the offset k over one period, refines the best candidates, and
-    accepts when the combined residual (profile match after the swap plus
-    the forced 2k-periodicity of h1) drops below accept_tol.  Reports the
+    Scans the offset k over 512 points of one period, refines the best
+    candidates by golden-section search, and accepts when the combined
+    residual (profile match after the swap plus the forced 2k-periodicity
+    of h1, both sampled at 256 points) drops below 1e-8.  Reports the
     smallest accepted k.  Constant profile pairs are flagged degenerate:
     every offset works and the returned k is not meaningful.
     """
     period = float(period)
     if period <= 0.0:
         raise ValueError("period must be positive")
-    xs = np.linspace(0.0, period, samples, endpoint=False)
+    grid = 512
+    xs = np.linspace(0.0, period, 256, endpoint=False)
 
     h1c = expr.compile_fields([h1])
     h2c = expr.compile_fields([h2])
@@ -384,7 +357,7 @@ def liouville_isometry_search(h1, h2, period, grid=512, samples=256,
         hi = ks[min(i + 1, grid - 1)]
         if hi <= lo:
             hi = lo + period / grid
-        k_ref = _golden_refine(lambda k: total(k, orient), lo, hi)
+        k_ref, _ = golden_min(lambda k: total(k, orient), lo, hi, 1e-13)
         if abs(k_ref) < 1e-12 or abs(k_ref - period) < 1e-12:
             k_ref = abs(k_ref) % period
         res = total(k_ref, orient)
@@ -393,7 +366,7 @@ def liouville_isometry_search(h1, h2, period, grid=512, samples=256,
 
     kind = min(best, key=lambda kk: best[kk][0])
     res, k, c = best[kind]
-    found = res <= accept_tol
+    found = res <= 1e-8
     return LiouvilleSymmetry(
         found=found, kind=kind if found else None,
         k=k if found else math.nan, c=c if found else math.nan,

@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 import os
 
-import numpy as np
-
 from .flow import GeodesicState
 from .metric import CausalClass, DomainError, classify
 

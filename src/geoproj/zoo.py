@@ -3,7 +3,9 @@
 Every constructor returns validated charts built from symbolic coefficient
 fields, together with whatever structure makes the chart interesting: a
 Killing field, a projective partner, a distinguished map.  The catalogue()
-table at the bottom is what the command line interface exposes.
+table at the bottom is what the command line interface exposes; the
+IDENTITIES table holds the closed-form identity checks that `geoproj
+verify` and the acceptance criteria run.
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ import numpy as np
 
 from . import expr
 from .expr import X, Y, ScalarField
-from .integrals import (FiberIntegral, clairaut_integral, energy_integral,
-                        liouville_integral, metric_from_quadratic_integral)
+from .integrals import (FiberIntegral, check_conservation, clairaut_integral,
+                        energy_integral, liouville_integral,
+                        liouville_integral_printed,
+                        metric_from_quadratic_integral)
 from .metric import (ChartMap, Domain, MetricChart, Signature, VectorField,
                      restrict_domain)
 from .sampling import default_seed
@@ -28,9 +32,11 @@ __all__ = [
     "rescaling_matrices", "rescaling_identity_residual",
     "sample_rescaling_identity",
     "tannery_chart", "tannery_deformed", "tannery_reparam_x",
+    "tannery_reparam_residual",
     "clairaut_truncation", "projective_shift",
-    "shift_relation_residual", "shift_seam_residual",
-    "liouville_chart", "catalogue", "build_bundle",
+    "shift_relation_residual", "sample_shift_relation", "shift_seam_residual",
+    "liouville_profiles", "liouville_chart",
+    "Identity", "IDENTITIES", "catalogue", "build_bundle",
 ]
 
 
@@ -38,15 +44,11 @@ class ZooError(ValueError):
     """Raised when catalogue parameters leave their valid range."""
 
 
-def _cbrt(v):
-    return math.copysign(abs(v) ** (1.0 / 3.0), v)
-
-
 # ---------------------------------------------------------------------------
 # null coordinate metric on the punctured plane
 
 
-def clifton_pohl(box=(-2.0, 2.0, -2.0, 2.0)):
+def clifton_pohl():
     """The Lorentzian metric 2 dx dy / (x^2 + y^2) off the origin.
 
     Geodesically incomplete: the lightlike axes carry geodesics that blow up
@@ -56,7 +58,8 @@ def clifton_pohl(box=(-2.0, 2.0, -2.0, 2.0)):
     chart = MetricChart(
         name="clifton-pohl", g11=expr.const(0.0), g12=s,
         g22=expr.const(0.0), domain=Domain(exclude_radius=1e-6),
-        signature=Signature.LORENTZIAN, sample_box=box).validate()
+        signature=Signature.LORENTZIAN,
+        sample_box=(-2.0, 2.0, -2.0, 2.0)).validate()
     return chart, VectorField("radial", X, Y)
 
 
@@ -83,7 +86,7 @@ def punctured_plane_family(a=1.0, l=0.5):
 # Lorentzian strips with a vertical Killing field
 
 
-def band_chart(f=None, a=1.0, l=0.0, box=(0.0, 1.0, 0.0, 1.0)):
+def band_chart(f=None, a=1.0, l=0.0):
     """Strip metric with Killing field d/dy built from the profile f(x).
 
     Coefficients a*l/(1+l f)^2 dx^2 + 2a/(1+l f) dx dy + a f/(1+l f) dy^2.
@@ -97,6 +100,7 @@ def band_chart(f=None, a=1.0, l=0.0, box=(0.0, 1.0, 0.0, 1.0)):
         f = expr.sin(math.pi * X) ** 2
     d = 1.0 + l * f
 
+    box = (0.0, 1.0, 0.0, 1.0)
     xs = np.linspace(box[0], box[1], 201)
     dv = np.array([expr.evaluate(d, (float(t), 0.0)) for t in xs])
     if np.min(np.abs(dv)) < 1e-9 or (np.min(dv) < 0.0 < np.max(dv)):
@@ -139,8 +143,13 @@ def rescaling_identity_residual(a, l, z, mu, beta):
     m = l + mu * a
     g1, q1 = rescaling_matrices(a, l, z)
     g2, _ = rescaling_matrices(b, m, z)
-    lhs = beta * (g1 + mu * q1)
-    w = _cbrt(np.linalg.det(g1) / np.linalg.det(g2)) ** 2
+    return _closure_residual(beta * (g1 + mu * q1), g1, g2)
+
+
+def _closure_residual(lhs, g1, g2):
+    """Relative gap between lhs and (det g1 / det g2)^(2/3) g2, the right
+    side of both closure rules, with the real cube root."""
+    w = expr._cbrt(np.linalg.det(g1) / np.linalg.det(g2)) ** 2
     rhs = w * g2
     scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1e-30)
     return float(np.max(np.abs(lhs - rhs)) / scale)
@@ -264,6 +273,17 @@ def tannery_reparam_x(t):
     return r if t <= 0.0 else math.pi - r
 
 
+def tannery_reparam_residual(n):
+    """Worst relative residual of the characteristic curve identity
+    sin^2 x / (1 - 2 sin^2 x) = -cosh^2 t on n points of t in [-5, 5]."""
+    worst = 0.0
+    for t in np.linspace(-5.0, 5.0, n):
+        s2 = math.sin(tannery_reparam_x(t)) ** 2
+        rhs = -math.cosh(t) ** 2
+        worst = max(worst, abs(s2 / (1.0 - 2.0 * s2) - rhs) / abs(rhs))
+    return worst
+
+
 # ---------------------------------------------------------------------------
 # truncation by a Killing field level set
 
@@ -275,8 +295,6 @@ class TruncationBundle:
     base: MetricChart
     partner: MetricChart
     integral: FiberIntegral
-    clairaut: FiberIntegral
-    level: float
 
 
 def clairaut_truncation(chart, k, l=1.0):
@@ -301,7 +319,7 @@ def clairaut_truncation(chart, k, l=1.0):
     j = energy_integral(base) + c.squared_linear().scaled(-1.0 / (l * l))
     partner = metric_from_quadratic_integral(
         base, j, name="truncated[%s,l=%g]" % (chart.name, abs(l)))
-    return TruncationBundle(base, partner, j, c, l)
+    return TruncationBundle(base, partner, j)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +336,6 @@ class ShiftBundle:
     f: ScalarField
     a: float
     eps: float
-    plateau: float
     f_max: float
     eps_bound: float
     scale_field: ScalarField
@@ -377,8 +394,7 @@ def projective_shift(f=None, a=2.0, eps=0.5, plateau=0.1):
     tau = ChartMap("unit-shift", X + 1.0, Y,
                    inverse=ChartMap("unit-shift-inv", X - 1.0, Y))
     k = VectorField("translation", expr.const(0.0), expr.const(1.0))
-    return ShiftBundle(chart, tau, k, f, a, eps, w, f_max, bound,
-                       scale, shear)
+    return ShiftBundle(chart, tau, k, f, a, eps, f_max, bound, scale, shear)
 
 
 def shift_relation_residual(bundle, x, n):
@@ -401,24 +417,34 @@ def shift_relation_residual(bundle, x, n):
     row = g1[1]
     q = np.outer(row, row)
     mu = eps * (1.0 - a ** (3.0 * n)) / (1.0 - a ** 3)
-    lhs = a ** float(-n) * (g1 + mu * q)
-    w = _cbrt(np.linalg.det(g1) / np.linalg.det(g2)) ** 2
-    rhs = w * g2
-    scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1e-30)
-    return float(np.max(np.abs(lhs - rhs)) / scale)
+    return _closure_residual(a ** float(-n) * (g1 + mu * q), g1, g2)
 
 
-def shift_seam_residual(bundle, seams=(0.0, 1.0, 2.0, 3.0), delta=1e-4):
+def sample_shift_relation(bundle, n, seed=None):
+    """Worst n-period relation residual over n random draws of a point x
+    in [-2, 2) and a period count in [-2, 4)."""
+    rng = np.random.default_rng(default_seed() if seed is None else seed)
+    worst = 0.0
+    for _ in range(n):
+        x = float(rng.uniform(-2.0, 2.0))
+        k = int(rng.integers(-2, 4))
+        worst = max(worst, shift_relation_residual(bundle, x, k))
+    return worst
+
+
+def shift_seam_residual(bundle):
     """Two-sided mismatch of the scale and shear profiles at the seams.
 
-    Compares value, first, and second x-derivative on both sides of each
-    seam; the plateaus should make every mismatch vanish outright.
+    Compares value, first, and second x-derivative at 1e-4 on either side
+    of the seams x = 0, 1, 2, 3; the plateaus should make every mismatch
+    vanish outright.
     """
+    delta = 1e-4
     out = 0.0
     for fld in (bundle.scale_field, bundle.shear_field):
-        d1 = expr.differentiate(fld, "x")
-        d2 = expr.differentiate(d1, "x")
-        for x0 in seams:
+        d1 = fld.diff("x")
+        d2 = d1.diff("x")
+        for x0 in (0.0, 1.0, 2.0, 3.0):
             for g in (fld, d1, d2):
                 left = expr.evaluate(g, (x0 - delta, 0.0))
                 right = expr.evaluate(g, (x0 + delta, 0.0))
@@ -430,21 +456,31 @@ def shift_seam_residual(bundle, seams=(0.0, 1.0, 2.0, 3.0), delta=1e-4):
 # separable metrics
 
 
-def liouville_chart(h1=None, h2=None, sign=1, periods=(None, None),
-                    box=(0.0, 1.0, 0.0, 1.0)):
+def liouville_profiles():
+    """The default separable profiles h1 = 2 + sin 4 pi x, h2 = 5 - sin 4 pi y.
+
+    Both have period 1/2, and h2(x + 1/4) = h1(x) + 3, so the swap by a
+    quarter period is an isometry of the metric they define.
+    """
+    return (2.0 + expr.sin(4.0 * math.pi * X),
+            5.0 - expr.sin(4.0 * math.pi * Y))
+
+
+def liouville_chart(h1=None, h2=None, sign=1, periods=(None, None)):
     """Separable metric (h1(x) + h2(y)) (dx^2 + sign dy^2).
 
     Returns the chart and its quadratic separation integral.  The sum
-    h1 + h2 must keep one sign on the sample box.
+    h1 + h2 must keep one sign on the sample box.  Missing profiles are
+    the defaults of liouville_profiles().
     """
     sign = int(sign)
     if sign not in (1, -1):
         raise ZooError("sign must be +1 or -1")
-    if h1 is None:
-        h1 = 2.0 + expr.sin(4.0 * math.pi * X)
-    if h2 is None:
-        h2 = 5.0 - expr.sin(4.0 * math.pi * Y)
+    d1, d2 = liouville_profiles()
+    h1 = d1 if h1 is None else h1
+    h2 = d2 if h2 is None else h2
     w = h1 + h2
+    box = (0.0, 1.0, 0.0, 1.0)
 
     vals = []
     for t in np.linspace(box[0], box[1], 21):
@@ -460,6 +496,57 @@ def liouville_chart(h1=None, h2=None, sign=1, periods=(None, None),
         g22=expr.const(float(sign)) * w, domain=Domain(),
         signature=sig, sample_box=box, periods=periods).validate()
     return chart, liouville_integral(h1, h2, sign=sign)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form identities behind the constructions
+
+
+@dataclass(frozen=True)
+class Identity:
+    """One closed-form identity: its spot check and the tolerance it meets.
+
+    run(samples, seed, t_max) returns (report fields, residual); the
+    identity holds when the residual is at most tol.
+    """
+
+    tol: float
+    samples: int    # default sample count
+    run: Callable
+
+
+def _rescaling(n, seed, t_max):
+    worst, _ = sample_rescaling_identity(n, seed=seed)
+    return {"samples": n, "seed": seed, "worst_residual": worst}, worst
+
+
+def _shift_relation(n, seed, t_max):
+    worst = sample_shift_relation(projective_shift(), n, seed=seed)
+    return {"samples": n, "seed": seed, "worst_residual": worst}, worst
+
+
+def _tannery_reparam(n, seed, t_max):
+    worst = tannery_reparam_residual(n)
+    return {"samples": n, "worst_residual": worst}, worst
+
+
+def _liouville_variants(n, seed, t_max):
+    # the separation integral against its commonly misprinted variant on
+    # the default separable chart; only the standard form has to conserve
+    chart, sep = liouville_chart()
+    alt = liouville_integral_printed(*liouville_profiles(), sign=1)
+    std, other = (check_conservation(chart, i, n_samples=n, t_max=t_max,
+                                     seed=seed).max_drift for i in (sep, alt))
+    return {"seed": seed, "separable_drift": std,
+            "alternate_form_drift": other}, std
+
+
+IDENTITIES = {
+    "rescaling": Identity(1e-10, 1000, _rescaling),
+    "shift-relation": Identity(1e-8, 100, _shift_relation),
+    "tannery-reparam": Identity(1e-10, 101, _tannery_reparam),
+    "liouville-variants": Identity(1e-6, 20, _liouville_variants),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -484,67 +571,50 @@ class ZooEntry:
     build: Callable[..., ZooBundle]
 
 
+def _killing_bundle(chart, k, **kwargs):
+    """Bundle of a chart with Killing field k and its energy and Clairaut
+    integrals."""
+    return ZooBundle(chart, killing=k,
+                     integrals={"energy": energy_integral(chart),
+                                "clairaut": clairaut_integral(chart, k)},
+                     **kwargs)
+
+
 def _build_flat():
     chart = MetricChart(
         name="flat", g11=expr.const(1.0), g12=expr.const(0.0),
         g22=expr.const(1.0), domain=Domain(),
         signature=Signature.RIEMANNIAN,
         sample_box=(-2.0, 2.0, -2.0, 2.0)).validate()
-    k = VectorField("translation", expr.const(0.0), expr.const(1.0))
-    return ZooBundle(chart, killing=k,
-                     integrals={"energy": energy_integral(chart),
-                                "clairaut": clairaut_integral(chart, k)})
+    return _killing_bundle(
+        chart, VectorField("translation", expr.const(0.0), expr.const(1.0)))
 
 
 def _build_clifton_pohl():
-    chart, k = clifton_pohl()
-    return ZooBundle(chart, killing=k,
-                     integrals={"energy": energy_integral(chart),
-                                "clairaut": clairaut_integral(chart, k)})
+    return _killing_bundle(*clifton_pohl())
 
 
 def _build_band(f=None, a=2.0, l=0.3):
-    chart, k = band_chart(f, a=a, l=l)
-    base, _ = band_chart(f, a=1.0, l=0.0)
-    return ZooBundle(chart, killing=k,
-                     integrals={"energy": energy_integral(chart),
-                                "clairaut": clairaut_integral(chart, k)},
-                     extras={"base_chart": base})
+    return _killing_bundle(*band_chart(f, a=a, l=l))
 
 
 def _build_punctured(a=1.0, l=0.5):
-    chart, k = punctured_plane_family(a=a, l=l)
-    base, _ = clifton_pohl()
-    return ZooBundle(chart, killing=k,
-                     integrals={"energy": energy_integral(chart),
-                                "clairaut": clairaut_integral(chart, k)},
-                     extras={"base_chart": base})
+    return _killing_bundle(*punctured_plane_family(a=a, l=l))
 
 
 def _build_tannery(c=1.0, h=None):
-    chart, k = tannery_chart(c=c, h=h)
-    return ZooBundle(chart, killing=k,
-                     integrals={"energy": energy_integral(chart),
-                                "clairaut": clairaut_integral(chart, k)})
+    return _killing_bundle(*tannery_chart(c=c, h=h))
 
 
 def _build_tannery_deformed(c=1.0, h=None, l=-2.0):
-    chart, k = tannery_deformed(c=c, h=h, l=l)
-    base, _ = tannery_chart(c=c, h=h)
-    return ZooBundle(chart, killing=k,
-                     integrals={"energy": energy_integral(chart),
-                                "clairaut": clairaut_integral(chart, k)},
-                     extras={"base_chart": base})
+    return _killing_bundle(*tannery_deformed(c=c, h=h, l=l))
 
 
 def _build_shift(f=None, a=2.0, eps=0.5):
     bundle = projective_shift(f=f, a=a, eps=eps)
-    return ZooBundle(bundle.chart, killing=bundle.killing,
-                     integrals={"energy": energy_integral(bundle.chart),
-                                "clairaut": clairaut_integral(
-                                    bundle.chart, bundle.killing)},
-                     maps={"shift": bundle.tau},
-                     extras={"shift_bundle": bundle})
+    return _killing_bundle(bundle.chart, bundle.killing,
+                           maps={"shift": bundle.tau},
+                           extras={"shift_bundle": bundle})
 
 
 def _build_liouville(h1=None, h2=None, sign=1):
@@ -560,8 +630,7 @@ def _build_truncation(l=1.0):
     tb = clairaut_truncation(base_chart, k, l=l)
     return ZooBundle(tb.partner, killing=k,
                      integrals={"energy": energy_integral(tb.partner),
-                                "defining": tb.integral},
-                     extras={"restricted": tb.base, "truncation": tb})
+                                "defining": tb.integral})
 
 
 def catalogue():

@@ -1,11 +1,15 @@
-"""Finite-difference oracles shared by the test modules.
+"""Finite-difference oracles and a reference evaluator for the tests.
 
 These are intentionally independent of the symbolic machinery under test:
-they only ever call compiled field evaluation (or plain callables) and build
-derivative estimates from central differences.
+the derivative oracles only ever call compiled field evaluation (or plain
+callables) and build estimates from central differences; the tree walker
+reads the node attributes and does its own arithmetic, so it shares no code
+with the compiler it is checked against.
 """
 
 import math
+
+from geoproj import expr
 
 
 def fd_derivative(fn, x, y, name, h=None):
@@ -123,3 +127,50 @@ def richardson_limit(fn, base, direction, scales=(1e-2, 5e-3, 2.5e-3)):
             table[i] = ((0.0 - xs[i + level]) * table[i] - (0.0 - xs[i]) * table[i + 1]) \
                 / (xs[i] - xs[i + level])
     return table[0]
+
+
+def _bump(u, coeffs):
+    # exp(-1/u) * P(1/u) for u > 0 and 0 otherwise
+    if u <= 0.0:
+        return 0.0
+    s = 1.0 / u
+    return math.exp(-s) * sum(c * s ** i for i, c in enumerate(coeffs))
+
+
+_UNARY = {
+    "sin": math.sin, "cos": math.cos, "sinh": math.sinh, "cosh": math.cosh,
+    "exp": math.exp, "log": math.log, "arcsin": math.asin, "sqrt": math.sqrt,
+    "cbrt": lambda v: math.copysign(abs(v) ** (1.0 / 3.0), v),
+    "abs": abs, "sign": lambda v: (v > 0.0) - (v < 0.0),
+    "floor": lambda v: float(math.floor(v)),
+}
+
+_BINARY = {
+    expr.Add: lambda a, b: a + b,
+    expr.Sub: lambda a, b: a - b,
+    expr.Mul: lambda a, b: a * b,
+    expr.Div: lambda a, b: a / b,
+}
+
+
+def eval_tree(node, x, y):
+    """Value of an expression tree at (x, y) by walking it node by node."""
+    kind = type(node)
+    if kind is expr.Const:
+        return node.value
+    if kind is expr.Var:
+        return x if node.name == "x" else y
+    if kind in _BINARY:
+        return _BINARY[kind](eval_tree(node.a, x, y), eval_tree(node.b, x, y))
+    if kind is expr.Neg:
+        return -eval_tree(node.a, x, y)
+    if kind is expr.Pow:
+        base = eval_tree(node.a, x, y)
+        if node.p == int(node.p):
+            return base ** int(node.p)
+        return math.pow(base, node.p)
+    if kind is expr.Unary:
+        return _UNARY[node.kind](eval_tree(node.a, x, y))
+    if kind is expr.ExpInvPoly:
+        return _bump(eval_tree(node.a, x, y), node.coeffs)
+    raise TypeError("no reference evaluation for %r" % (node,))

@@ -2,11 +2,19 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 
+import pytest
+
 from geoproj import cli
 from geoproj.acceptance import CriterionResult
+
+# stdout and exit code of `verify` on each identity and of `zoo show` on
+# each catalogue entry; refactors must leave these reports byte-identical
+with open(os.path.join(os.path.dirname(__file__), "golden_cli.json")) as _fh:
+    GOLDEN = json.load(_fh)
 
 
 def run_cli(capsys, *argv):
@@ -194,3 +202,11 @@ def test_console_script_is_installed():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "punctured-family" in proc.stdout
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_matches_golden_recording(capsys, name):
+    want = GOLDEN[name]
+    rc, out, _ = run_cli(capsys, *want["argv"])
+    assert rc == want["rc"]
+    assert out == want["stdout"]

@@ -310,6 +310,15 @@ def test_closure_uses_periodic_coordinates():
     assert rep.period == pytest.approx(2 * math.pi, abs=1e-7)
 
 
+def test_golden_min_stops_where_rounding_stops_the_bracket():
+    # at 1e6 the float spacing (1.2e-10) exceeds the stop width, so the
+    # bracket can never get that narrow
+    t, f = flow.golden_min(lambda s: (s - 1e6 - 0.25) ** 2,
+                           1e6, 1e6 + 1.0, 1e-13)
+    assert abs(t - 1e6 - 0.25) < 1e-9
+    assert f < 1e-18
+
+
 def test_tight_tolerances_reduce_error():
     m = sphere_chart()
     alpha = 0.35

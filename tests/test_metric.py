@@ -168,9 +168,13 @@ def test_killing_residual_detects():
 
 def test_domain_constraint_and_contains():
     dom = Domain(x_min=0.0, x_max=2.0, constraint=1.0 - expr.Y * expr.Y)
-    assert dom.contains(1.0, 0.5)
-    assert not dom.contains(1.0, 1.5)
-    assert not dom.contains(-0.1, 0.0)
+    inside = MetricChart(
+        name="cut", g11=expr.const(1.0), g12=expr.const(0.0),
+        g22=expr.const(1.0), domain=dom, signature=Signature.RIEMANNIAN,
+        sample_box=(0.0, 2.0, -1.0, 1.0)).runtime().in_domain
+    assert inside(1.0, 0.5)
+    assert not inside(1.0, 1.5)
+    assert not inside(-0.1, 0.0)
     f = dom.combined_field()
     assert f(1.0, 0.5) > 0.0
     assert f(1.0, 1.5) < 0.0

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from geoproj import expr, zoo
+from geoproj import expr, projective, zoo
 from geoproj.expr import X, Y
 from geoproj.flow import IntegratorOptions
 from geoproj.integrals import (check_conservation, integral_pullback,
@@ -76,6 +76,31 @@ def test_exhausted_step_budget_gives_a_verdict():
     assert report.verdict == INCONCLUSIVE
     assert report.n_conserved < 5
     assert "too few usable traces" in report.reason
+
+
+def test_partner_is_traced_only_for_usable_traces(monkeypatch):
+    # the overlap test needs both traces; tracing the partner of a trace of
+    # g that is already unusable (at this seed one ends at a blow-up) is
+    # wasted work
+    base, _ = zoo.band_chart(a=1.0, l=0.0)
+    other, _ = zoo.band_chart(a=2.0, l=0.3)
+    traced = []
+    original = projective.integrate_geodesic
+
+    def counting(chart, state, t_max, opts=None):
+        trace = original(chart, state, t_max, opts=opts)
+        traced.append((chart is base,
+                       projective._overlap_positions(trace) is not None))
+        return trace
+
+    monkeypatch.setattr(projective, "integrate_geodesic", counting)
+    report = check_projective_equivalence(base, other, n_traces=5,
+                                          t_max=1.0, seed=5)
+    assert report.verdict == EQUIVALENT
+    usable_g = sum(1 for is_g, usable in traced if is_g and usable)
+    partners = sum(1 for is_g, _ in traced if not is_g)
+    assert usable_g < sum(1 for is_g, _ in traced if is_g)
+    assert partners == usable_g
 
 
 def test_equivalence_report_json_shape():
