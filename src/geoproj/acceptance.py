@@ -250,10 +250,10 @@ def criterion_7(seed):
     g = bundle.chart
 
     lam_lo = -1.0 / bundle.f_max
+    f_periodic = expr.substitute(bundle.f, X - expr.floor_of(X), expr.Y)
     for x in np.linspace(-3.0, 4.0, 200):
         lam = expr.evaluate(bundle.shear_field, (float(x), 0.0))
-        fv = expr.evaluate(expr.substitute(
-            bundle.f, X - expr.floor_of(X), expr.Y), (float(x), 0.0))
+        fv = expr.evaluate(f_periodic, (float(x), 0.0))
         if not (lam > lam_lo and 1.0 + lam * fv > 0.0):
             return _result(7, False, "bounds fail at x=%.4f" % x)
 

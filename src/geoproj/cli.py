@@ -204,10 +204,16 @@ def cmd_check(args):
 
 
 def cmd_verify(args):
-    seed = args.seed if args.seed is not None else sampling.default_seed()
     ident = zoo.IDENTITIES[args.identity]
-    fields, residual = ident.run(_positive(args, "samples", ident.samples),
-                                 seed, _positive(args, "tmax", 1.0))
+    for flag in ("samples", "seed", "tmax"):
+        if getattr(args, flag) is not None and flag not in ident.reads:
+            raise UsageError("verify %s does not use --%s"
+                             % (args.identity, flag))
+    given = {"samples": _positive(args, "samples", ident.samples),
+             "seed": args.seed if args.seed is not None
+             else sampling.default_seed(),
+             "tmax": _positive(args, "tmax", 1.0)}
+    fields, residual = ident.run(**{k: given[k] for k in ident.reads})
     out = dict(fields, schema=1, identity=args.identity, tol=ident.tol)
     out["pass"] = residual <= ident.tol
     _emit(out, args.json)

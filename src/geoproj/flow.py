@@ -6,6 +6,18 @@ interpolant per accepted step.  On top of it sit the geodesic system, the
 joint geodesic + Jacobi system (for conjugate points) and closure detection
 for periodic orbits.
 
+The systems have four or eight components, too few for numpy to pay off: a
+numpy call costs more than the arithmetic it does on four floats.  So the
+stepper runs on plain Python floats.  States and stages are tuples, and one
+step attempt is generated once per system size as straight-line code: each
+stage combination, the fifth-order update, the error estimate and the
+dense-output coefficients are written out term by term, with the zero
+entries of the tableau dropped (Dormand & Prince 1980; Hairer, Norsett &
+Wanner, Solving ODEs I, sec. II.4-5).  Only the finished trace is turned
+into arrays.  The sums run in a fixed order without fused multiply-adds, so
+the results do not depend on the machine's BLAS.  The dense output refuses
+to extrapolate: it raises ValueError a few ulps outside the traced range.
+
 Traces terminate for one of five reasons: the requested parameter time was
 reached, the trajectory left the chart domain, the step size collapsed (the
 numerical signature of hitting a metric singularity or a finite-time
@@ -31,8 +43,11 @@ from __future__ import annotations
 
 import csv
 import math
+import struct
+from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
+from math import isfinite
 from typing import Optional
 
 import numpy as np
@@ -75,40 +90,43 @@ class GeodesicState:
     vy: float
     t: float = 0.0
 
-    def as_array(self):
-        return np.array([self.x, self.y, self.vx, self.vy])
 
-
-# Dormand-Prince 5(4) tableau.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B = _A[6]
-# difference between the 5th and embedded 4th order weights
-_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
-               -17253 / 339200, 22 / 525, -1 / 40])
-# dense-output coefficients: y(t0 + u h) = y0 + h * (K^T P) @ [u, u^2, u^3, u^4]
-_P = np.array([
-    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
-     -12715105075 / 11282082432],
-    [0.0, 0.0, 0.0, 0.0],
-    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
-     87487479700 / 32700410799],
-    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
-     -10690763975 / 1880347072],
-    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-     701980252875 / 199316789632],
-    [0.0, -282668133 / 205662961, 2019193451 / 616988883,
-     -1453857185 / 822651844],
-    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-])
+# Dormand-Prince 5(4) tableau: nodes _C, stage weights _A (row i weighs
+# stages 1..i), _E the 5th- minus the embedded 4th-order weights, and the
+# dense-output matrix _P.  The 5th-order weights are the last row of _A, so
+# stage 7 is evaluated at the new state itself and becomes the next step's
+# first stage (FSAL).
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
+      -1 / 40)
+# y(t0 + u h) = y0 + h * sum over stages s of k_s (_P[s] . [u, u^2, u^3, u^4])
+_P = (
+    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799),
+    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072),
+    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632),
+    (0.0, -282668133 / 205662961, 2019193451 / 616988883,
+     -1453857185 / 822651844),
+    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
+# stage weights of the interpolant at the step midpoint u = 1/2, the point
+# the domain test checks besides the step end
+_MID = tuple(sum(p * w for p, w in zip(row, (0.5, 0.25, 0.125, 0.0625)))
+             for row in _P)
 
 _RHS_ERRORS = (ValueError, ZeroDivisionError, OverflowError, FloatingPointError)
 
@@ -118,7 +136,15 @@ _COLLAPSE = 3e-5
 
 
 class DenseOutput:
-    """Piecewise quartic interpolant over the accepted steps."""
+    """Piecewise quartic interpolant over the accepted steps.
+
+    Step i starts at t0s[i] with state y0s[i] and length hs[i]; qs[i] holds
+    four coefficients per component, so that component j at t0 + u h is
+    y0[j] + h u (q[4j] + u (q[4j+1] + u (q[4j+2] + u q[4j+3]))).  They are
+    packed as C doubles: a tuple of Python floats takes three times the
+    memory, which long traces notice.  Evaluating outside the traced range
+    raises ValueError.
+    """
 
     def __init__(self):
         self.t0s = []
@@ -133,28 +159,98 @@ class DenseOutput:
         self.qs.append(q)
 
     def __call__(self, t):
-        if not self.t0s:
+        t0s = self.t0s
+        if not t0s:
             raise ValueError("empty trace has no interpolant")
-        idx = np.searchsorted(self.t0s, t, side="right") - 1
-        idx = min(max(idx, 0), len(self.t0s) - 1)
-        t0, h, y0, q = self.t0s[idx], self.hs[idx], self.y0s[idx], self.qs[idx]
-        u = (t - t0) / h
-        p = np.array([u, u * u, u ** 3, u ** 4])
-        return y0 + h * (q @ p)
+        lo, hi = t0s[0], t0s[-1] + self.hs[-1]
+        slack = 4.0 * math.ulp(max(abs(lo), abs(hi)))
+        if not lo - slack <= t <= hi + slack:
+            raise ValueError("t = %r is outside the trace [%r, %r]"
+                             % (t, lo, hi))
+        i = max(bisect_right(t0s, t) - 1, 0)
+        h, q = self.hs[i], memoryview(self.qs[i]).cast("d")
+        u = (t - t0s[i]) / h
+        return np.array([
+            y + h * u * (q[j] + u * (q[j + 1] + u * (q[j + 2] + u * q[j + 3])))
+            for j, y in zip(range(0, len(q), 4), self.y0s[i])])
 
 
 def _rms(v):
-    return math.sqrt(float(np.mean(v * v)))
+    return math.sqrt(sum(x * x for x in v) / len(v))
+
+
+def _attempt_source(n):
+    """Source of one DP5 step attempt on states of n components.
+
+    attempt(rhs, t, h, y, k1, atol, rtol) evaluates stages 2 to 7 and
+    returns (err, z, k7, q, mid): the error norm, the 5th-order state, the
+    last stage, the packed dense-output coefficients of DenseOutput and the
+    midpoint position.  A stage that is not finite raises
+    FloatingPointError.  Every sum is written out term by term on plain
+    floats, without the tableau's zero entries.
+    """
+    comps = range(n)
+
+    def stage(s):
+        return ", ".join("k%d_%d" % (s, j) for j in comps)
+
+    def term(w, name):
+        return name if w == 1.0 else "%r * %s" % (w, name)
+
+    def combo(weights, j):
+        return " + ".join(term(w, "k%d_%d" % (s + 1, j))
+                          for s, w in enumerate(weights) if w)
+
+    lines = ["def attempt(rhs, t, h, y, k1, atol, rtol):",
+             "    %s, = y" % ", ".join("y%d" % j for j in comps),
+             "    %s, = k1" % stage(1)]
+    for i in range(1, 7):
+        arg = "(%s,)" % ", ".join("y%d + h * (%s)" % (j, combo(_A[i], j))
+                                  for j in comps)
+        if i == 6:
+            lines.append("    %s, = z = %s"
+                         % (", ".join("z%d" % j for j in comps), arg))
+            arg = "z"
+        lines += ["    %s, = k = rhs(t + %s, %s)"
+                  % (stage(i + 1), term(_C[i], "h"), arg),
+                  "    if not (%s):" % " and ".join(
+                      "isfinite(k%d_%d)" % (i + 1, j) for j in comps),
+                  "        raise FloatingPointError('stage %d is not finite')"
+                  % (i + 1)]
+    lines += ["    e%d = h * (%s) / (atol + rtol * max(abs(y%d), abs(z%d)))"
+              % (j, combo(_E, j), j, j) for j in comps]
+    lines.append("    err = sqrt((%s) / %d)"
+                 % (" + ".join("e%d * e%d" % (j, j) for j in comps), n))
+    q = ", ".join(combo([row[m] for row in _P], j)
+                  for j in comps for m in range(4))
+    mid = ", ".join("y%d + h * (%s)" % (j, combo(_MID, j)) for j in (0, 1))
+    lines.append("    return err, z, k, pack(%s), (%s)" % (q, mid))
+    return "\n".join(lines) + "\n"
+
+
+_ATTEMPTS = {}
+
+
+def _attempt(n):
+    """The compiled step attempt for n components, built once per n."""
+    fn = _ATTEMPTS.get(n)
+    if fn is None:
+        ns = {"isfinite": isfinite, "sqrt": math.sqrt,
+              "pack": struct.Struct("%dd" % (4 * n)).pack}
+        exec(compile(_attempt_source(n), "<geoproj.flow dp5 n=%d>" % n,
+                     "exec"), ns)
+        fn = _ATTEMPTS[n] = ns["attempt"]
+    return fn
 
 
 def _initial_step(rhs, t0, y0, f0, t_span, atol, rtol):
-    scale = atol + rtol * np.abs(y0)
-    d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
+    scale = [atol + rtol * abs(a) for a in y0]
+    d0 = _rms([a / s for a, s in zip(y0, scale)])
+    d1 = _rms([b / s for b, s in zip(f0, scale)])
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     try:
-        f1 = rhs(t0 + h0, y0 + h0 * f0)
-        d2 = _rms((f1 - f0) / scale) / h0
+        f1 = rhs(t0 + h0, [a + h0 * b for a, b in zip(y0, f0)])
+        d2 = _rms([(c - b) / s for c, b, s in zip(f1, f0, scale)]) / h0
     except _RHS_ERRORS:
         d2 = d1
     dm = max(d1, d2)
@@ -162,34 +258,35 @@ def _initial_step(rhs, t0, y0, f0, t_span, atol, rtol):
     return min(100.0 * h0, h1, t_span)
 
 
-def _adaptive_rk(rhs, t0, y0, t_max, opts, in_domain=None, observer=None):
-    """Core stepper.  rhs(t, y) -> array; exceptions reject the step.
+def _adaptive_rk(rhs, t0, y0, t_max, opts, in_domain, observer=None):
+    """Core stepper.  rhs(t, y) -> tuple; exceptions reject the step.
 
-    Returns the trace fields (ts, ys, termination, dense, n_accepted,
-    n_rejected) and the payload of an observer that stopped the run.
+    in_domain(x, y) tests the first two components of the state.  Returns
+    the trace fields (ts, ys, termination, dense, n_accepted, n_rejected)
+    and the payload of an observer that stopped the run.
     """
-    y = np.asarray(y0, dtype=float)
-    n = y.size
+    y = tuple(map(float, y0))
     t = float(t0)
     try:
-        f = np.asarray(rhs(t, y), dtype=float)
+        f = rhs(t, y)
     except _RHS_ERRORS as exc:
         raise DomainError("right-hand side fails at the initial state: %s" % exc)
-    if not np.all(np.isfinite(f)):
+    if not all(map(isfinite, f)):
         raise DomainError("right-hand side is not finite at the initial state")
 
+    atol, rtol = opts.atol, opts.rtol
     ts = [t]
-    ys = [y.copy()]
+    ys = [y]
     dense = DenseOutput()
-    h = _initial_step(rhs, t, y, f, t_max - t0, opts.atol, opts.rtol)
+    h = _initial_step(rhs, t, y, f, t_max - t0, atol, rtol)
     err_prev = 1e-4
     n_acc = 0
     n_rej = 0
     termination = Termination.TIME_LIMIT
     payload = None
-    K = np.empty((7, n))
     h_peak = 0.0
     t_end = t_max - 1e-14 * max(1.0, abs(t_max))
+    attempt = _attempt(len(y))
 
     while t < t_end:
         if n_acc + n_rej >= opts.max_steps:
@@ -200,28 +297,11 @@ def _adaptive_rk(rhs, t0, y0, t_max, opts, in_domain=None, observer=None):
             termination = Termination.SINGULARITY
             break
 
-        failed = False
-        K[0] = f
-        y1 = None
-        for i in range(1, 7):
-            # stage 6 re-evaluates at y1 itself (A[6] == B), giving FSAL
-            try:
-                ki = rhs(t + _C[i] * h, y + h * (_A[i] @ K[:i]))
-            except _RHS_ERRORS:
-                failed = True
-                break
-            K[i] = ki
-            if not np.all(np.isfinite(K[i])):
-                failed = True
-                break
-            if i == 5:
-                y1 = y + h * (_B @ K[:6])
-
-        if not failed:
-            err_vec = h * (_E @ K)
-            scale = opts.atol + opts.rtol * np.maximum(np.abs(y), np.abs(y1))
-            err = _rms(err_vec / scale)
-        if failed or not math.isfinite(err):
+        try:
+            err, y1, k7, q, mid = attempt(rhs, t, h, y, f, atol, rtol)
+            if not isfinite(err):
+                raise FloatingPointError("error estimate is not finite")
+        except _RHS_ERRORS:
             n_rej += 1
             h = max(0.1 * h, opts.h_min * 0.5)
             err_prev = 1e-4
@@ -229,19 +309,13 @@ def _adaptive_rk(rhs, t0, y0, t_max, opts, in_domain=None, observer=None):
 
         if err <= 1.0:
             t1 = t + h
-            q = K.T @ _P
-            dense.append(t, h, y.copy(), q)
-            mid = y + h * (q @ np.array([0.5, 0.25, 0.125, 0.0625]))
-            inside = True
-            if in_domain is not None:
-                inside = in_domain(y1) and in_domain(mid)
-            if not inside:
-                # drop the offending segment; the trace ends inside the domain
-                dense.t0s.pop(), dense.hs.pop(), dense.y0s.pop(), dense.qs.pop()
+            if not (in_domain(y1[0], y1[1]) and in_domain(*mid)):
+                # the trace ends inside the domain, before this step
                 termination = Termination.DOMAIN_EXIT
                 break
+            dense.append(t, h, y, q)
             ts.append(t1)
-            ys.append(y1.copy())
+            ys.append(y1)
             n_acc += 1
             stop = None
             if observer is not None:
@@ -251,7 +325,7 @@ def _adaptive_rk(rhs, t0, y0, t_max, opts, in_domain=None, observer=None):
                 break
             t = t1
             y = y1
-            f = K[6].copy()  # first-same-as-last
+            f = k7  # first-same-as-last
             h_peak = max(h_peak, h)
             if h < _COLLAPSE * h_peak and t < t_end:
                 termination = Termination.SINGULARITY
@@ -319,15 +393,20 @@ class ClosureReport:
     trace: Optional[GeodesicTrace] = dc_field(default=None, repr=False)
 
 
+def _geodesic_field(s, vx, vy):
+    """(v, -Gamma(v, v)): the geodesic system at velocity v, given the
+    christoffel() tuple s at the position."""
+    _, _, _, a, b, c, d, e, f = s
+    return (vx, vy, -(a * vx * vx + 2.0 * b * vx * vy + c * vy * vy),
+            -(d * vx * vx + 2.0 * e * vx * vy + f * vy * vy))
+
+
 def _geodesic_rhs(runtime):
     chris = runtime.christoffel
 
     def rhs(t, y):
-        _, _, _, c1, c2 = chris(y[0], y[1])
-        vx, vy = y[2], y[3]
-        a1 = -(c1[0] * vx * vx + 2.0 * c1[1] * vx * vy + c1[2] * vy * vy)
-        a2 = -(c2[0] * vx * vx + 2.0 * c2[1] * vx * vy + c2[2] * vy * vy)
-        return np.array([vx, vy, a1, a2])
+        x, yy, vx, vy = y
+        return _geodesic_field(chris(x, yy), vx, vy)
 
     return rhs
 
@@ -338,24 +417,21 @@ def _jacobi_rhs(runtime):
 
     def rhs(t, y):
         x, yy, vx, vy, jx, jy, wx, wy = y
-        E, F, G, c1, c2 = chris(x, yy)
+        s = chris(x, yy)
+        E, F, G, a, b, c, d, e, f = s
         kq = curv(x, yy)
-        a1 = -(c1[0] * vx * vx + 2.0 * c1[1] * vx * vy + c1[2] * vy * vy)
-        a2 = -(c2[0] * vx * vx + 2.0 * c2[1] * vx * vy + c2[2] * vy * vy)
-        gvj1 = c1[0] * vx * jx + c1[1] * (vx * jy + vy * jx) + c1[2] * vy * jy
-        gvj2 = c2[0] * vx * jx + c2[1] * (vx * jy + vy * jx) + c2[2] * vy * jy
-        gvw1 = c1[0] * vx * wx + c1[1] * (vx * wy + vy * wx) + c1[2] * vy * wy
-        gvw2 = c2[0] * vx * wx + c2[1] * (vx * wy + vy * wx) + c2[2] * vy * wy
+        gvj1 = a * vx * jx + b * (vx * jy + vy * jx) + c * vy * jy
+        gvj2 = d * vx * jx + e * (vx * jy + vy * jx) + f * vy * jy
+        gvw1 = a * vx * wx + b * (vx * wy + vy * wx) + c * vy * wy
+        gvw2 = d * vx * wx + e * (vx * wy + vy * wx) + f * vy * wy
         ev = E * vx * vx + 2.0 * F * vx * vy + G * vy * vy
         gjv = E * jx * vx + F * (jx * vy + jy * vx) + G * jy * vy
         # covariant Jacobi equation in components:
         #   dJ/dt = W - Gamma(v, J),  dW/dt = -K (g(v,v) J - g(J,v) v) - Gamma(v, W)
-        return np.array([
-            vx, vy, a1, a2,
+        return _geodesic_field(s, vx, vy) + (
             wx - gvj1, wy - gvj2,
             -kq * (ev * jx - gjv * vx) - gvw1,
-            -kq * (ev * jy - gjv * vy) - gvw2,
-        ])
+            -kq * (ev * jy - gjv * vy) - gvw2)
 
     return rhs
 
@@ -370,12 +446,9 @@ def _run(chart, system, trace_type, state, y0, t_end, opts, observer=None):
         raise DomainError("initial state (%g, %g) is outside chart %r"
                           % (state.x, state.y, chart.name))
 
-    def in_domain(y):
-        return rt.in_domain(y[0], y[1])
-
     fields, payload = _adaptive_rk(system(rt), state.t, y0, t_end,
                                    opts or IntegratorOptions(),
-                                   in_domain=in_domain, observer=observer)
+                                   lambda x, y: rt.in_domain(x, y), observer)
     return trace_type(chart.name, *fields), payload
 
 
@@ -384,7 +457,8 @@ def integrate_geodesic(chart, state, t_max, opts=None, observer=None):
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
     trace, payload = _run(chart, _geodesic_rhs, GeodesicTrace, state,
-                          state.as_array(), state.t + t_max, opts, observer)
+                          (state.x, state.y, state.vx, state.vy),
+                          state.t + t_max, opts, observer)
     if isinstance(payload, ClosureReport):
         trace.closure = payload
     return trace
@@ -392,8 +466,7 @@ def integrate_geodesic(chart, state, t_max, opts=None, observer=None):
 
 def _jacobi_run(chart, state, j0, dj0, t_end):
     """The geodesic through state jointly with the Jacobi field (j0, dj0)."""
-    y0 = np.array([state.x, state.y, state.vx, state.vy,
-                   j0[0], j0[1], dj0[0], dj0[1]])
+    y0 = (state.x, state.y, state.vx, state.vy, j0[0], j0[1], dj0[0], dj0[1])
     return _run(chart, _jacobi_rhs, JacobiTrace, state, y0, t_end, None)[0]
 
 

@@ -109,12 +109,8 @@ class _Runtime:
     """Compiled evaluators attached to one chart."""
 
     def __init__(self, chart):
-        g11, g12, g22 = chart.g11, chart.g12, chart.g22
-        d = {n: [g.diff(n) for g in (g11, g12, g22)] for n in ("x", "y")}
-        self.coeffs = expr.compile_fields([g11, g12, g22])
-        self._first = expr.compile_fields(
-            [g11, g12, g22,
-             d["x"][0], d["y"][0], d["x"][1], d["y"][1], d["x"][2], d["y"][2]])
+        self.coeffs = expr.compile_fields([chart.g11, chart.g12, chart.g22])
+        self._chris = None
         self._curv = None
         self._chart = chart
 
@@ -140,25 +136,30 @@ class _Runtime:
 
         self.in_domain = in_domain
 
-    def first_derivatives(self, x, y):
-        return self._first(x, y)
-
     def christoffel(self, x, y):
-        """Returns (E, F, G, (G^1_11, G^1_12, G^1_22), (G^2_11, G^2_12, G^2_22))."""
-        E, F, G, Ex, Ey, Fx, Fy, Gx, Gy = self._first(x, y)
-        det = E * G - F * F
-        b111 = 0.5 * Ex
-        b112 = Fx - 0.5 * Ey
-        b121 = 0.5 * Ey
-        b122 = 0.5 * Gx
-        b221 = Fy - 0.5 * Gx
-        b222 = 0.5 * Gy
-        i11 = G / det
-        i12 = -F / det
-        i22 = E / det
-        c1 = (i11 * b111 + i12 * b112, i11 * b121 + i12 * b122, i11 * b221 + i12 * b222)
-        c2 = (i12 * b111 + i22 * b112, i12 * b121 + i22 * b122, i12 * b221 + i22 * b222)
-        return E, F, G, c1, c2
+        """Returns (E, F, G, G^1_11, G^1_12, G^1_22, G^2_11, G^2_12, G^2_22).
+
+        One compiled function evaluates the coefficients, their first
+        derivatives and the Christoffel algebra; it is built on the first
+        call.
+        """
+        fn = self._chris
+        if fn is None:
+            c = self._chart
+            E, F, G = c.g11, c.g12, c.g22
+            Ex, Ey, Fx, Fy = E.diff("x"), E.diff("y"), F.diff("x"), F.diff("y")
+            Gx, Gy = G.diff("x"), G.diff("y")
+            det = E * G - F * F
+            i11, i12, i22 = G / det, -F / det, E / det
+            b111, b112, b121 = 0.5 * Ex, Fx - 0.5 * Ey, 0.5 * Ey
+            b122, b221, b222 = 0.5 * Gx, Fy - 0.5 * Gx, 0.5 * Gy
+            fn = self._chris = expr.compile_fields([
+                E, F, G,
+                i11 * b111 + i12 * b112, i11 * b121 + i12 * b122,
+                i11 * b221 + i12 * b222,
+                i12 * b111 + i22 * b112, i12 * b121 + i22 * b122,
+                i12 * b221 + i22 * b222])
+        return fn(x, y)
 
     def curvature(self, x, y):
         if self._curv is None:
@@ -321,9 +322,8 @@ def metric_eval(chart, point, v, w=None):
 def christoffel(chart, point):
     """Christoffel symbols as an array indexed [k, i, j]."""
     x, y = point
-    _, _, _, c1, c2 = chart.runtime().christoffel(x, y)
-    return np.array([[[c1[0], c1[1]], [c1[1], c1[2]]],
-                     [[c2[0], c2[1]], [c2[1], c2[2]]]])
+    _, _, _, a, b, c, d, e, f = chart.runtime().christoffel(x, y)
+    return np.array([[[a, b], [b, c]], [[d, e], [e, f]]])
 
 
 def gaussian_curvature(chart, point):

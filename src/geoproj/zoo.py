@@ -10,6 +10,7 @@ verify` and the acceptance criteria run.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
@@ -506,36 +507,41 @@ def liouville_chart(h1=None, h2=None, sign=1, periods=(None, None)):
 class Identity:
     """One closed-form identity: its spot check and the tolerance it meets.
 
-    run(samples, seed, t_max) returns (report fields, residual); the
-    identity holds when the residual is at most tol.
+    run returns (report fields, residual); the identity holds when the
+    residual is at most tol.  The names of run's parameters, out of
+    samples, seed and tmax, are the parameters the check reads.
     """
 
     tol: float
     samples: int    # default sample count
     run: Callable
 
-
-def _rescaling(n, seed, t_max):
-    worst, _ = sample_rescaling_identity(n, seed=seed)
-    return {"samples": n, "seed": seed, "worst_residual": worst}, worst
-
-
-def _shift_relation(n, seed, t_max):
-    worst = sample_shift_relation(projective_shift(), n, seed=seed)
-    return {"samples": n, "seed": seed, "worst_residual": worst}, worst
+    @property
+    def reads(self):
+        return tuple(inspect.signature(self.run).parameters)
 
 
-def _tannery_reparam(n, seed, t_max):
-    worst = tannery_reparam_residual(n)
-    return {"samples": n, "worst_residual": worst}, worst
+def _rescaling(samples, seed):
+    worst, _ = sample_rescaling_identity(samples, seed=seed)
+    return {"samples": samples, "seed": seed, "worst_residual": worst}, worst
 
 
-def _liouville_variants(n, seed, t_max):
+def _shift_relation(samples, seed):
+    worst = sample_shift_relation(projective_shift(), samples, seed=seed)
+    return {"samples": samples, "seed": seed, "worst_residual": worst}, worst
+
+
+def _tannery_reparam(samples):
+    worst = tannery_reparam_residual(samples)
+    return {"samples": samples, "worst_residual": worst}, worst
+
+
+def _liouville_variants(samples, seed, tmax):
     # the separation integral against its commonly misprinted variant on
     # the default separable chart; only the standard form has to conserve
     chart, sep = liouville_chart()
     alt = liouville_integral_printed(*liouville_profiles(), sign=1)
-    std, other = (check_conservation(chart, i, n_samples=n, t_max=t_max,
+    std, other = (check_conservation(chart, i, n_samples=samples, t_max=tmax,
                                      seed=seed).max_drift for i in (sep, alt))
     return {"seed": seed, "separable_drift": std,
             "alternate_form_drift": other}, std

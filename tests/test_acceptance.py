@@ -7,7 +7,8 @@ exactly once however the tests are ordered.
 
 import time
 
-from geoproj import acceptance, sampling
+from geoproj import acceptance, expr, sampling, zoo
+from geoproj.expr import X, Y
 
 _FUNCS = dict(acceptance.CRITERIA)
 _cache = {}
@@ -60,6 +61,25 @@ def test_criterion_06_deformed_surface(capsys):
 
 def test_criterion_07_shift_construction(capsys):
     _check(7, capsys)
+
+
+def test_criterion_07_compiles_the_periodic_profile_once(monkeypatch):
+    # the bound check evaluates f(x - floor x) at 200 points; building the
+    # substituted tree anew at each point compiled it 200 times
+    profile = [expr.to_prefix(expr.substitute(
+        zoo.projective_shift().f, X - expr.floor_of(X), Y))]
+    compiled = []
+    original = expr.compile_fields
+
+    def counting(fields):
+        compiled.append([expr.to_prefix(f) for f in fields])
+        return original(fields)
+
+    monkeypatch.setattr(expr, "compile_fields", counting)
+    res = acceptance.criterion_7(sampling.default_seed())
+    assert res.passed, res.details
+    assert compiled.count(profile) == 1
+    assert len(compiled) < 40
 
 
 def test_criterion_08_truncation_pair(capsys):

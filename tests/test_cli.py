@@ -172,6 +172,17 @@ def test_verify_identities_pass(capsys):
     assert data["alternate_form_drift"] > 1e-2
 
 
+def test_verify_rejects_flags_the_identity_ignores(capsys):
+    rc, out, err = run_cli(capsys, "verify", "tannery-reparam", "--seed", "5")
+    assert rc == 2
+    assert out == ""
+    assert "--seed" in err
+    rc, out, err = run_cli(capsys, "verify", "rescaling", "--tmax", "2")
+    assert rc == 2
+    assert out == ""
+    assert "--tmax" in err
+
+
 def test_reports_are_deterministic(capsys):
     args = ("check", "projective", "--chart", "band", "--chart-b", "flat",
             "--samples", "5", "--tmax", "0.4", "--seed", "9")

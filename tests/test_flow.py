@@ -218,6 +218,79 @@ def test_catalogue_termination_classes_are_golden():
                     (name, i)
 
 
+def test_dense_output_refuses_to_extrapolate():
+    m = flat_chart()
+    tr = integrate_geodesic(m, GeodesicState(0.1, -0.2, 0.3, 0.7), 2.0)
+    lo, hi = float(tr.ts[0]), float(tr.ts[-1])
+    assert tr.dense(lo)[0] == pytest.approx(0.1, abs=1e-15)
+    assert tr.at(hi).x == pytest.approx(0.7, abs=1e-12)
+    tr.dense(math.nextafter(hi, math.inf))   # rounding slack at the ends
+    for t in (lo - 1e-9, hi + 1e-9, hi + 1.0, math.nan):
+        with pytest.raises(ValueError):
+            tr.dense(t)
+    with pytest.raises(ValueError):
+        tr.at(-0.5)
+
+
+def test_final_states_match_scipy_dop853():
+    # an independent solver with its own right-hand side, built from
+    # metric.christoffel: the first state per catalogue chart whose trace
+    # reaches t_max = 1.  The previous numpy stepper was at worst 9.7e-11
+    # (clifton-pohl) off DOP853 here, in the max norm scaled by
+    # max(1, |y|); the bound keeps a factor of ten to that.
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    for name in sorted(zoo.catalogue()):
+        chart = zoo.build_bundle(name).chart
+        states = sampling.sample_states(chart, 20,
+                                        np.random.default_rng(12345))
+        tr = next(tr for tr in (integrate_geodesic(chart, s, 1.0)
+                                for s in states)
+                  if tr.termination is Termination.TIME_LIMIT)
+
+        def rhs(t, y):
+            gam = metric.christoffel(chart, (y[0], y[1]))
+            v = y[2:]
+            return np.concatenate([v, -np.einsum("kij,i,j->k", gam, v, v)])
+
+        sol = solve_ivp(rhs, (0.0, 1.0), tr.ys[0], method="DOP853",
+                        rtol=1e-12, atol=1e-12)
+        want = sol.y[:, -1]
+        err = np.max(np.abs(tr.ys[-1] - want)) / max(1.0, np.max(np.abs(want)))
+        assert err < 1e-9, (name, err)
+
+
+def test_rhs_evaluations_per_trace(monkeypatch):
+    # two evaluations to start (the initial slope and the step-size guess)
+    # and six per attempted step, FSAL supplying the seventh; a trace that
+    # leaves the domain also ran the six of the step it dropped
+    calls = [0]
+    original = metric._Runtime.christoffel
+
+    def counting(self, x, y):
+        calls[0] += 1
+        return original(self, x, y)
+
+    monkeypatch.setattr(metric._Runtime, "christoffel", counting)
+    m = sphere_chart()
+
+    def evaluations(tr, dropped=0):
+        return 2 + 6 * (tr.n_accepted + tr.n_rejected + dropped)
+
+    tr = integrate_geodesic(m, GeodesicState(1.68, 5.89, -1.0, 0.0315), 1.0)
+    assert tr.termination == Termination.TIME_LIMIT and tr.n_rejected > 0
+    assert calls[0] == evaluations(tr)
+
+    calls[0] = 0
+    _, jt = find_conjugate_points(m, GeodesicState(1.2, 0.4, 0.3, 0.5), 4.0)
+    assert jt.termination == Termination.TIME_LIMIT
+    assert calls[0] == evaluations(jt)
+
+    calls[0] = 0
+    tr = integrate_geodesic(m, GeodesicState(1.0, 0.0, -1.0, 0.0), 3.0)
+    assert tr.termination == Termination.DOMAIN_EXIT
+    assert calls[0] == evaluations(tr, dropped=1)
+
+
 def test_initial_state_outside_domain_raises():
     m = sphere_chart()
     with pytest.raises(metric.DomainError):
