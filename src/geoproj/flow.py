@@ -142,8 +142,11 @@ class DenseOutput:
     four coefficients per component, so that component j at t0 + u h is
     y0[j] + h u (q[4j] + u (q[4j+1] + u (q[4j+2] + u q[4j+3]))).  They are
     packed as C doubles: a tuple of Python floats takes three times the
-    memory, which long traces notice.  Evaluating outside the traced range
-    raises ValueError.
+    memory, which long traces notice.  Calling the interpolant evaluates
+    every component at one time; positions() evaluates x and y at an array
+    of times in one pass, with the same operations in the same order, so
+    its values equal the scalar ones bit for bit.  Evaluating outside the
+    traced range raises ValueError.
     """
 
     def __init__(self):
@@ -158,7 +161,8 @@ class DenseOutput:
         self.y0s.append(y0)
         self.qs.append(q)
 
-    def __call__(self, t):
+    def _check_range(self, t):
+        """Raise ValueError unless t lies in the traced range, up to 4 ulps."""
         t0s = self.t0s
         if not t0s:
             raise ValueError("empty trace has no interpolant")
@@ -167,12 +171,37 @@ class DenseOutput:
         if not lo - slack <= t <= hi + slack:
             raise ValueError("t = %r is outside the trace [%r, %r]"
                              % (t, lo, hi))
+
+    def __call__(self, t):
+        self._check_range(t)
+        t0s = self.t0s
         i = max(bisect_right(t0s, t) - 1, 0)
         h, q = self.hs[i], memoryview(self.qs[i]).cast("d")
         u = (t - t0s[i]) / h
         return np.array([
             y + h * u * (q[j] + u * (q[j + 1] + u * (q[j + 2] + u * q[j + 3])))
             for j, y in zip(range(0, len(q), 4), self.y0s[i])])
+
+    def positions(self, ts):
+        """x and y at the times ts, as an array of shape (len(ts), 2).
+
+        One searchsorted finds every time's step, then Horner's rule runs
+        on whole columns of the packed coefficients.
+        """
+        ts = np.asarray(ts, dtype=float)
+        self._check_range(float(np.min(ts)))
+        self._check_range(float(np.max(ts)))
+        t0 = np.array(self.t0s)
+        i = np.maximum(np.searchsorted(t0, ts, side="right") - 1, 0)
+        h = np.array(self.hs)[i]
+        u = (ts - t0[i]) / h
+        y0 = np.array(self.y0s)[i, :2]
+        q = np.frombuffer(b"".join(self.qs)).reshape(len(t0), -1)[i, :8]
+        out = np.empty((len(ts), 2))
+        for j in (0, 1):
+            q0, q1, q2, q3 = q[:, 4 * j:4 * j + 4].T
+            out[:, j] = y0[:, j] + h * u * (q0 + u * (q1 + u * (q2 + u * q3)))
+        return out
 
 
 def _rms(v):
@@ -388,17 +417,8 @@ class ClosureReport:
     closed: bool
     period: Optional[float]
     min_distance: float
-    t_at_min: Optional[float]
     tol: float
     trace: Optional[GeodesicTrace] = dc_field(default=None, repr=False)
-
-
-def _geodesic_field(s, vx, vy):
-    """(v, -Gamma(v, v)): the geodesic system at velocity v, given the
-    christoffel() tuple s at the position."""
-    _, _, _, a, b, c, d, e, f = s
-    return (vx, vy, -(a * vx * vx + 2.0 * b * vx * vy + c * vy * vy),
-            -(d * vx * vx + 2.0 * e * vx * vy + f * vy * vy))
 
 
 def _geodesic_rhs(runtime):
@@ -406,7 +426,9 @@ def _geodesic_rhs(runtime):
 
     def rhs(t, y):
         x, yy, vx, vy = y
-        return _geodesic_field(chris(x, yy), vx, vy)
+        _, _, _, a, b, c, d, e, f = chris(x, yy)
+        return (vx, vy, -(a * vx * vx + 2.0 * b * vx * vy + c * vy * vy),
+                -(d * vx * vx + 2.0 * e * vx * vy + f * vy * vy))
 
     return rhs
 
@@ -417,8 +439,7 @@ def _jacobi_rhs(runtime):
 
     def rhs(t, y):
         x, yy, vx, vy, jx, jy, wx, wy = y
-        s = chris(x, yy)
-        E, F, G, a, b, c, d, e, f = s
+        E, F, G, a, b, c, d, e, f = chris(x, yy)
         kq = curv(x, yy)
         gvj1 = a * vx * jx + b * (vx * jy + vy * jx) + c * vy * jy
         gvj2 = d * vx * jx + e * (vx * jy + vy * jx) + f * vy * jy
@@ -428,10 +449,11 @@ def _jacobi_rhs(runtime):
         gjv = E * jx * vx + F * (jx * vy + jy * vx) + G * jy * vy
         # covariant Jacobi equation in components:
         #   dJ/dt = W - Gamma(v, J),  dW/dt = -K (g(v,v) J - g(J,v) v) - Gamma(v, W)
-        return _geodesic_field(s, vx, vy) + (
-            wx - gvj1, wy - gvj2,
-            -kq * (ev * jx - gjv * vx) - gvw1,
-            -kq * (ev * jy - gjv * vy) - gvw2)
+        return (vx, vy, -(a * vx * vx + 2.0 * b * vx * vy + c * vy * vy),
+                -(d * vx * vx + 2.0 * e * vx * vy + f * vy * vy),
+                wx - gvj1, wy - gvj2,
+                -kq * (ev * jx - gjv * vx) - gvw1,
+                -kq * (ev * jy - gjv * vy) - gvw2)
 
     return rhs
 
@@ -583,7 +605,7 @@ def detect_closure(chart, state, t_max, tol=1e-6):
     arm_radius = max(1e-3, 10.0 * tol)
     h_watch = (t_max - state.t) / 512.0
     history = []
-    best = {"d": math.inf, "t": None}
+    best = {"d": math.inf}
     armed = {"on": False}
 
     def observer(t0, t1, y1, dense):
@@ -597,7 +619,7 @@ def detect_closure(chart, state, t_max, tol=1e-6):
                     armed["on"] = True
                 continue
             if dj < best["d"]:
-                best["d"], best["t"] = dj, tj
+                best["d"] = dj
             if len(history) < 3:
                 continue
             (ta, da), (tb, db), (tc, dc) = history[-3], history[-2], history[-1]
@@ -607,10 +629,10 @@ def detect_closure(chart, state, t_max, tol=1e-6):
             tstar, dstar = golden_min(lambda t: distance_of(dense(t)),
                                       ta, tc, 1e-10)
             if dstar < best["d"]:
-                best["d"], best["t"] = dstar, tstar
+                best["d"] = dstar
             if dstar <= tol:
                 report = ClosureReport(True, float(tstar - state.t),
-                                       float(dstar), float(tstar), tol)
+                                       float(dstar), tol)
                 return (Termination.CLOSURE, report)
         return None
 
@@ -619,8 +641,7 @@ def detect_closure(chart, state, t_max, tol=1e-6):
         report = trace.closure
         report.trace = trace
         return report
-    report = ClosureReport(False, None, float(best["d"]),
-                           best["t"], tol, trace=trace)
+    report = ClosureReport(False, None, float(best["d"]), tol, trace=trace)
     trace.closure = report
     return report
 

@@ -54,6 +54,16 @@ class CausalClass(str, Enum):
     LIGHTLIKE = "lightlike"
 
 
+# A coefficient matrix counts as degenerate where |det g| is at most this
+# fraction of its largest squared coefficient.  MetricChart.validate and the
+# curvature both decide through _degenerate.
+DEGENERACY_TOL = 1e-12
+
+
+def _degenerate(det, E, F, G):
+    return abs(det) <= DEGENERACY_TOL * max(E * E, F * F, G * G, 1e-300)
+
+
 def _field_min(u, v):
     # exact pointwise min; only the sign is ever used
     return (u + v - expr.absval(u - v)) * 0.5
@@ -173,7 +183,7 @@ class _Runtime:
             self._curv = expr.compile_fields(bundle)
         E, F, G, Eu, Ev, Fu, Fv, Gu, Gv, Evv, Fuv, Guu = self._curv(x, y)
         det = E * G - F * F
-        if abs(det) < 1e-14 * max(E * E, F * F, G * G, 1e-300):
+        if _degenerate(det, E, F, G):
             raise DegenerateMetricError(
                 "metric is numerically degenerate at (%g, %g)" % (x, y))
         a = -0.5 * Evv + Fuv - 0.5 * Guu
@@ -236,8 +246,7 @@ class MetricChart:
         for (x, y) in self.grid_points(n):
             E, F, G = self.runtime().coeffs(x, y)
             det = E * G - F * F
-            scale = max(E * E, F * F, G * G, 1e-300)
-            if abs(det) <= 1e-12 * scale:
+            if _degenerate(det, E, F, G):
                 raise DegenerateMetricError(
                     "chart %r degenerate at (%g, %g): det=%g"
                     % (self.name, x, y, det))

@@ -80,24 +80,24 @@ def _chord_length(points):
 
 
 def _dense_positions(trace, n=400):
-    """Positions sampled uniformly in parameter from the dense output.
+    """Positions at n times spaced uniformly in parameter, from the dense
+    output, evaluated in one bulk pass (DenseOutput.positions).
 
     The raw accepted steps can be long; comparing two traces through their
     step endpoints alone would measure the step pattern, not the curve.
     """
-    ts = np.linspace(float(trace.ts[0]), float(trace.ts[-1]), n)
-    out = np.empty((n, 2))
-    for i, t in enumerate(ts):
-        out[i] = trace.dense(float(t))[:2]
-    return out
+    return trace.dense.positions(
+        np.linspace(float(trace.ts[0]), float(trace.ts[-1]), n))
 
 
 def _overlap_positions(trace):
-    """Dense positions of a trace fit for the overlap test, else None."""
+    """(dense positions, chord length) of a trace fit for the overlap
+    test, else None."""
     if len(trace.ts) < 5 or trace.termination.abandoned:
         return None
     pts = _dense_positions(trace)
-    return pts if _chord_length(pts) >= 1e-3 else None
+    chord = _chord_length(pts)
+    return (pts, chord) if chord >= 1e-3 else None
 
 
 def check_projective_equivalence(g, gbar, n_traces=20, drift_tol=1e-6,
@@ -147,15 +147,16 @@ def check_projective_equivalence(g, gbar, n_traces=20, drift_tol=1e-6,
         if not in_bar(state.x, state.y):
             continue
         # the partner is traced only when the trace of g is usable
-        pts_g = _overlap_positions(integrate_geodesic(g, state, t_max,
-                                                      opts=opts))
-        if pts_g is None:
+        over_g = _overlap_positions(integrate_geodesic(g, state, t_max,
+                                                       opts=opts))
+        if over_g is None:
             continue
-        pts_b = _overlap_positions(integrate_geodesic(gbar, state, t_max,
-                                                      opts=opts))
-        if pts_b is None:
+        over_b = _overlap_positions(integrate_geodesic(gbar, state, t_max,
+                                                       opts=opts))
+        if over_b is None:
             continue
-        arc = min(_chord_length(pts_g), _chord_length(pts_b))
+        (pts_g, chord_g), (pts_b, chord_b) = over_g, over_b
+        arc = min(chord_g, chord_b)
         a = _resample_by_arclength(pts_g, fractions, arc)
         b = _resample_by_arclength(pts_b, fractions, arc)
         overlaps.append(float(np.max(np.hypot(*(a - b).T))))

@@ -207,6 +207,22 @@ def test_accept_command_reports_each_criterion(capsys, monkeypatch, tmp_path):
     assert [c["id"] for c in data["criteria"]] == [1, 2]
 
 
+def test_accept_json_leaves_out_wall_clock_time(capsys, monkeypatch,
+                                              tmp_path):
+    reports = []
+    for elapsed in (0.01, 7.5):
+        fake = [CriterionResult(1, "first thing", True, "fine", elapsed)]
+        monkeypatch.setattr(cli.acceptance, "run_all", lambda seed: fake)
+        path = tmp_path / ("accept-%g.json" % elapsed)
+        rc, out, _ = run_cli(capsys, "accept", "--seed", "1",
+                             "--json", str(path))
+        assert rc == 0
+        assert "(%.1fs)" % elapsed in out
+        reports.append(path.read_bytes())
+    assert reports[0] == reports[1]
+    assert "elapsed" not in json.loads(reports[0])["criteria"][0]
+
+
 def test_console_script_is_installed():
     proc = subprocess.run([sys.executable, "-m", "geoproj.cli",
                            "zoo", "list"],

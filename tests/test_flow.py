@@ -232,6 +232,42 @@ def test_dense_output_refuses_to_extrapolate():
         tr.at(-0.5)
 
 
+def _sampled_traces():
+    # five traces per catalogue chart plus one Jacobi trace, whose
+    # interpolant carries eight components
+    for name in sorted(zoo.catalogue()):
+        chart = zoo.build_bundle(name).chart
+        for s in sampling.sample_states(chart, 5,
+                                        np.random.default_rng(12345)):
+            yield integrate_geodesic(chart, s, 1.0)
+    yield find_conjugate_points(sphere_chart(),
+                                GeodesicState(1.2, 0.4, 0.3, 0.5), 4.0)[1]
+
+
+def test_bulk_positions_equal_scalar_calls_bit_for_bit():
+    for tr in _sampled_traces():
+        # a uniform grid plus every step boundary, where segments meet
+        ts = np.sort(np.concatenate([
+            np.linspace(float(tr.ts[0]), float(tr.ts[-1]), 400), tr.ts]))
+        want = np.array([tr.dense(float(t))[:2] for t in ts])
+        got = tr.dense.positions(ts)
+        assert got.shape == (len(ts), 2)
+        assert got.tobytes() == want.tobytes(), tr.chart_name
+
+
+def test_bulk_positions_refuse_to_extrapolate():
+    tr = integrate_geodesic(flat_chart(),
+                            GeodesicState(0.1, -0.2, 0.3, 0.7), 2.0)
+    lo, hi = float(tr.ts[0]), float(tr.ts[-1])
+    inside = np.linspace(lo, hi, 5)
+    tr.dense.positions([lo, math.nextafter(hi, math.inf)])
+    for bad in (lo - 1e-9, hi + 1e-9, hi + 1.0, math.nan):
+        with pytest.raises(ValueError):
+            tr.dense.positions(np.sort(np.append(inside, bad)))
+    with pytest.raises(ValueError):
+        flow.DenseOutput().positions([0.0])
+
+
 def test_final_states_match_scipy_dop853():
     # an independent solver with its own right-hand side, built from
     # metric.christoffel: the first state per catalogue chart whose trace

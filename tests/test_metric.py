@@ -30,6 +30,32 @@ def test_validate_rejects_degenerate_metric():
             sample_box=(-1.0, 1.0, -1.0, 1.0)).validate()
 
 
+@pytest.mark.parametrize("g22, degenerate", [
+    (1e-13, True),    # validate refused this point, the curvature did not
+    (1e-11, False),
+])
+def test_validate_and_curvature_share_the_degeneracy_threshold(g22,
+                                                               degenerate):
+    # constant coefficients E = 1, F = 0, G = g22: |det| / max(E^2, F^2,
+    # G^2) is g22, which 1e-13 puts between the two thresholds the
+    # curvature (1e-14) and validate (1e-12) once used
+    chart = MetricChart(
+        name="thin", g11=expr.const(1.0), g12=expr.const(0.0),
+        g22=expr.const(g22), domain=Domain(),
+        signature=Signature.RIEMANNIAN, sample_box=(0.0, 1.0, 0.0, 1.0))
+
+    def refuses(fn):
+        try:
+            fn()
+        except metric.DegenerateMetricError:
+            return True
+        return False
+
+    assert refuses(chart.validate) == degenerate
+    assert refuses(lambda: metric.gaussian_curvature(chart, (0.5, 0.5))) \
+        == degenerate
+
+
 def test_metric_eval_bilinear():
     m = lumpy_chart()
     p = (0.3, -0.4)
