@@ -523,7 +523,12 @@ def evaluate(field, point):
 
 
 def substitute(field, ex, ey):
-    """Replace x by ex and y by ey throughout, returning a new tree."""
+    """Replace x by ex and y by ey throughout, returning a new tree.
+
+    field may also be a sequence of fields, which comes back as a list.  They
+    are substituted through one memo, so a subtree they share stays one node
+    and is compiled and differentiated once.
+    """
     ex = _wrap(ex)
     ey = _wrap(ey)
     memo = {}
@@ -551,7 +556,9 @@ def substitute(field, ex, ey):
         memo[id(node)] = out
         return out
 
-    return walk(field)
+    if isinstance(field, ScalarField):
+        return walk(field)
+    return [walk(f) for f in field]
 
 
 # -- compilation --------------------------------------------------------------

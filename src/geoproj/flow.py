@@ -10,33 +10,47 @@ The systems have four or eight components, too few for numpy to pay off: a
 numpy call costs more than the arithmetic it does on four floats.  So the
 stepper runs on plain Python floats.  States and stages are tuples, and one
 step attempt is generated once per system size as straight-line code: each
-stage combination, the fifth-order update, the error estimate and the
-dense-output coefficients are written out term by term, with the zero
-entries of the tableau dropped (Dormand & Prince 1980; Hairer, Norsett &
-Wanner, Solving ODEs I, sec. II.4-5).  Only the finished trace is turned
-into arrays.  The sums run in a fixed order without fused multiply-adds, so
+stage combination, the fifth-order update and the error estimate are
+written out term by term, with the zero entries of the tableau dropped
+(Dormand & Prince 1980; Hairer, Norsett & Wanner, Solving ODEs I,
+sec. II.4-5).  An accepted step keeps only its stages; the coefficients of
+its interpolant are built from them when the dense output is evaluated,
+which most traces never are.  Only the finished trace is turned into
+arrays.  The sums run in a fixed order without fused multiply-adds, so
 the results do not depend on the machine's BLAS.  The dense output refuses
 to extrapolate: it raises ValueError a few ulps outside the traced range.
 
 Traces terminate for one of five reasons: the requested parameter time was
-reached, the trajectory left the chart domain, the step size collapsed (the
+reached, the trajectory left the chart domain, the step size stalled (the
 numerical signature of hitting a metric singularity or a finite-time
 blowup), closure was detected by the observer, or the step budget
 `max_steps` ran out.
 
 A blowup shows up as accepted steps that shrink geometrically without end:
 on x(t) = 1/(1 - t) the step size falls about one decade every 160 steps all
-the way down to `h_min`.  The stepper reads that collapse early: once an
-accepted step is smaller than `_COLLAPSE` times the largest step the trace
-has accepted, the trace ends as a singularity, as in DOPRI5's "step size
-too small" exit (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4).
-Regular traces keep their smallest step well above that: at worst 7e-3 of
-their largest on sampled catalogue geodesics, in the acceptance criteria
-and in the benchmark workloads.  A regular trace whose steps have to shrink further is cut too.  On the
-round sphere in colatitude/longitude coordinates that happens to a great
-circle passing within about 1e-4 of a pole; at 1e-3 the steps shrink to
-2e-4 of their largest and the trace runs on.  `h_min` remains the
-last-resort floor.
+the way down to `h_min`.  The stepper reads that stall early, as in DOPRI5's
+"step size too small" exit (Hairer, Norsett & Wanner, Solving ODEs I,
+sec. II.4): once an accepted step is smaller than `_STALL` (1e-3) times the
+largest step the trace has accepted, the trace ends as a singularity.
+Regular traces keep their steps well above that: no step but a final one cut
+short to land on t_max falls below 6.7e-3 of the largest before it, over
+50 sampled states per catalogue chart and every trace the equivalence
+decider draws for the benchmark pairs.  A blowup crosses 1e-3 after about a
+quarter of the steps it would take to reach `h_min`.
+
+One kind of regular trace does stall: a geodesic grazing a coordinate
+pole, where the chart rather than the metric degenerates.  On the round
+sphere in colatitude/longitude coordinates a great circle passing within
+1e-3 of a pole shrinks its steps to 2e-4 of their largest and grows them
+back; passing within 1e-5, it shrinks them to 1e-6.  So a stalled step ends
+the trace only when the metric is not degenerating there: the degeneracy
+ratio |det g| / max(E^2, F^2, G^2) (metric.degeneracy_ratio) at the new
+point must not have fallen below `_DEGENERATING` (1e-2) times its value at
+the trace start.  The ratio is read only on stalled steps.  Near a pole it
+is about sin^2 of the colatitude: the grazes above stall only where it is
+below 6.4e-5 of its start, and carry on.  On every measured blowup (the
+catalogue states above and the decider traces) it stays above 0.97 of its
+start.  `h_min` and `max_steps` remain the last-resort floors.
 """
 
 from __future__ import annotations
@@ -52,7 +66,7 @@ from typing import Optional
 
 import numpy as np
 
-from .metric import DomainError
+from .metric import DomainError, degeneracy_ratio
 
 __all__ = [
     "Termination", "IntegratorOptions", "GeodesicState", "GeodesicTrace",
@@ -127,39 +141,75 @@ _P = (
 # the domain test checks besides the step end
 _MID = tuple(sum(p * w for p, w in zip(row, (0.5, 0.25, 0.125, 0.0625)))
              for row in _P)
+# the stages the interpolant weighs (all but stage 2), kept per accepted step
+_DENSE = tuple(s for s, row in enumerate(_P) if any(row))
 
 _RHS_ERRORS = (ValueError, ZeroDivisionError, OverflowError, FloatingPointError)
 
-# An accepted step below this fraction of the trace's largest accepted step
-# ends the trace as a singularity (see the module docstring).
-_COLLAPSE = 3e-5
+# An accepted step below _STALL times the trace's largest accepted step ends
+# the trace as a singularity, unless the degeneracy ratio of the metric has
+# fallen below _DEGENERATING times its start value (see the module docstring).
+_STALL = 1e-3
+_DEGENERATING = 1e-2
+
+
+def _term(w, name):
+    return name if w == 1.0 else "%r * %s" % (w, name)
+
+
+def _combo(weights, names):
+    """The weighted sum as source, left to right, without zero weights."""
+    return " + ".join(_term(w, v) for w, v in zip(weights, names) if w)
+
+
+def _interpolant():
+    """interpolate(y0, h, u, k1, k3, k4, k5, k6, k7): a component at t0 + u h.
+
+    The four coefficients of the quartic are the stage combinations of _P,
+    and Horner's rule evaluates it.  The arguments may be floats or numpy
+    arrays: either way the same operations run in the same order, so the
+    values agree bit for bit.
+    """
+    names = ["k%d" % (s + 1) for s in _DENSE]
+    q = [_combo([_P[s][m] for s in _DENSE], names) for m in range(4)]
+    horner = "(%s) + u * ((%s) + u * ((%s) + u * (%s)))" % tuple(q)
+    src = ("def interpolate(y0, h, u, %s):\n"
+           "    return y0 + h * u * (%s)" % (", ".join(names), horner))
+    ns = {}
+    exec(compile(src, "<geoproj.flow interpolant>", "exec"), ns)
+    return ns["interpolate"]
+
+
+_interpolate = _interpolant()
 
 
 class DenseOutput:
     """Piecewise quartic interpolant over the accepted steps.
 
-    Step i starts at t0s[i] with state y0s[i] and length hs[i]; qs[i] holds
-    four coefficients per component, so that component j at t0 + u h is
-    y0[j] + h u (q[4j] + u (q[4j+1] + u (q[4j+2] + u q[4j+3]))).  They are
-    packed as C doubles: a tuple of Python floats takes three times the
-    memory, which long traces notice.  Calling the interpolant evaluates
-    every component at one time; positions() evaluates x and y at an array
-    of times in one pass, with the same operations in the same order, so
-    its values equal the scalar ones bit for bit.  Evaluating outside the
-    traced range raises ValueError.
+    Step i starts at t0s[i] with state y0s[i] and length hs[i]; ks[i] holds
+    its six stages that the interpolant weighs (k1, k3 to k7), component by
+    component: component j's stages are ks[i][6j:6j+6].  They are packed as
+    C doubles: a tuple of Python floats takes three times the memory, which
+    long traces notice.  The quartic's coefficients are built from the
+    stages only when the interpolant is evaluated: most traces, such as the
+    conservation traces and every trace that ends in a singularity, never
+    are.  Calling the interpolant evaluates every component at one time;
+    positions() evaluates x and y at an array of times in one pass, through
+    the same interpolate function, so its values equal the scalar ones bit
+    for bit.  Evaluating outside the traced range raises ValueError.
     """
 
     def __init__(self):
         self.t0s = []
         self.hs = []
         self.y0s = []
-        self.qs = []
+        self.ks = []
 
-    def append(self, t0, h, y0, q):
+    def append(self, t0, h, y0, k):
         self.t0s.append(t0)
         self.hs.append(h)
         self.y0s.append(y0)
-        self.qs.append(q)
+        self.ks.append(k)
 
     def _check_range(self, t):
         """Raise ValueError unless t lies in the traced range, up to 4 ulps."""
@@ -176,17 +226,16 @@ class DenseOutput:
         self._check_range(t)
         t0s = self.t0s
         i = max(bisect_right(t0s, t) - 1, 0)
-        h, q = self.hs[i], memoryview(self.qs[i]).cast("d")
+        h, k = self.hs[i], memoryview(self.ks[i]).cast("d")
         u = (t - t0s[i]) / h
-        return np.array([
-            y + h * u * (q[j] + u * (q[j + 1] + u * (q[j + 2] + u * q[j + 3])))
-            for j, y in zip(range(0, len(q), 4), self.y0s[i])])
+        return np.array([_interpolate(y, h, u, *k[6 * j:6 * j + 6])
+                         for j, y in enumerate(self.y0s[i])])
 
     def positions(self, ts):
         """x and y at the times ts, as an array of shape (len(ts), 2).
 
-        One searchsorted finds every time's step, then Horner's rule runs
-        on whole columns of the packed coefficients.
+        One searchsorted finds every time's step, then the interpolant runs
+        on whole columns of the packed stages.
         """
         ts = np.asarray(ts, dtype=float)
         self._check_range(float(np.min(ts)))
@@ -196,11 +245,10 @@ class DenseOutput:
         h = np.array(self.hs)[i]
         u = (ts - t0[i]) / h
         y0 = np.array(self.y0s)[i, :2]
-        q = np.frombuffer(b"".join(self.qs)).reshape(len(t0), -1)[i, :8]
+        k = np.frombuffer(b"".join(self.ks)).reshape(len(t0), -1)[i, :12]
         out = np.empty((len(ts), 2))
         for j in (0, 1):
-            q0, q1, q2, q3 = q[:, 4 * j:4 * j + 4].T
-            out[:, j] = y0[:, j] + h * u * (q0 + u * (q1 + u * (q2 + u * q3)))
+            out[:, j] = _interpolate(y0[:, j], h, u, *k[:, 6 * j:6 * j + 6].T)
         return out
 
 
@@ -212,23 +260,19 @@ def _attempt_source(n):
     """Source of one DP5 step attempt on states of n components.
 
     attempt(rhs, t, h, y, k1, atol, rtol) evaluates stages 2 to 7 and
-    returns (err, z, k7, q, mid): the error norm, the 5th-order state, the
-    last stage, the packed dense-output coefficients of DenseOutput and the
-    midpoint position.  A stage that is not finite raises
-    FloatingPointError.  Every sum is written out term by term on plain
-    floats, without the tableau's zero entries.
+    returns (err, z, k7, k, mid): the error norm, the 5th-order state, the
+    last stage, the packed stages of DenseOutput and the midpoint position.
+    A stage that is not finite raises FloatingPointError.  Every sum is
+    written out term by term on plain floats, without the tableau's zero
+    entries.
     """
     comps = range(n)
 
     def stage(s):
         return ", ".join("k%d_%d" % (s, j) for j in comps)
 
-    def term(w, name):
-        return name if w == 1.0 else "%r * %s" % (w, name)
-
     def combo(weights, j):
-        return " + ".join(term(w, "k%d_%d" % (s + 1, j))
-                          for s, w in enumerate(weights) if w)
+        return _combo(weights, ["k%d_%d" % (s + 1, j) for s in range(7)])
 
     lines = ["def attempt(rhs, t, h, y, k1, atol, rtol):",
              "    %s, = y" % ", ".join("y%d" % j for j in comps),
@@ -241,7 +285,7 @@ def _attempt_source(n):
                          % (", ".join("z%d" % j for j in comps), arg))
             arg = "z"
         lines += ["    %s, = k = rhs(t + %s, %s)"
-                  % (stage(i + 1), term(_C[i], "h"), arg),
+                  % (stage(i + 1), _term(_C[i], "h"), arg),
                   "    if not (%s):" % " and ".join(
                       "isfinite(k%d_%d)" % (i + 1, j) for j in comps),
                   "        raise FloatingPointError('stage %d is not finite')"
@@ -250,10 +294,9 @@ def _attempt_source(n):
               % (j, combo(_E, j), j, j) for j in comps]
     lines.append("    err = sqrt((%s) / %d)"
                  % (" + ".join("e%d * e%d" % (j, j) for j in comps), n))
-    q = ", ".join(combo([row[m] for row in _P], j)
-                  for j in comps for m in range(4))
+    kept = ", ".join("k%d_%d" % (s + 1, j) for j in comps for s in _DENSE)
     mid = ", ".join("y%d + h * (%s)" % (j, combo(_MID, j)) for j in (0, 1))
-    lines.append("    return err, z, k, pack(%s), (%s)" % (q, mid))
+    lines.append("    return err, z, k, pack(%s), (%s)" % (kept, mid))
     return "\n".join(lines) + "\n"
 
 
@@ -265,7 +308,7 @@ def _attempt(n):
     fn = _ATTEMPTS.get(n)
     if fn is None:
         ns = {"isfinite": isfinite, "sqrt": math.sqrt,
-              "pack": struct.Struct("%dd" % (4 * n)).pack}
+              "pack": struct.Struct("%dd" % (len(_DENSE) * n)).pack}
         exec(compile(_attempt_source(n), "<geoproj.flow dp5 n=%d>" % n,
                      "exec"), ns)
         fn = _ATTEMPTS[n] = ns["attempt"]
@@ -287,10 +330,12 @@ def _initial_step(rhs, t0, y0, f0, t_span, atol, rtol):
     return min(100.0 * h0, h1, t_span)
 
 
-def _adaptive_rk(rhs, t0, y0, t_max, opts, in_domain, observer=None):
+def _adaptive_rk(rhs, t0, y0, t_max, opts, in_domain, degeneracy,
+                 observer=None):
     """Core stepper.  rhs(t, y) -> tuple; exceptions reject the step.
 
-    in_domain(x, y) tests the first two components of the state.  Returns
+    in_domain(x, y) tests the first two components of the state, and
+    degeneracy(x, y) gives the metric's degeneracy ratio there.  Returns
     the trace fields (ts, ys, termination, dense, n_accepted, n_rejected)
     and the payload of an observer that stopped the run.
     """
@@ -314,6 +359,7 @@ def _adaptive_rk(rhs, t0, y0, t_max, opts, in_domain, observer=None):
     termination = Termination.TIME_LIMIT
     payload = None
     h_peak = 0.0
+    ratio0 = None
     t_end = t_max - 1e-14 * max(1.0, abs(t_max))
     attempt = _attempt(len(y))
 
@@ -327,7 +373,7 @@ def _adaptive_rk(rhs, t0, y0, t_max, opts, in_domain, observer=None):
             break
 
         try:
-            err, y1, k7, q, mid = attempt(rhs, t, h, y, f, atol, rtol)
+            err, y1, k7, k, mid = attempt(rhs, t, h, y, f, atol, rtol)
             if not isfinite(err):
                 raise FloatingPointError("error estimate is not finite")
         except _RHS_ERRORS:
@@ -342,7 +388,7 @@ def _adaptive_rk(rhs, t0, y0, t_max, opts, in_domain, observer=None):
                 # the trace ends inside the domain, before this step
                 termination = Termination.DOMAIN_EXIT
                 break
-            dense.append(t, h, y, q)
+            dense.append(t, h, y, k)
             ts.append(t1)
             ys.append(y1)
             n_acc += 1
@@ -356,9 +402,12 @@ def _adaptive_rk(rhs, t0, y0, t_max, opts, in_domain, observer=None):
             y = y1
             f = k7  # first-same-as-last
             h_peak = max(h_peak, h)
-            if h < _COLLAPSE * h_peak and t < t_end:
-                termination = Termination.SINGULARITY
-                break
+            if h < _STALL * h_peak and t < t_end:
+                if ratio0 is None:
+                    ratio0 = degeneracy(ys[0][0], ys[0][1])
+                if not degeneracy(y[0], y[1]) < _DEGENERATING * ratio0:
+                    termination = Termination.SINGULARITY
+                    break
             factor = 0.9 * err ** -0.17 * err_prev ** 0.04 if err > 0 else 10.0
             h *= min(10.0, max(0.2, factor))
             err_prev = max(err, 1e-10)
@@ -468,9 +517,10 @@ def _run(chart, system, trace_type, state, y0, t_end, opts, observer=None):
         raise DomainError("initial state (%g, %g) is outside chart %r"
                           % (state.x, state.y, chart.name))
 
-    fields, payload = _adaptive_rk(system(rt), state.t, y0, t_end,
-                                   opts or IntegratorOptions(),
-                                   lambda x, y: rt.in_domain(x, y), observer)
+    fields, payload = _adaptive_rk(
+        system(rt), state.t, y0, t_end, opts or IntegratorOptions(),
+        lambda x, y: rt.in_domain(x, y),
+        lambda x, y: degeneracy_ratio(*rt.coeffs(x, y)), observer)
     return trace_type(chart.name, *fields), payload
 
 

@@ -239,12 +239,9 @@ def integral_pullback(integral, cmap, name=None):
     a, b = cmap.fx, cmap.fy
     ax, ay = a.diff("x"), a.diff("y")
     bx, by = b.diff("x"), b.diff("y")
-
-    def comp(f):
-        return expr.substitute(f, a, b)
-
-    q11, q12, q22 = comp(integral.q11), comp(integral.q12), comp(integral.q22)
-    l1, l2 = comp(integral.l1), comp(integral.l2)
+    q11, q12, q22, l1, l2, c = expr.substitute(
+        [integral.q11, integral.q12, integral.q22, integral.l1, integral.l2,
+         integral.c], a, b)
     return FiberIntegral(
         name or "%s@%s" % (integral.name, cmap.name),
         q11=q11 * ax * ax + 2.0 * q12 * ax * bx + q22 * bx * bx,
@@ -252,7 +249,7 @@ def integral_pullback(integral, cmap, name=None):
         q22=q11 * ay * ay + 2.0 * q12 * ay * by + q22 * by * by,
         l1=l1 * ax + l2 * bx,
         l2=l1 * ay + l2 * by,
-        c=comp(integral.c))
+        c=c)
 
 
 @dataclass

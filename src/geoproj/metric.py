@@ -64,6 +64,13 @@ def _degenerate(det, E, F, G):
     return abs(det) <= DEGENERACY_TOL * max(E * E, F * F, G * G, 1e-300)
 
 
+def degeneracy_ratio(E, F, G):
+    """|det g| / max(E^2, F^2, G^2): 0 where g degenerates, and unchanged
+    when g is rescaled.  The stepper reads it to tell a coordinate pole, where
+    the ratio falls, from a blow-up, where it stays put."""
+    return abs(E * G - F * F) / max(E * E, F * F, G * G, 1e-300)
+
+
 def _field_min(u, v):
     # exact pointwise min; only the sign is ever used
     return (u + v - expr.absval(u - v)) * 0.5
@@ -283,8 +290,7 @@ class ChartMap:
 
     def after(self, other):
         """self composed after other: p -> self(other(p))."""
-        fx = expr.substitute(self.fx, other.fx, other.fy)
-        fy = expr.substitute(self.fy, other.fx, other.fy)
+        fx, fy = expr.substitute([self.fx, self.fy], other.fx, other.fy)
         inv = None
         if self.inverse is not None and other.inverse is not None:
             inv = other.inverse.after(self.inverse)
@@ -367,9 +373,7 @@ def pullback(chart, cmap, name=None):
     a, b = cmap.fx, cmap.fy
     ax, ay = a.diff("x"), a.diff("y")
     bx, by = b.diff("x"), b.diff("y")
-    E = expr.substitute(chart.g11, a, b)
-    F = expr.substitute(chart.g12, a, b)
-    G = expr.substitute(chart.g22, a, b)
+    E, F, G = expr.substitute([chart.g11, chart.g12, chart.g22], a, b)
     p11 = E * ax * ax + 2.0 * F * ax * bx + G * bx * bx
     p12 = E * ax * ay + F * (ax * by + ay * bx) + G * bx * by
     p22 = E * ay * ay + 2.0 * F * ay * by + G * by * by

@@ -107,6 +107,11 @@ def test_substitute_composes():
     g = expr.substitute(f, expr.Y + 1.0, expr.X * 2.0)
     x, y = 0.37, -0.61
     assert g(x, y) == pytest.approx(math.sin(y + 1.0) + (2.0 * x) ** 2, rel=1e-14)
+    # a sequence goes through one memo: the subtree f shares with 3 f stays
+    # one node, and every value equals that of a lone substitution
+    g1, g3 = expr.substitute([f, 3.0 * f], expr.Y + 1.0, expr.X * 2.0)
+    assert g3.b is g1
+    assert (g1(x, y), g3(x, y)) == (g(x, y), 3.0 * g(x, y))
 
 
 def test_evaluate_raises_off_domain():
