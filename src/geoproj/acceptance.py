@@ -68,8 +68,8 @@ def criterion_1(seed):
         member, _ = zoo.band_chart(a=a, l=l)
         t0 = time.perf_counter()
         report = check_projective_equivalence(
-            base, member, n_traces=20, drift_tol=1e-6, overlap_tol=1e-4,
-            t_max=1.0, seed=seed + i)
+            base, member, n_traces=20, drift_tol=1e-6, t_max=1.0,
+            seed=seed + i)
         pair_elapsed = time.perf_counter() - t0
         if report.verdict != EQUIVALENT:
             return _result(
@@ -96,8 +96,7 @@ def criterion_2(seed):
         g22=f + X, domain=Domain(), signature=Signature.LORENTZIAN,
         sample_box=(0.0, 1.0, 0.0, 1.0)).validate()
     report = check_projective_equivalence(
-        base, spoiled, n_traces=20, drift_tol=1e-6, overlap_tol=1e-4,
-        t_max=1.0, seed=seed)
+        base, spoiled, n_traces=20, drift_tol=1e-6, t_max=1.0, seed=seed)
     ok = report.verdict == NOT_EQUIVALENT and report.max_drift >= 1e-2
     return _result(
         2, ok, "verdict %s, drift %.3g (needs >= 1e-2)"

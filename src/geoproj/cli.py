@@ -48,6 +48,15 @@ def _positive(args, flag, default):
     return value
 
 
+def _seed(args):
+    """The --seed flag, else the GEOPROJ_SEED variable, else 12345."""
+    try:
+        return sampling.default_seed() if args.seed is None else args.seed
+    except ValueError:
+        raise UsageError("GEOPROJ_SEED must be an integer, got %r"
+                         % os.environ["GEOPROJ_SEED"]) from None
+
+
 def _parse_field(text, flag):
     try:
         return expr.parse_prefix(text)
@@ -183,7 +192,7 @@ def cmd_check(args):
         if args.kind != "projective":
             check, tol = ((check_isometry, 1e-8) if args.kind == "isometry"
                           else (check_affinity, 1e-6))
-            rep = check(chart, cmap, seed=args.seed,
+            rep = check(chart, cmap, seed=_seed(args),
                         tol=_positive(args, "tol", tol))
             _emit(rep.to_json_dict(), args.json)
             return 0 if rep.passed else 1
@@ -198,7 +207,7 @@ def cmd_check(args):
     rep = check_projective_equivalence(
         chart, other, n_traces=_positive(args, "samples", 20),
         drift_tol=_positive(args, "tol", 1e-6),
-        t_max=_positive(args, "tmax", 1.0), seed=args.seed)
+        t_max=_positive(args, "tmax", 1.0), seed=_seed(args))
     _emit(rep.to_json_dict(), args.json)
     return 0 if rep.verdict == EQUIVALENT else 1
 
@@ -209,11 +218,10 @@ def cmd_verify(args):
         if getattr(args, flag) is not None and flag not in ident.reads:
             raise UsageError("verify %s does not use --%s"
                              % (args.identity, flag))
-    given = {"samples": _positive(args, "samples", ident.samples),
-             "seed": args.seed if args.seed is not None
-             else sampling.default_seed(),
-             "tmax": _positive(args, "tmax", 1.0)}
-    fields, residual = ident.run(**{k: given[k] for k in ident.reads})
+    given = {"samples": lambda: _positive(args, "samples", ident.samples),
+             "seed": lambda: _seed(args),
+             "tmax": lambda: _positive(args, "tmax", 1.0)}
+    fields, residual = ident.run(**{k: given[k]() for k in ident.reads})
     out = dict(fields, schema=1, identity=args.identity, tol=ident.tol)
     out["pass"] = residual <= ident.tol
     _emit(out, args.json)
@@ -221,7 +229,7 @@ def cmd_verify(args):
 
 
 def cmd_accept(args):
-    seed = args.seed if args.seed is not None else sampling.default_seed()
+    seed = _seed(args)
     results = acceptance.run_all(seed)
     for res in results:
         sys.stdout.write(res.line() + "\n")

@@ -19,13 +19,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 
 __all__ = [
     "ScalarField", "Const", "Var", "X", "Y",
     "ExpressionError", "EvaluationError",
     "const", "sin", "cos", "sinh", "cosh", "exp", "log", "arcsin",
     "sqrt", "cbrt", "absval", "sign", "floor_of", "expinv", "smoothstep",
-    "mod_field", "periodic", "pow23",
+    "mod_field", "pow23",
     "evaluate", "substitute",
     "compile_fields", "to_prefix", "parse_prefix",
 ]
@@ -361,9 +362,21 @@ def _is_const(node, value=None):
     return isinstance(node, Const) and (value is None or node.value == value)
 
 
+def _folded(fn, *values):
+    """Const(fn(*values)), where every constant folds: a math error or a
+    value the compiled code cannot name (inf, nan) raises ExpressionError."""
+    try:
+        v = fn(*values)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ExpressionError("constant folding fails: %s" % exc) from None
+    if not math.isfinite(v):
+        raise ExpressionError("constant folds to %r" % (v,))
+    return Const(v)
+
+
 def _add(a, b):
     if _is_const(a) and _is_const(b):
-        return Const(a.value + b.value)
+        return _folded(operator.add, a.value, b.value)
     if _is_const(a, 0.0):
         return b
     if _is_const(b, 0.0):
@@ -375,7 +388,7 @@ def _sub(a, b):
     if a is b:
         return _ZERO
     if _is_const(a) and _is_const(b):
-        return Const(a.value - b.value)
+        return _folded(operator.sub, a.value, b.value)
     if _is_const(b, 0.0):
         return a
     if _is_const(a, 0.0):
@@ -385,7 +398,7 @@ def _sub(a, b):
 
 def _mul(a, b):
     if _is_const(a) and _is_const(b):
-        return Const(a.value * b.value)
+        return _folded(operator.mul, a.value, b.value)
     if _is_const(a):
         if a.value == 0.0:
             return _ZERO
@@ -412,7 +425,7 @@ def _div(a, b):
         if b.value == 1.0:
             return a
         if _is_const(a):
-            return Const(a.value / b.value)
+            return _folded(operator.truediv, a.value, b.value)
     if _is_const(a, 0.0):
         return _ZERO
     return Div(a, b)
@@ -433,7 +446,7 @@ def _pow(a, p):
     if p == 1.0:
         return a
     if _is_const(a):
-        return Const(a.value ** p if p == int(p) else math.pow(a.value, p))
+        return _folded(operator.pow if p == int(p) else math.pow, a.value, p)
     return Pow(a, p)
 
 
@@ -455,7 +468,7 @@ def _unary_ctor(kind):
     def ctor(a):
         a = _wrap(a)
         if _is_const(a):
-            return Const(_UNARY_EVAL[kind](a.value))
+            return _folded(_UNARY_EVAL[kind], a.value)
         return Unary(kind, a)
     ctor.__name__ = kind
     return ctor
@@ -493,15 +506,8 @@ def mod_field(u, period):
     period = float(period)
     if period <= 0.0:
         raise ExpressionError("period must be positive")
-    u = _wrap(u)
-    return _sub(u, _mul(Const(period), floor_of(_mul(Const(1.0 / period), u))))
-
-
-def periodic(field, period_x=None, period_y=None):
-    """Precompose a field with coordinate reductions modulo the given periods."""
-    ex = mod_field(X, period_x) if period_x else X
-    ey = mod_field(Y, period_y) if period_y else Y
-    return substitute(field, ex, ey)
+    u, p = _wrap(u), Const(period)
+    return _sub(u, _mul(p, floor_of(_mul(_div(_ONE, p), u))))
 
 
 def pow23(u):
@@ -677,9 +683,10 @@ def parse_prefix(text):
         if tok in _ATOMS:
             return _ATOMS[tok]
         try:
-            return Const(float(tok))
+            value = float(tok)
         except ValueError:
             raise ExpressionError("unknown token %r" % (tok,)) from None
+        return _folded(float, value)
 
     def parse_one():
         tok = take()

@@ -20,15 +20,23 @@ arrays.  The sums run in a fixed order without fused multiply-adds, so
 the results do not depend on the machine's BLAS.  The dense output refuses
 to extrapolate: it raises ValueError a few ulps outside the traced range.
 
+Every trace runs at the tolerances `ATOL` (1e-11) and `RTOL` (1e-10) on a
+budget of `MAX_STEPS` (300 000) step attempts, with `H_MIN` (1e-13) as the
+smallest step; the stepper reads these module constants once per trace.
 Traces terminate for one of five reasons: the requested parameter time was
 reached, the trajectory left the chart domain, the step size stalled (the
 numerical signature of hitting a metric singularity or a finite-time
-blowup), closure was detected by the observer, or the step budget
-`max_steps` ran out.
+blowup), closure was detected by the observer, or the step budget ran out.
+
+An observer, if given, is called as observer(t0, t1, y1, dense) after every
+accepted step from t0 to t1, with y1 the state at t1 and dense the
+interpolant over the steps so far, this one included.  A true return value
+ends the trace there as `closure-detected`; the observer keeps whatever it
+found in its own scope, and the trace does not refer to it.
 
 A blowup shows up as accepted steps that shrink geometrically without end:
 on x(t) = 1/(1 - t) the step size falls about one decade every 160 steps all
-the way down to `h_min`.  The stepper reads that stall early, as in DOPRI5's
+the way down to `H_MIN`.  The stepper reads that stall early, as in DOPRI5's
 "step size too small" exit (Hairer, Norsett & Wanner, Solving ODEs I,
 sec. II.4): once an accepted step is smaller than `_STALL` (1e-3) times the
 largest step the trace has accepted, the trace ends as a singularity.
@@ -36,7 +44,7 @@ Regular traces keep their steps well above that: no step but a final one cut
 short to land on t_max falls below 6.7e-3 of the largest before it, over
 50 sampled states per catalogue chart and every trace the equivalence
 decider draws for the benchmark pairs.  A blowup crosses 1e-3 after about a
-quarter of the steps it would take to reach `h_min`.
+quarter of the steps it would take to reach `H_MIN`.
 
 One kind of regular trace does stall: a geodesic grazing a coordinate
 pole, where the chart rather than the metric degenerates.  On the round
@@ -50,7 +58,7 @@ the trace start.  The ratio is read only on stalled steps.  Near a pole it
 is about sin^2 of the colatitude: the grazes above stall only where it is
 below 6.4e-5 of its start, and carry on.  On every measured blowup (the
 catalogue states above and the decider traces) it stays above 0.97 of its
-start.  `h_min` and `max_steps` remain the last-resort floors.
+start.  `H_MIN` and `MAX_STEPS` remain the last-resort floors.
 """
 
 from __future__ import annotations
@@ -69,9 +77,9 @@ import numpy as np
 from .metric import DomainError, degeneracy_ratio
 
 __all__ = [
-    "Termination", "IntegratorOptions", "GeodesicState", "GeodesicTrace",
-    "JacobiTrace", "ClosureReport", "integrate_geodesic", "integrate_jacobi",
-    "find_conjugate_points", "detect_closure", "golden_min", "trace_to_csv",
+    "Termination", "GeodesicState", "GeodesicTrace", "JacobiTrace",
+    "ClosureReport", "integrate_geodesic", "find_conjugate_points",
+    "detect_closure", "golden_min", "trace_to_csv",
 ]
 
 
@@ -88,12 +96,11 @@ class Termination(str, Enum):
         return self in (Termination.SINGULARITY, Termination.STEP_BUDGET)
 
 
-@dataclass(frozen=True)
-class IntegratorOptions:
-    atol: float = 1e-11
-    rtol: float = 1e-10
-    h_min: float = 1e-13
-    max_steps: int = 300_000
+# tolerances, smallest step and step budget of every trace
+ATOL = 1e-11
+RTOL = 1e-10
+H_MIN = 1e-13
+MAX_STEPS = 300_000
 
 
 @dataclass(frozen=True)
@@ -330,14 +337,12 @@ def _initial_step(rhs, t0, y0, f0, t_span, atol, rtol):
     return min(100.0 * h0, h1, t_span)
 
 
-def _adaptive_rk(rhs, t0, y0, t_max, opts, in_domain, degeneracy,
-                 observer=None):
+def _adaptive_rk(rhs, t0, y0, t_max, in_domain, degeneracy, observer=None):
     """Core stepper.  rhs(t, y) -> tuple; exceptions reject the step.
 
     in_domain(x, y) tests the first two components of the state, and
     degeneracy(x, y) gives the metric's degeneracy ratio there.  Returns
-    the trace fields (ts, ys, termination, dense, n_accepted, n_rejected)
-    and the payload of an observer that stopped the run.
+    the trace fields (ts, ys, termination, dense, n_accepted, n_rejected).
     """
     y = tuple(map(float, y0))
     t = float(t0)
@@ -348,7 +353,7 @@ def _adaptive_rk(rhs, t0, y0, t_max, opts, in_domain, degeneracy,
     if not all(map(isfinite, f)):
         raise DomainError("right-hand side is not finite at the initial state")
 
-    atol, rtol = opts.atol, opts.rtol
+    atol, rtol, h_min, max_steps = ATOL, RTOL, H_MIN, MAX_STEPS
     ts = [t]
     ys = [y]
     dense = DenseOutput()
@@ -357,18 +362,17 @@ def _adaptive_rk(rhs, t0, y0, t_max, opts, in_domain, degeneracy,
     n_acc = 0
     n_rej = 0
     termination = Termination.TIME_LIMIT
-    payload = None
     h_peak = 0.0
     ratio0 = None
     t_end = t_max - 1e-14 * max(1.0, abs(t_max))
     attempt = _attempt(len(y))
 
     while t < t_end:
-        if n_acc + n_rej >= opts.max_steps:
+        if n_acc + n_rej >= max_steps:
             termination = Termination.STEP_BUDGET
             break
         h = min(h, t_max - t)
-        if h < opts.h_min:
+        if h < h_min:
             termination = Termination.SINGULARITY
             break
 
@@ -378,7 +382,7 @@ def _adaptive_rk(rhs, t0, y0, t_max, opts, in_domain, degeneracy,
                 raise FloatingPointError("error estimate is not finite")
         except _RHS_ERRORS:
             n_rej += 1
-            h = max(0.1 * h, opts.h_min * 0.5)
+            h = max(0.1 * h, h_min * 0.5)
             err_prev = 1e-4
             continue
 
@@ -392,11 +396,8 @@ def _adaptive_rk(rhs, t0, y0, t_max, opts, in_domain, degeneracy,
             ts.append(t1)
             ys.append(y1)
             n_acc += 1
-            stop = None
-            if observer is not None:
-                stop = observer(t, t1, y1, dense)
-            if stop is not None:
-                termination, payload = stop
+            if observer is not None and observer(t, t1, y1, dense):
+                termination = Termination.CLOSURE
                 break
             t = t1
             y = y1
@@ -415,8 +416,7 @@ def _adaptive_rk(rhs, t0, y0, t_max, opts, in_domain, degeneracy,
             n_rej += 1
             h *= min(0.9, max(0.2, 0.9 * err ** -0.2))
 
-    return ((np.array(ts), np.array(ys), termination, dense, n_acc, n_rej),
-            payload)
+    return np.array(ts), np.array(ys), termination, dense, n_acc, n_rej
 
 
 @dataclass
@@ -428,10 +428,6 @@ class GeodesicTrace:
     dense: DenseOutput
     n_accepted: int
     n_rejected: int
-    closure: Optional["ClosureReport"] = None
-
-    def initial_state(self):
-        return self.state_at_index(0)
 
     def final_state(self):
         return self.state_at_index(len(self.ts) - 1)
@@ -439,10 +435,6 @@ class GeodesicTrace:
     def state_at_index(self, i):
         x, y, vx, vy = self.ys[i][:4]
         return GeodesicState(x, y, vx, vy, t=float(self.ts[i]))
-
-    def at(self, t):
-        x, y, vx, vy = self.dense(t)[:4]
-        return GeodesicState(float(x), float(y), float(vx), float(vy), t=float(t))
 
     @property
     def length(self):
@@ -507,50 +499,31 @@ def _jacobi_rhs(runtime):
     return rhs
 
 
-def _run(chart, system, trace_type, state, y0, t_end, opts, observer=None):
-    """Step system(runtime) from y0 at state.t to t_end inside the chart.
-
-    Returns the trace_type trace and the observer's payload.
-    """
+def _run(chart, system, trace_type, state, y0, t_end, observer=None):
+    """Step system(runtime) from y0 at state.t to t_end inside the chart."""
     rt = chart.runtime()
     if not rt.in_domain(state.x, state.y):
         raise DomainError("initial state (%g, %g) is outside chart %r"
                           % (state.x, state.y, chart.name))
 
-    fields, payload = _adaptive_rk(
-        system(rt), state.t, y0, t_end, opts or IntegratorOptions(),
-        lambda x, y: rt.in_domain(x, y),
-        lambda x, y: degeneracy_ratio(*rt.coeffs(x, y)), observer)
-    return trace_type(chart.name, *fields), payload
+    return trace_type(chart.name, *_adaptive_rk(
+        system(rt), state.t, y0, t_end, lambda x, y: rt.in_domain(x, y),
+        lambda x, y: degeneracy_ratio(*rt.coeffs(x, y)), observer))
 
 
-def integrate_geodesic(chart, state, t_max, opts=None, observer=None):
+def integrate_geodesic(chart, state, t_max, observer=None):
     """Integrate the geodesic through the state for parameter length t_max."""
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
-    trace, payload = _run(chart, _geodesic_rhs, GeodesicTrace, state,
-                          (state.x, state.y, state.vx, state.vy),
-                          state.t + t_max, opts, observer)
-    if isinstance(payload, ClosureReport):
-        trace.closure = payload
-    return trace
+    return _run(chart, _geodesic_rhs, GeodesicTrace, state,
+                (state.x, state.y, state.vx, state.vy), state.t + t_max,
+                observer)
 
 
 def _jacobi_run(chart, state, j0, dj0, t_end):
     """The geodesic through state jointly with the Jacobi field (j0, dj0)."""
     y0 = (state.x, state.y, state.vx, state.vy, j0[0], j0[1], dj0[0], dj0[1])
-    return _run(chart, _jacobi_rhs, JacobiTrace, state, y0, t_end, None)[0]
-
-
-def integrate_jacobi(chart, trace, j0, dj0):
-    """Integrate the Jacobi equation jointly with the base geodesic.
-
-    The base geodesic is re-integrated from the trace's initial state over
-    the same parameter range, so the variational data never relies on
-    interpolating a previously stored trajectory.
-    """
-    return _jacobi_run(chart, trace.initial_state(), j0, dj0,
-                       float(trace.ts[-1]))
+    return _run(chart, _jacobi_rhs, JacobiTrace, state, y0, t_end)
 
 
 def find_conjugate_points(chart, state, t_max):
@@ -625,7 +598,8 @@ def detect_closure(chart, state, t_max, tol=1e-6):
     A geodesic counts as closed when the full phase-space point (position,
     raw velocity) returns within tol of the start; positions are compared
     modulo the chart's coordinate periods.  Returns a ClosureReport carrying
-    the trace (terminated at the detected period when closure happens).
+    the trace (terminated at the detected period when closure happens); the
+    trace does not refer back to the report.
 
     The return distance is watched on a grid finer than the accepted steps,
     through the dense output: on stretches the integrator resolves exactly
@@ -657,6 +631,7 @@ def detect_closure(chart, state, t_max, tol=1e-6):
     history = []
     best = {"d": math.inf}
     armed = {"on": False}
+    closure = []    # (period, distance) once the orbit closes
 
     def observer(t0, t1, y1, dense):
         n_sub = max(1, int(math.ceil((t1 - t0) / h_watch)))
@@ -668,8 +643,7 @@ def detect_closure(chart, state, t_max, tol=1e-6):
                 if dj > arm_radius:
                     armed["on"] = True
                 continue
-            if dj < best["d"]:
-                best["d"] = dj
+            best["d"] = min(best["d"], dj)
             if len(history) < 3:
                 continue
             (ta, da), (tb, db), (tc, dc) = history[-3], history[-2], history[-1]
@@ -678,22 +652,17 @@ def detect_closure(chart, state, t_max, tol=1e-6):
 
             tstar, dstar = golden_min(lambda t: distance_of(dense(t)),
                                       ta, tc, 1e-10)
-            if dstar < best["d"]:
-                best["d"] = dstar
+            best["d"] = min(best["d"], dstar)
             if dstar <= tol:
-                report = ClosureReport(True, float(tstar - state.t),
-                                       float(dstar), tol)
-                return (Termination.CLOSURE, report)
-        return None
+                closure.append((float(tstar - state.t), float(dstar)))
+                return True
+        return False
 
     trace = integrate_geodesic(chart, state, t_max, observer=observer)
-    if trace.closure is not None:
-        report = trace.closure
-        report.trace = trace
-        return report
-    report = ClosureReport(False, None, float(best["d"]), tol, trace=trace)
-    trace.closure = report
-    return report
+    if closure:
+        period, distance = closure[0]
+        return ClosureReport(True, period, distance, tol, trace=trace)
+    return ClosureReport(False, None, float(best["d"]), tol, trace=trace)
 
 
 def trace_to_csv(chart, trace, fileobj, extra_columns=()):

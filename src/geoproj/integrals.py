@@ -21,7 +21,7 @@ import numpy as np
 
 from . import expr, sampling
 from .expr import ScalarField
-from .flow import IntegratorOptions, Termination, integrate_geodesic
+from .flow import Termination, integrate_geodesic
 from .metric import MetricChart, Signature, SignatureError, killing_residual
 
 __all__ = [
@@ -29,7 +29,7 @@ __all__ = [
     "ConservationReport", "energy_integral", "clairaut_integral",
     "darboux_integral", "liouville_integral", "liouville_integral_printed",
     "integral_pullback", "metric_from_quadratic_integral",
-    "check_conservation", "independence_gram",
+    "check_conservation",
 ]
 
 
@@ -71,13 +71,6 @@ class FiberIntegral:
 
     def value_at_state(self, s):
         return self.value((s.x, s.y), (s.vx, s.vy))
-
-    def fiber_gradient(self, point, v):
-        """Gradient in the velocity variables at (point, v)."""
-        x, y = point
-        q11, q12, q22, l1, l2, _ = self._compiled()(x, y)
-        return np.array([2.0 * (q11 * v[0] + q12 * v[1]) + l1,
-                         2.0 * (q12 * v[0] + q22 * v[1]) + l2])
 
     def __add__(self, other):
         if not isinstance(other, FiberIntegral):
@@ -123,20 +116,20 @@ def clairaut_integral(chart, k):
     return FiberIntegral("clairaut[%s]" % k.name, l1=l1, l2=l2)
 
 
-def darboux_integral(g, gbar, grid=6):
+def darboux_integral(g, gbar):
     """The degree-two integral attached to a candidate projective pair.
 
     I(v) = (det g / det gbar)^(2/3) gbar(v, v), with the 2/3 power taken
     through the real cube root so mixed-signature pairs stay admissible.
-    Raises DegenerateRatioError when the sampled ratio collapses toward zero
-    (relative to its own largest sampled magnitude), since the integral then
-    degenerates along the flow.
+    Raises DegenerateRatioError when the ratio, sampled on the 6 x 6 grid of
+    g's sample box, collapses toward zero (relative to its own largest
+    sampled magnitude), since the integral then degenerates along the flow.
     """
     det_g = g.g11 * g.g22 - g.g12 * g.g12
     det_b = gbar.g11 * gbar.g22 - gbar.g12 * gbar.g12
     ratio = det_g / det_b
 
-    pts = [p for p in g.grid_points(grid) if gbar.runtime().in_domain(*p)]
+    pts = [p for p in g.grid_points(6) if gbar.runtime().in_domain(*p)]
     vals = []
     for p in pts:
         try:
@@ -286,7 +279,7 @@ DROP_REASONS = ("short", Termination.SINGULARITY.value,
 
 
 def check_conservation(chart, integral, n_samples=20, t_max=1.0, seed=None,
-                       tol=1e-6, opts=None):
+                       tol=1e-6):
     """Drift of the integral along sampled geodesics, per unit parameter.
 
     Each trace contributes max_t |I(t) - I(0)| / (scale * elapsed), with the
@@ -300,13 +293,12 @@ def check_conservation(chart, integral, n_samples=20, t_max=1.0, seed=None,
     """
     seed = sampling.default_seed() if seed is None else int(seed)
     rng = np.random.default_rng(seed)
-    opts = opts or IntegratorOptions()
     states = sampling.sample_states(chart, n_samples, rng)
     drifts = []
     dropped = dict.fromkeys(DROP_REASONS, 0)
     value = integral.value
     for s in states:
-        trace = integrate_geodesic(chart, s, t_max, opts=opts)
+        trace = integrate_geodesic(chart, s, t_max)
         elapsed = trace.length
         if trace.termination.abandoned:
             dropped[trace.termination.value] += 1
@@ -323,26 +315,3 @@ def check_conservation(chart, integral, n_samples=20, t_max=1.0, seed=None,
         chart=chart.name, integral=integral.name, n_samples=n_samples,
         n_used=len(drifts), dropped=dropped, seed=seed, t_max=t_max, tol=tol,
         max_drift=max_drift, passed=bool(drifts) and max_drift <= tol)
-
-
-def independence_gram(i1, i2, chart, n=20, seed=None):
-    """Minimum normalized Gram determinant of the two fiber gradients.
-
-    Values near zero mean the integrals are functionally dependent on the
-    sampled fibers; the normalization puts the determinant in [0, 1].
-    """
-    seed = sampling.default_seed() if seed is None else int(seed)
-    rng = np.random.default_rng(seed)
-    states = sampling.sample_states(chart, n, rng)
-    worst = math.inf
-    for s in states:
-        p, v = (s.x, s.y), (s.vx, s.vy)
-        a = i1.fiber_gradient(p, v)
-        b = i2.fiber_gradient(p, v)
-        na, nb = float(a @ a), float(b @ b)
-        if na < 1e-300 or nb < 1e-300:
-            worst = 0.0
-            continue
-        det = na * nb - float(a @ b) ** 2
-        worst = min(worst, det / (na * nb))
-    return worst

@@ -271,7 +271,6 @@ class ChartMap:
     name: str
     fx: ScalarField
     fy: ScalarField
-    domain: Domain = dc_field(default_factory=Domain)
     inverse: Optional["ChartMap"] = None
     _jac: Optional[Callable] = dc_field(default=None, repr=False, compare=False)
 
@@ -287,15 +286,6 @@ class ChartMap:
         x, y = point
         a, b, c, d = self._jac(x, y)
         return np.array([[a, b], [c, d]])
-
-    def after(self, other):
-        """self composed after other: p -> self(other(p))."""
-        fx, fy = expr.substitute([self.fx, self.fy], other.fx, other.fy)
-        inv = None
-        if self.inverse is not None and other.inverse is not None:
-            inv = other.inverse.after(self.inverse)
-        return ChartMap("%s*%s" % (self.name, other.name), fx, fy,
-                        domain=other.domain, inverse=inv)
 
 
 def restrict_domain(domain, extra_constraint):
@@ -367,8 +357,8 @@ def classify(chart, point, v):
 def pullback(chart, cmap, name=None):
     """The pullback metric cmap^* g as a new chart.
 
-    Coefficients are exact symbolic compositions; the domain is the map's own
-    domain cut down to the preimage of the chart domain.
+    Coefficients are exact symbolic compositions; the domain is the
+    preimage of the chart domain.
     """
     a, b = cmap.fx, cmap.fy
     ax, ay = a.diff("x"), a.diff("y")
@@ -379,13 +369,8 @@ def pullback(chart, cmap, name=None):
     p22 = E * ay * ay + 2.0 * F * ay * by + G * by * by
 
     target = chart.domain.combined_field()
-    cons = None
-    if target is not None:
-        cons = expr.substitute(target, a, b)
-    if cmap.domain.constraint is not None:
-        cons = cmap.domain.constraint if cons is None \
-            else _field_min(cons, cmap.domain.constraint)
-    dom = replace(cmap.domain, constraint=cons)
+    dom = Domain(constraint=None if target is None
+                 else expr.substitute(target, a, b))
 
     if cmap.inverse is not None:
         ix, iy = cmap.inverse.fx, cmap.inverse.fy

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import expr, sampling
 from .expr import X, Y
-from .flow import IntegratorOptions, golden_min, integrate_geodesic
+from .flow import golden_min, integrate_geodesic
 from .integrals import (DegenerateRatioError, check_conservation,
                         darboux_integral)
 from .metric import ChartMap, christoffel, pullback
@@ -34,6 +34,9 @@ __all__ = [
 EQUIVALENT = "equivalent"
 NOT_EQUIVALENT = "not-equivalent"
 INCONCLUSIVE = "inconclusive"
+
+# the largest distance between the two traced curves that counts as overlap
+OVERLAP_TOL = 1e-4
 
 
 @dataclass
@@ -79,30 +82,25 @@ def _chord_length(points):
                                  np.diff(points[:, 1]))))
 
 
-def _dense_positions(trace, n=400):
-    """Positions at n times spaced uniformly in parameter, from the dense
-    output, evaluated in one bulk pass (DenseOutput.positions).
-
-    The raw accepted steps can be long; comparing two traces through their
-    step endpoints alone would measure the step pattern, not the curve.
-    """
-    return trace.dense.positions(
-        np.linspace(float(trace.ts[0]), float(trace.ts[-1]), n))
-
-
 def _overlap_positions(trace):
-    """(dense positions, chord length) of a trace fit for the overlap
-    test, else None."""
+    """(positions, chord length) of a trace fit for the overlap test, else
+    None.
+
+    The positions are the dense output at 400 times spaced uniformly in
+    parameter, evaluated in one bulk pass.  The raw accepted steps can be
+    long; comparing two traces through their step endpoints alone would
+    measure the step pattern, not the curve.
+    """
     if len(trace.ts) < 5 or trace.termination.abandoned:
         return None
-    pts = _dense_positions(trace)
+    pts = trace.dense.positions(
+        np.linspace(float(trace.ts[0]), float(trace.ts[-1]), 400))
     chord = _chord_length(pts)
     return (pts, chord) if chord >= 1e-3 else None
 
 
 def check_projective_equivalence(g, gbar, n_traces=20, drift_tol=1e-6,
-                                 overlap_tol=1e-4, t_max=1.0, seed=None,
-                                 opts=None):
+                                 t_max=1.0, seed=None):
     """Decide whether two metrics share their unparametrised geodesics.
 
     Two independent measurements.  First, the pair integral built from the
@@ -110,14 +108,13 @@ def check_projective_equivalence(g, gbar, n_traces=20, drift_tol=1e-6,
     unit parameter over sampled geodesics).  Second, shooting the same
     initial point and velocity through both flows must trace the same curve:
     both traces are resampled by chord length and compared pointwise over
-    the arc both of them cover.
+    the arc both of them cover, and must stay within OVERLAP_TOL.
 
     The verdict is "equivalent" only if both measurements pass with enough
     usable traces, "not-equivalent" if either fails by a factor of ten, and
     "inconclusive" in between or when the pair integral cannot be built.
     """
     seed = sampling.default_seed() if seed is None else int(seed)
-    opts = opts or IntegratorOptions()
 
     try:
         pair = darboux_integral(g, gbar)
@@ -125,12 +122,12 @@ def check_projective_equivalence(g, gbar, n_traces=20, drift_tol=1e-6,
         return EquivalenceReport(
             g=g.name, gbar=gbar.name, verdict=INCONCLUSIVE,
             max_drift=math.inf, max_overlap=math.inf, n_conserved=0,
-            n_overlap=0, drift_tol=drift_tol, overlap_tol=overlap_tol,
+            n_overlap=0, drift_tol=drift_tol, overlap_tol=OVERLAP_TOL,
             seed=seed, reason=str(err))
 
     conservation = check_conservation(
         g, pair, n_samples=n_traces, t_max=t_max, seed=seed,
-        tol=drift_tol, opts=opts)
+        tol=drift_tol)
 
     rng = np.random.default_rng(seed + 1)
     in_bar = gbar.runtime().in_domain
@@ -142,17 +139,15 @@ def check_projective_equivalence(g, gbar, n_traces=20, drift_tol=1e-6,
         attempts += 1
         try:
             state = sampling.sample_states(g, 1, rng)[0]
-        except (ValueError, sampling.DomainError):
+        except sampling.DomainError:
             break
         if not in_bar(state.x, state.y):
             continue
         # the partner is traced only when the trace of g is usable
-        over_g = _overlap_positions(integrate_geodesic(g, state, t_max,
-                                                       opts=opts))
+        over_g = _overlap_positions(integrate_geodesic(g, state, t_max))
         if over_g is None:
             continue
-        over_b = _overlap_positions(integrate_geodesic(gbar, state, t_max,
-                                                       opts=opts))
+        over_b = _overlap_positions(integrate_geodesic(gbar, state, t_max))
         if over_b is None:
             continue
         (pts_g, chord_g), (pts_b, chord_b) = over_g, over_b
@@ -166,10 +161,10 @@ def check_projective_equivalence(g, gbar, n_traces=20, drift_tol=1e-6,
 
     if n_cons >= 5 and n_over >= 3 \
             and conservation.max_drift <= drift_tol \
-            and max_overlap <= overlap_tol:
+            and max_overlap <= OVERLAP_TOL:
         verdict, reason = EQUIVALENT, ""
     elif (n_cons >= 3 and conservation.max_drift > 10.0 * drift_tol) \
-            or (n_over >= 3 and max_overlap > 10.0 * overlap_tol):
+            or (n_over >= 3 and max_overlap > 10.0 * OVERLAP_TOL):
         verdict, reason = NOT_EQUIVALENT, ""
     else:
         verdict = INCONCLUSIVE
@@ -180,7 +175,7 @@ def check_projective_equivalence(g, gbar, n_traces=20, drift_tol=1e-6,
         g=g.name, gbar=gbar.name, verdict=verdict,
         max_drift=conservation.max_drift, max_overlap=max_overlap,
         n_conserved=n_cons, n_overlap=n_over, drift_tol=drift_tol,
-        overlap_tol=overlap_tol, seed=seed, reason=reason)
+        overlap_tol=OVERLAP_TOL, seed=seed, reason=reason)
 
 
 @dataclass

@@ -343,20 +343,18 @@ class ShiftBundle:
     shear_field: ScalarField
 
 
-def projective_shift(f=None, a=2.0, eps=0.5, plateau=0.1):
+def projective_shift(f=None, a=2.0, eps=0.5):
     """Strip metric whose unit x-translation is projective but not affine.
 
     The scale A(x) multiplies by a per period and the shear Lambda(x) picks
-    up eps * A(x)^3 per period, both frozen on plateaus of width `plateau`
-    around integer x so the seams are smooth.  f must be 1-periodic and
+    up eps * A(x)^3 per period, both frozen on plateaus of width 0.1 around
+    integer x so the seams are smooth.  f must be 1-periodic and
     nonnegative with positive maximum m; nondegeneracy on every period
     needs 0 < eps < (a^3 - 1) / (m a^3).
     """
-    a, eps, w = float(a), float(eps), float(plateau)
+    a, eps, w = float(a), float(eps), 0.1
     if not a > 1.0:
         raise ZooError("the growth rate a must exceed 1")
-    if not 0.0 < w < 0.5:
-        raise ZooError("plateau width must lie in (0, 1/2)")
     if f is None:
         f = expr.sin(math.pi * X) ** 2
 

@@ -9,7 +9,9 @@ with the compiler it is checked against.
 
 import math
 
-from geoproj import expr
+import numpy as np
+
+from geoproj import expr, sampling
 
 
 def fd_derivative(fn, x, y, name, h=None):
@@ -174,3 +176,30 @@ def eval_tree(node, x, y):
     if kind is expr.ExpInvPoly:
         return _bump(eval_tree(node.a, x, y), node.coeffs)
     raise TypeError("no reference evaluation for %r" % (node,))
+
+
+def fiber_gradient(integral, point, v):
+    """Gradient of a fiber integral in the velocity variables at (point, v)."""
+    q11, q12, q22, l1, l2, _ = integral._compiled()(*point)
+    return np.array([2.0 * (q11 * v[0] + q12 * v[1]) + l1,
+                     2.0 * (q12 * v[0] + q22 * v[1]) + l2])
+
+
+def independence_gram(i1, i2, chart, n, seed):
+    """Minimum normalized Gram determinant of the two fiber gradients.
+
+    Values near zero mean the integrals are functionally dependent on the
+    sampled fibers; the normalization puts the determinant in [0, 1].
+    """
+    worst = math.inf
+    for s in sampling.sample_states(chart, n, np.random.default_rng(seed)):
+        p, v = (s.x, s.y), (s.vx, s.vy)
+        a = fiber_gradient(i1, p, v)
+        b = fiber_gradient(i2, p, v)
+        na, nb = float(a @ a), float(b @ b)
+        if na < 1e-300 or nb < 1e-300:
+            worst = 0.0
+            continue
+        det = na * nb - float(a @ b) ** 2
+        worst = min(worst, det / (na * nb))
+    return worst

@@ -62,6 +62,25 @@ def test_bad_expression_flag(capsys):
     assert "--f" in err
 
 
+@pytest.mark.parametrize("text", [
+    "(log -1)", "(sqrt -1)", "(pow -8 0.5)", "(exp 1000)", "(pow 0 -1)",
+    "(* 1e308 10)", "1e999", "nan"])
+def test_expression_that_folds_to_an_error_is_a_usage_error(capsys, text):
+    rc, _, err = run_cli(capsys, "zoo", "show", "band", "--f", text)
+    assert rc == 2
+    assert "bad expression for --f" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "rescaling"), ("accept",),
+    ("check", "isometry", "--chart", "projective-shift", "--map", "shift")])
+def test_bad_seed_variable_is_a_usage_error(capsys, monkeypatch, argv):
+    monkeypatch.setenv("GEOPROJ_SEED", "abc")
+    rc, _, err = run_cli(capsys, *argv)
+    assert rc == 2
+    assert "GEOPROJ_SEED" in err and "'abc'" in err
+
+
 def test_geodesic_csv_columns(capsys, tmp_path):
     path = tmp_path / "trace.csv"
     rc, out, _ = run_cli(capsys, "geodesic", "--chart", "tannery",

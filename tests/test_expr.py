@@ -82,7 +82,7 @@ def test_smoothstep_shape():
 
 def test_periodic_wrapper_has_periodic_derivatives():
     base = expr.smoothstep(expr.X * 2.0 - 0.5) * expr.sin(expr.Y)
-    f = expr.periodic(base, period_x=1.0)
+    f = expr.substitute(base, expr.mod_field(expr.X, 1.0), expr.Y)
     df = f.diff("x")
     for x in (0.13, 0.42, 0.77):
         for y in (0.3, -1.1):

@@ -1,14 +1,16 @@
+import gc
 import io
 import math
+import weakref
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from geoproj import flow, metric, sampling, zoo
-from geoproj.flow import (GeodesicState, IntegratorOptions, Termination,
-                          detect_closure, find_conjugate_points,
-                          integrate_geodesic, integrate_jacobi, trace_to_csv)
+from geoproj.flow import (GeodesicState, Termination, detect_closure,
+                          find_conjugate_points, integrate_geodesic,
+                          trace_to_csv)
 from chartlib import flat_chart, lumpy_chart, null_plane_chart, sphere_chart
 
 
@@ -29,10 +31,10 @@ def test_flat_geodesics_are_straight_lines():
     assert tr.termination == Termination.TIME_LIMIT
     assert tr.ts[-1] == pytest.approx(4.0)
     for t in np.linspace(0.0, 4.0, 17):
-        st = tr.at(t)
-        assert st.x == pytest.approx(0.1 + 0.3 * t, abs=1e-12)
-        assert st.y == pytest.approx(-0.2 + 0.7 * t, abs=1e-12)
-        assert st.vx == pytest.approx(0.3, abs=1e-13)
+        x, y, vx, _ = tr.dense(t)
+        assert x == pytest.approx(0.1 + 0.3 * t, abs=1e-12)
+        assert y == pytest.approx(-0.2 + 0.7 * t, abs=1e-12)
+        assert vx == pytest.approx(0.3, abs=1e-13)
 
 
 def test_equator_orbit_positions_and_energy():
@@ -41,9 +43,9 @@ def test_equator_orbit_positions_and_energy():
     tr = integrate_geodesic(m, s0, 10.0)
     assert tr.termination == Termination.TIME_LIMIT
     for t in np.linspace(0.5, 9.5, 13):
-        st = tr.at(t)
-        assert st.x == pytest.approx(math.pi / 2, abs=1e-9)
-        assert st.y == pytest.approx(t, rel=1e-9)
+        x, y = tr.dense(t)[:2]
+        assert x == pytest.approx(math.pi / 2, abs=1e-9)
+        assert y == pytest.approx(t, rel=1e-9)
     en = _energy_along(m, tr)
     assert np.max(np.abs(en - en[0])) < 1e-9
 
@@ -56,11 +58,10 @@ def test_great_circle_against_closed_form():
     s0 = GeodesicState(math.pi / 2, 0.0, math.sin(alpha), math.cos(alpha))
     tr = integrate_geodesic(m, s0, 3.0)
     for t in np.linspace(0.1, 3.0, 9):
-        st = tr.at(t)
         # unit-speed great circle through the equator point with tilt alpha
         z = math.sin(alpha) * math.sin(t)
         want_x = math.acos(-z) if abs(z) <= 1 else None
-        assert st.x == pytest.approx(want_x, abs=1e-8)
+        assert tr.dense(t)[0] == pytest.approx(want_x, abs=1e-8)
     en = _energy_along(m, tr)
     assert np.max(np.abs(en - en[0])) < 1e-9
 
@@ -74,9 +75,9 @@ def test_geodesic_equation_residual_finite_difference():
         before = tr.dense(t - delta)
         after = tr.dense(t + delta)
         acc_fd = (after[2:4] - before[2:4]) / (2 * delta)
-        st = tr.at(t)
-        gam = metric.christoffel(m, (st.x, st.y))
-        v = np.array([st.vx, st.vy])
+        x, y, vx, vy = tr.dense(t)
+        gam = metric.christoffel(m, (x, y))
+        v = np.array([vx, vy])
         want = -np.einsum("kij,i,j->k", gam, v, v)
         assert_allclose(acc_fd, want, rtol=1e-4, atol=1e-6)
 
@@ -169,10 +170,11 @@ def test_tiny_final_step_is_not_a_collapse():
     assert tr.ts[-1] - tr.ts[-2] == pytest.approx(1e-9, rel=1e-3)
 
 
-def test_step_budget_ends_the_trace():
+def test_step_budget_ends_the_trace(monkeypatch):
+    monkeypatch.setattr(flow, "MAX_STEPS", 50)
     m = sphere_chart()
     s0 = GeodesicState(math.pi / 2, 0.0, 0.3, 1.0)
-    tr = integrate_geodesic(m, s0, 10.0, IntegratorOptions(max_steps=50))
+    tr = integrate_geodesic(m, s0, 10.0)
     assert tr.termination == Termination.STEP_BUDGET
     assert tr.termination.value == "step-budget"
     assert tr.n_accepted + tr.n_rejected == 50
@@ -228,13 +230,13 @@ def test_dense_output_refuses_to_extrapolate():
     tr = integrate_geodesic(m, GeodesicState(0.1, -0.2, 0.3, 0.7), 2.0)
     lo, hi = float(tr.ts[0]), float(tr.ts[-1])
     assert tr.dense(lo)[0] == pytest.approx(0.1, abs=1e-15)
-    assert tr.at(hi).x == pytest.approx(0.7, abs=1e-12)
+    assert tr.dense(hi)[0] == pytest.approx(0.7, abs=1e-12)
     tr.dense(math.nextafter(hi, math.inf))   # rounding slack at the ends
     for t in (lo - 1e-9, hi + 1e-9, hi + 1.0, math.nan):
         with pytest.raises(ValueError):
             tr.dense(t)
     with pytest.raises(ValueError):
-        tr.at(-0.5)
+        tr.dense(-0.5)
 
 
 def _sampled_traces():
@@ -350,8 +352,7 @@ def test_initial_state_outside_domain_raises():
 def test_jacobi_field_on_equator_matches_sine():
     m = sphere_chart()
     s0 = GeodesicState(math.pi / 2, 0.0, 0.0, 1.0)
-    base = integrate_geodesic(m, s0, 3.0)
-    jt = integrate_jacobi(m, base, j0=(0.0, 0.0), dj0=(1.0, 0.0))
+    jt = flow._jacobi_run(m, s0, (0.0, 0.0), (1.0, 0.0), 3.0)
     for t in np.linspace(0.2, 3.0, 11):
         v = jt.dense(t)
         assert v[4] == pytest.approx(math.sin(t), abs=1e-9)
@@ -361,8 +362,7 @@ def test_jacobi_field_on_equator_matches_sine():
 def test_jacobi_equation_residual_finite_difference():
     m = lumpy_chart()
     s0 = GeodesicState(0.0, 0.3, 0.7, 0.2)
-    base = integrate_geodesic(m, s0, 2.0)
-    jt = integrate_jacobi(m, base, j0=(0.0, 0.0), dj0=(0.2, 1.0))
+    jt = flow._jacobi_run(m, s0, (0.0, 0.0), (0.2, 1.0), 2.0)
     delta = 1e-5
     for t in np.linspace(0.3, 1.7, 6):
         lo = jt.dense(t - delta)
@@ -421,6 +421,23 @@ def test_no_closure_for_straight_line():
     assert rep.trace.termination == Termination.TIME_LIMIT
 
 
+def test_closure_trace_is_freed_with_its_report():
+    # the trace refers to nothing of the report, so no reference cycle
+    # keeps it alive for the cyclic garbage collector to find
+    m = sphere_chart()
+    s0 = GeodesicState(math.pi / 2, 0.0, math.sin(0.4), math.cos(0.4))
+    gc.disable()
+    try:
+        for t_max, closed in ((10.0, True), (1.0, False)):
+            rep = detect_closure(m, s0, t_max, tol=1e-6)
+            assert rep.closed is closed
+            trace = weakref.ref(rep.trace)
+            del rep
+            assert trace() is None
+    finally:
+        gc.enable()
+
+
 def test_closure_uses_periodic_coordinates():
     # on the sphere chart the longitude is 2*pi periodic; the equator orbit
     # must close even though y grows without bound
@@ -440,19 +457,21 @@ def test_golden_min_stops_where_rounding_stops_the_bracket():
     assert f < 1e-18
 
 
-def test_tight_tolerances_reduce_error():
+def test_tight_tolerances_reduce_error(monkeypatch):
     m = sphere_chart()
     alpha = 0.35
     s0 = GeodesicState(math.pi / 2, 0.0, math.sin(alpha), math.cos(alpha))
 
-    def error_at(opts):
-        tr = integrate_geodesic(m, s0, 3.0, opts)
+    def error_at(atol, rtol):
+        monkeypatch.setattr(flow, "ATOL", atol)
+        monkeypatch.setattr(flow, "RTOL", rtol)
+        tr = integrate_geodesic(m, s0, 3.0)
         st = tr.final_state()
         want = math.acos(-math.sin(alpha) * math.sin(3.0))
         return abs(st.x - want)
 
-    err_loose = error_at(IntegratorOptions(atol=1e-6, rtol=1e-5))
-    err_tight = error_at(IntegratorOptions(atol=1e-12, rtol=1e-11))
+    err_loose = error_at(1e-6, 1e-5)
+    err_tight = error_at(1e-12, 1e-11)
     assert err_tight < err_loose / 10.0
     assert err_tight < 1e-10
 

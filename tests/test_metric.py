@@ -174,7 +174,8 @@ def test_pullback_functoriality():
     m = lumpy_chart()
     phi = ChartMap("phi", expr.X + 0.1 * expr.Y * expr.Y, expr.Y)
     psi = ChartMap("psi", 0.5 * expr.X, expr.Y - 0.3 * expr.sin(expr.X))
-    both = metric.pullback(m, phi.after(psi))
+    both = metric.pullback(m, ChartMap(
+        "phi*psi", *expr.substitute([phi.fx, phi.fy], psi.fx, psi.fy)))
     nested = metric.pullback(metric.pullback(m, phi), psi)
     rng = np.random.default_rng(5)
     for _ in range(10):

@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from geoproj import expr, projective, zoo
+from geoproj import expr, flow, projective, zoo
 from geoproj.expr import X, Y
-from geoproj.flow import IntegratorOptions
 from geoproj.integrals import (check_conservation, integral_pullback,
                                liouville_integral)
 from geoproj.metric import (ChartMap, Domain, MetricChart, Signature,
@@ -125,13 +124,13 @@ def test_equivalence_inconclusive_when_ratio_collapses():
     assert "ratio" in report.reason
 
 
-def test_exhausted_step_budget_gives_a_verdict():
+def test_exhausted_step_budget_gives_a_verdict(monkeypatch):
     # most traces run out of their 50 steps; the decider drops them and
     # reports that it has too little evidence instead of raising
     base, _ = zoo.band_chart(a=1.0, l=0.0)
     other, _ = zoo.band_chart(a=2.0, l=0.3)
-    report = check_projective_equivalence(
-        base, other, n_traces=6, seed=7, opts=IntegratorOptions(max_steps=50))
+    monkeypatch.setattr(flow, "MAX_STEPS", 50)
+    report = check_projective_equivalence(base, other, n_traces=6, seed=7)
     assert report.verdict == INCONCLUSIVE
     assert report.n_conserved < 5
     assert "too few usable traces" in report.reason
@@ -146,8 +145,8 @@ def test_partner_is_traced_only_for_usable_traces(monkeypatch):
     traced = []
     original = projective.integrate_geodesic
 
-    def counting(chart, state, t_max, opts=None):
-        trace = original(chart, state, t_max, opts=opts)
+    def counting(chart, state, t_max):
+        trace = original(chart, state, t_max)
         traced.append((chart is base,
                        projective._overlap_positions(trace) is not None))
         return trace

@@ -366,8 +366,6 @@ def test_shift_parameter_gates():
         zoo.projective_shift(eps=0.0)
     with pytest.raises(zoo.ZooError):
         zoo.projective_shift(f=expr.const(0.0))
-    with pytest.raises(zoo.ZooError):
-        zoo.projective_shift(plateau=0.6)
 
 
 def test_shift_relation_residual_random():
