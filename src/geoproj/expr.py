@@ -44,21 +44,10 @@ class EvaluationError(ArithmeticError):
         self.point = point
 
 
-# Below this argument the bump factor exp(-1/u) underflows double precision
-# anyway (exp(-1000) ~ 1e-435); returning 0.0 outright avoids 0*inf = nan
-# from the polynomial prefactor.
+# At or below this argument the bump factor exp(-1/u) underflows double
+# precision anyway (exp(-1000) ~ 1e-435); returning 0.0 outright avoids
+# 0*inf = nan from the polynomial prefactor.
 _EIP_CUTOFF = 1e-3
-
-
-def _eip(u, coeffs):
-    """exp(-1/u) * P(1/u) for u > 0, identically 0.0 for u <= cutoff."""
-    if u <= _EIP_CUTOFF:
-        return 0.0
-    s = 1.0 / u
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * s + c
-    return math.exp(-s) * acc
 
 
 def _cbrt(v):
@@ -150,11 +139,17 @@ class ScalarField:
 
 
 class Const(ScalarField):
+    """A finite constant: compiled code names a value by its repr, and inf
+    and nan have none it could read back."""
+
     __slots__ = ("value",)
 
     def __init__(self, value):
+        value = float(value)
+        if not math.isfinite(value):
+            raise ExpressionError("constant %r is not finite" % (value,))
         super().__init__()
-        self.value = float(value)
+        self.value = value
 
     def _diff(self, name):
         return _ZERO
@@ -303,6 +298,9 @@ class ExpInvPoly(ScalarField):
         coeffs = tuple(float(c) for c in coeffs)
         if not coeffs:
             raise ExpressionError("ExpInvPoly needs at least one coefficient")
+        if not all(map(math.isfinite, coeffs)):
+            raise ExpressionError("ExpInvPoly coefficients %r are not all "
+                                  "finite" % (coeffs,))
         super().__init__()
         self.a = a
         self.coeffs = coeffs
@@ -323,7 +321,14 @@ class ExpInvPoly(ScalarField):
         return _mul(inner, self.a.diff(name))
 
     def _emit(self, names):
-        return "_eip(%s, %r)" % (names[id(self.a)], self.coeffs)
+        # 0.0 at or below the cutoff, else exp(-r) * P(r) with r = 1/u and
+        # P by Horner's rule from 0.0, the highest coefficient first
+        u = names[id(self.a)]
+        horner = "0.0"
+        for c in reversed(self.coeffs):
+            horner = "(%s * r + %r)" % (horner, c)
+        return "(0.0 if %s <= %r else exp(-(r := 1.0 / %s)) * %s)" % (
+            u, _EIP_CUTOFF, u, horner)
 
 
 _UNARY_EVAL = {
@@ -363,14 +368,12 @@ def _is_const(node, value=None):
 
 
 def _folded(fn, *values):
-    """Const(fn(*values)), where every constant folds: a math error or a
-    value the compiled code cannot name (inf, nan) raises ExpressionError."""
+    """Const(fn(*values)), where every constant folds: a math error, or a
+    value Const refuses (inf, nan), raises ExpressionError."""
     try:
         v = fn(*values)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ExpressionError("constant folding fails: %s" % exc) from None
-    if not math.isfinite(v):
-        raise ExpressionError("constant folds to %r" % (v,))
     return Const(v)
 
 
@@ -441,6 +444,8 @@ def _neg(a):
 
 def _pow(a, p):
     p = float(p)
+    if not math.isfinite(p):
+        raise ExpressionError("exponent %r is not finite" % (p,))
     if p == 0.0:
         return _ONE
     if p == 1.0:
@@ -570,7 +575,7 @@ def substitute(field, ex, ey):
 # -- compilation --------------------------------------------------------------
 
 # compiled code calls each unary function by its kind name
-_COMPILE_NS = dict(_UNARY_EVAL, _eip=_eip, _pow=math.pow, __builtins__={})
+_COMPILE_NS = dict(_UNARY_EVAL, _pow=math.pow, __builtins__={})
 
 
 def compile_fields(fields):

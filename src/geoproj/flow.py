@@ -8,17 +8,22 @@ for periodic orbits.
 
 The systems have four or eight components, too few for numpy to pay off: a
 numpy call costs more than the arithmetic it does on four floats.  So the
-stepper runs on plain Python floats.  States and stages are tuples, and one
-step attempt is generated once per system size as straight-line code: each
-stage combination, the fifth-order update and the error estimate are
-written out term by term, with the zero entries of the tableau dropped
-(Dormand & Prince 1980; Hairer, Norsett & Wanner, Solving ODEs I,
-sec. II.4-5).  An accepted step keeps only its stages; the coefficients of
-its interpolant are built from them when the dense output is evaluated,
-which most traces never are.  Only the finished trace is turned into
-arrays.  The sums run in a fixed order without fused multiply-adds, so
-the results do not depend on the machine's BLAS.  The dense output refuses
-to extrapolate: it raises ValueError a few ulps outside the traced range.
+stepper runs on plain Python floats.  States are tuples, and one step
+attempt is generated per system, equations written into the step: it is
+straight-line code in which each stage combination, the system's
+right-hand side at that stage, the fifth-order update and the error
+estimate are written out term by term, with the zero entries of the
+tableau dropped (Dormand & Prince 1980; Hairer, Norsett & Wanner, Solving
+ODEs I, sec. II.4-5).  The right-hand sides are one table of source lines
+(`_SYSTEMS`), which also generates the plain rhs(y) that starts a trace;
+both call the chart's Christoffel bundle (and, for the Jacobi system, its
+curvature) once per evaluation, bound when the trace starts.  An accepted
+step keeps only its stages; the coefficients of its interpolant are built
+from them when the dense output is evaluated, which most traces never are.
+Only the finished trace is turned into arrays.  The sums run in a fixed
+order without fused multiply-adds, so the results do not depend on the
+machine's BLAS.  The dense output refuses to extrapolate: it raises
+ValueError a few ulps outside the traced range.
 
 Every trace runs at the tolerances `ATOL` (1e-11) and `RTOL` (1e-10) on a
 budget of `MAX_STEPS` (300 000) step attempts, with `H_MIN` (1e-13) as the
@@ -112,12 +117,12 @@ class GeodesicState:
     t: float = 0.0
 
 
-# Dormand-Prince 5(4) tableau: nodes _C, stage weights _A (row i weighs
-# stages 1..i), _E the 5th- minus the embedded 4th-order weights, and the
-# dense-output matrix _P.  The 5th-order weights are the last row of _A, so
-# stage 7 is evaluated at the new state itself and becomes the next step's
-# first stage (FSAL).
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+# Dormand-Prince 5(4) tableau: stage weights _A (row i weighs stages
+# 1..i), _E the 5th- minus the embedded 4th-order weights, and the
+# dense-output matrix _P.  Both systems are autonomous, so the nodes do not
+# appear.  The 5th-order weights are the last row of _A, so stage 7 is
+# evaluated at the new state itself and becomes the next step's first stage
+# (FSAL).
 _A = (
     (),
     (1 / 5,),
@@ -160,13 +165,10 @@ _STALL = 1e-3
 _DEGENERATING = 1e-2
 
 
-def _term(w, name):
-    return name if w == 1.0 else "%r * %s" % (w, name)
-
-
 def _combo(weights, names):
     """The weighted sum as source, left to right, without zero weights."""
-    return " + ".join(_term(w, v) for w, v in zip(weights, names) if w)
+    return " + ".join(v if w == 1.0 else "%r * %s" % (w, v)
+                      for w, v in zip(weights, names) if w)
 
 
 def _interpolant():
@@ -193,11 +195,13 @@ _interpolate = _interpolant()
 class DenseOutput:
     """Piecewise quartic interpolant over the accepted steps.
 
-    Step i starts at t0s[i] with state y0s[i] and length hs[i]; ks[i] holds
-    its six stages that the interpolant weighs (k1, k3 to k7), component by
-    component: component j's stages are ks[i][6j:6j+6].  They are packed as
-    C doubles: a tuple of Python floats takes three times the memory, which
-    long traces notice.  The quartic's coefficients are built from the
+    ts and ys are the trace's own lists of times and states, shared with the
+    stepper rather than copied: step i starts at ts[i] with state ys[i] and
+    has length hs[i], so ts holds one entry more than hs.  ks[i] holds the
+    step's six stages that the interpolant weighs (k1, k3 to k7), component
+    by component: component j's stages are ks[i][6j:6j+6].  They are packed
+    as C doubles: a tuple of Python floats takes three times the memory,
+    which long traces notice.  The quartic's coefficients are built from the
     stages only when the interpolant is evaluated: most traces, such as the
     conservation traces and every trace that ends in a singularity, never
     are.  Calling the interpolant evaluates every component at one time;
@@ -206,24 +210,17 @@ class DenseOutput:
     for bit.  Evaluating outside the traced range raises ValueError.
     """
 
-    def __init__(self):
-        self.t0s = []
+    def __init__(self, ts, ys):
+        self.ts = ts
+        self.ys = ys
         self.hs = []
-        self.y0s = []
         self.ks = []
-
-    def append(self, t0, h, y0, k):
-        self.t0s.append(t0)
-        self.hs.append(h)
-        self.y0s.append(y0)
-        self.ks.append(k)
 
     def _check_range(self, t):
         """Raise ValueError unless t lies in the traced range, up to 4 ulps."""
-        t0s = self.t0s
-        if not t0s:
+        if not self.hs:
             raise ValueError("empty trace has no interpolant")
-        lo, hi = t0s[0], t0s[-1] + self.hs[-1]
+        lo, hi = self.ts[0], self.ts[len(self.hs)]
         slack = 4.0 * math.ulp(max(abs(lo), abs(hi)))
         if not lo - slack <= t <= hi + slack:
             raise ValueError("t = %r is outside the trace [%r, %r]"
@@ -231,12 +228,12 @@ class DenseOutput:
 
     def __call__(self, t):
         self._check_range(t)
-        t0s = self.t0s
-        i = max(bisect_right(t0s, t) - 1, 0)
-        h, k = self.hs[i], memoryview(self.ks[i]).cast("d")
-        u = (t - t0s[i]) / h
+        ts, hs = self.ts, self.hs
+        i = max(bisect_right(ts, t, 0, len(hs)) - 1, 0)
+        h, k = hs[i], memoryview(self.ks[i]).cast("d")
+        u = (t - ts[i]) / h
         return np.array([_interpolate(y, h, u, *k[6 * j:6 * j + 6])
-                         for j, y in enumerate(self.y0s[i])])
+                         for j, y in enumerate(self.ys[i])])
 
     def positions(self, ts):
         """x and y at the times ts, as an array of shape (len(ts), 2).
@@ -247,12 +244,13 @@ class DenseOutput:
         ts = np.asarray(ts, dtype=float)
         self._check_range(float(np.min(ts)))
         self._check_range(float(np.max(ts)))
-        t0 = np.array(self.t0s)
+        n = len(self.hs)
+        t0 = np.array(self.ts[:n])
         i = np.maximum(np.searchsorted(t0, ts, side="right") - 1, 0)
         h = np.array(self.hs)[i]
         u = (ts - t0[i]) / h
-        y0 = np.array(self.y0s)[i, :2]
-        k = np.frombuffer(b"".join(self.ks)).reshape(len(t0), -1)[i, :12]
+        y0 = np.array(self.ys[:n])[i, :2]
+        k = np.frombuffer(b"".join(self.ks)).reshape(n, -1)[i, :12]
         out = np.empty((len(ts), 2))
         for j in (0, 1):
             out[:, j] = _interpolate(y0[:, j], h, u, *k[:, 6 * j:6 * j + 6].T)
@@ -263,72 +261,114 @@ def _rms(v):
     return math.sqrt(sum(x * x for x in v) / len(v))
 
 
-def _attempt_source(n):
-    """Source of one DP5 step attempt on states of n components.
+# The right-hand sides as source: per system, the names of the state's
+# components, the lines that evaluate the chart's bundles once, and one
+# expression per component of the derivative.  Their names must differ from
+# the generated step's own: h, y, k1, y<j>, z<j>, k<s>_<j>, e<j> and err.
+_ACCELERATION = ("-(a * vx * vx + 2.0 * b * vx * vy + c * vy * vy)",
+                 "-(d * vx * vx + 2.0 * e * vx * vy + f * vy * vy)")
+_SYSTEMS = {
+    "geodesic": (
+        ("x", "yy", "vx", "vy"),
+        ("_, _, _, a, b, c, d, e, f = chris(x, yy)",),
+        ("vx", "vy") + _ACCELERATION),
+    # covariant Jacobi equation in components, W the derivative of J:
+    #   dJ/dt = W - Gamma(v, J),  dW/dt = -K (g(v,v) J - g(J,v) v) - Gamma(v, W)
+    "jacobi": (
+        ("x", "yy", "vx", "vy", "jx", "jy", "wx", "wy"),
+        ("E, F, G, a, b, c, d, e, f = chris(x, yy)",
+         "kq = curv(x, yy)",
+         "gvj1 = a * vx * jx + b * (vx * jy + vy * jx) + c * vy * jy",
+         "gvj2 = d * vx * jx + e * (vx * jy + vy * jx) + f * vy * jy",
+         "gvw1 = a * vx * wx + b * (vx * wy + vy * wx) + c * vy * wy",
+         "gvw2 = d * vx * wx + e * (vx * wy + vy * wx) + f * vy * wy",
+         "ev = E * vx * vx + 2.0 * F * vx * vy + G * vy * vy",
+         "gjv = E * jx * vx + F * (jx * vy + jy * vx) + G * jy * vy"),
+        ("vx", "vy") + _ACCELERATION + (
+            "wx - gvj1", "wy - gvj2",
+            "-kq * (ev * jx - gjv * vx) - gvw1",
+            "-kq * (ev * jy - gjv * vy) - gvw2")),
+}
 
-    attempt(rhs, t, h, y, k1, atol, rtol) evaluates stages 2 to 7 and
-    returns (err, z, k7, k, mid): the error norm, the 5th-order state, the
-    last stage, the packed stages of DenseOutput and the midpoint position.
-    A stage that is not finite raises FloatingPointError.  Every sum is
-    written out term by term on plain floats, without the tableau's zero
-    entries.
+
+def _system_source(system):
+    """Source of bind(chris, curv, atol, rtol) -> (rhs, attempt).
+
+    rhs(y) is the system's derivative at the state y, as a tuple.
+    attempt(h, y, k1) evaluates stages 2 to 7 of one DP5 step from y with
+    first stage k1 and returns (err, z, k7, k, mx, my): the error norm, the
+    5th-order state, the last stage, the packed stages of DenseOutput and
+    the midpoint position.  Each stage evaluates the right-hand side inline
+    on the stage's state and raises FloatingPointError unless all its
+    components are finite: k * 0.0 is +-0.0 for a finite k and nan
+    otherwise, so one isfinite over the sum of those tests them all.  Every
+    sum is written out term by term on plain floats, without the tableau's
+    zero entries.
     """
+    names, body, outs = _SYSTEMS[system]
+    n = len(names)
     comps = range(n)
-
-    def stage(s):
-        return ", ".join("k%d_%d" % (s, j) for j in comps)
 
     def combo(weights, j):
         return _combo(weights, ["k%d_%d" % (s + 1, j) for s in range(7)])
 
-    lines = ["def attempt(rhs, t, h, y, k1, atol, rtol):",
-             "    %s, = y" % ", ".join("y%d" % j for j in comps),
-             "    %s, = k1" % stage(1)]
+    lines = ["def bind(chris, curv, atol, rtol):",
+             "    def rhs(y):",
+             "        %s, = y" % ", ".join(names)]
+    lines += ["        " + b for b in body]
+    lines += ["        return (%s,)" % ", ".join(outs),
+              "    def attempt(h, y, k1):",
+              "        %s, = y" % ", ".join("y%d" % j for j in comps),
+              "        %s, = k1" % ", ".join("k1_%d" % j for j in comps)]
     for i in range(1, 7):
-        arg = "(%s,)" % ", ".join("y%d + h * (%s)" % (j, combo(_A[i], j))
-                                  for j in comps)
-        if i == 6:
-            lines.append("    %s, = z = %s"
-                         % (", ".join("z%d" % j for j in comps), arg))
-            arg = "z"
-        lines += ["    %s, = k = rhs(t + %s, %s)"
-                  % (stage(i + 1), _term(_C[i], "h"), arg),
-                  "    if not (%s):" % " and ".join(
-                      "isfinite(k%d_%d)" % (i + 1, j) for j in comps),
-                  "        raise FloatingPointError('stage %d is not finite')"
-                  % (i + 1)]
-    lines += ["    e%d = h * (%s) / (atol + rtol * max(abs(y%d), abs(z%d)))"
+        for j, v in enumerate(names):
+            # stage 7 is evaluated at the 5th-order state z itself
+            lhs = "%s = z%d" % (v, j) if i == 6 else v
+            lines.append("        %s = y%d + h * (%s)"
+                         % (lhs, j, combo(_A[i], j)))
+        lines += ["        " + b for b in body]
+        lines += ["        k%d_%d = %s" % (i + 1, j, out)
+                  for j, out in enumerate(outs)]
+        lines += ["        if not isfinite(%s):" % " + ".join(
+                      "k%d_%d * 0.0" % (i + 1, j) for j in comps),
+                  "            raise FloatingPointError("
+                  "'stage %d is not finite')" % (i + 1)]
+    lines += ["        e%d = h * (%s) / (atol + rtol * max(abs(y%d), abs(z%d)))"
               % (j, combo(_E, j), j, j) for j in comps]
-    lines.append("    err = sqrt((%s) / %d)"
+    lines.append("        err = sqrt((%s) / %d)"
                  % (" + ".join("e%d * e%d" % (j, j) for j in comps), n))
     kept = ", ".join("k%d_%d" % (s + 1, j) for j in comps for s in _DENSE)
-    mid = ", ".join("y%d + h * (%s)" % (j, combo(_MID, j)) for j in (0, 1))
-    lines.append("    return err, z, k, pack(%s), (%s)" % (kept, mid))
+    lines.append("        return (err, (%s,), (%s,), pack(%s), %s)" % (
+        ", ".join("z%d" % j for j in comps),
+        ", ".join("k7_%d" % j for j in comps), kept,
+        ", ".join("y%d + h * (%s)" % (j, combo(_MID, j)) for j in (0, 1))))
+    lines.append("    return rhs, attempt")
     return "\n".join(lines) + "\n"
 
 
-_ATTEMPTS = {}
+_BINDERS = {}
 
 
-def _attempt(n):
-    """The compiled step attempt for n components, built once per n."""
-    fn = _ATTEMPTS.get(n)
+def _binder(system):
+    """The compiled bind function of the system, built once per system."""
+    fn = _BINDERS.get(system)
     if fn is None:
+        n = len(_SYSTEMS[system][0])
         ns = {"isfinite": isfinite, "sqrt": math.sqrt,
               "pack": struct.Struct("%dd" % (len(_DENSE) * n)).pack}
-        exec(compile(_attempt_source(n), "<geoproj.flow dp5 n=%d>" % n,
+        exec(compile(_system_source(system), "<geoproj.flow dp5 %s>" % system,
                      "exec"), ns)
-        fn = _ATTEMPTS[n] = ns["attempt"]
+        fn = _BINDERS[system] = ns["bind"]
     return fn
 
 
-def _initial_step(rhs, t0, y0, f0, t_span, atol, rtol):
+def _initial_step(rhs, y0, f0, t_span, atol, rtol):
     scale = [atol + rtol * abs(a) for a in y0]
     d0 = _rms([a / s for a, s in zip(y0, scale)])
     d1 = _rms([b / s for b, s in zip(f0, scale)])
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     try:
-        f1 = rhs(t0 + h0, [a + h0 * b for a, b in zip(y0, f0)])
+        f1 = rhs([a + h0 * b for a, b in zip(y0, f0)])
         d2 = _rms([(c - b) / s for c, b, s in zip(f1, f0, scale)]) / h0
     except _RHS_ERRORS:
         d2 = d1
@@ -337,27 +377,30 @@ def _initial_step(rhs, t0, y0, f0, t_span, atol, rtol):
     return min(100.0 * h0, h1, t_span)
 
 
-def _adaptive_rk(rhs, t0, y0, t_max, in_domain, degeneracy, observer=None):
-    """Core stepper.  rhs(t, y) -> tuple; exceptions reject the step.
+def _adaptive_rk(system, rt, t0, y0, t_max, observer=None):
+    """Core stepper: the system (a key of _SYSTEMS) on the chart runtime rt.
 
-    in_domain(x, y) tests the first two components of the state, and
-    degeneracy(x, y) gives the metric's degeneracy ratio there.  Returns
-    the trace fields (ts, ys, termination, dense, n_accepted, n_rejected).
+    The right-hand side raising one of _RHS_ERRORS rejects the step.
+    rt.in_domain tests the first two components of the state, and the
+    metric's degeneracy ratio comes from rt.coeffs.  Returns the trace
+    fields (ts, ys, termination, dense, n_accepted, n_rejected).
     """
+    atol, rtol, h_min, max_steps = ATOL, RTOL, H_MIN, MAX_STEPS
+    rhs, attempt = _binder(system)(rt.christoffel, rt.curvature, atol, rtol)
+    in_domain = rt.in_domain
     y = tuple(map(float, y0))
     t = float(t0)
     try:
-        f = rhs(t, y)
+        f = rhs(y)
     except _RHS_ERRORS as exc:
         raise DomainError("right-hand side fails at the initial state: %s" % exc)
     if not all(map(isfinite, f)):
         raise DomainError("right-hand side is not finite at the initial state")
 
-    atol, rtol, h_min, max_steps = ATOL, RTOL, H_MIN, MAX_STEPS
     ts = [t]
     ys = [y]
-    dense = DenseOutput()
-    h = _initial_step(rhs, t, y, f, t_max - t0, atol, rtol)
+    dense = DenseOutput(ts, ys)
+    h = _initial_step(rhs, y, f, t_max - t0, atol, rtol)
     err_prev = 1e-4
     n_acc = 0
     n_rej = 0
@@ -365,7 +408,6 @@ def _adaptive_rk(rhs, t0, y0, t_max, in_domain, degeneracy, observer=None):
     h_peak = 0.0
     ratio0 = None
     t_end = t_max - 1e-14 * max(1.0, abs(t_max))
-    attempt = _attempt(len(y))
 
     while t < t_end:
         if n_acc + n_rej >= max_steps:
@@ -377,7 +419,7 @@ def _adaptive_rk(rhs, t0, y0, t_max, in_domain, degeneracy, observer=None):
             break
 
         try:
-            err, y1, k7, k, mid = attempt(rhs, t, h, y, f, atol, rtol)
+            err, y1, k7, k, mx, my = attempt(h, y, f)
             if not isfinite(err):
                 raise FloatingPointError("error estimate is not finite")
         except _RHS_ERRORS:
@@ -388,11 +430,12 @@ def _adaptive_rk(rhs, t0, y0, t_max, in_domain, degeneracy, observer=None):
 
         if err <= 1.0:
             t1 = t + h
-            if not (in_domain(y1[0], y1[1]) and in_domain(*mid)):
+            if not (in_domain(y1[0], y1[1]) and in_domain(mx, my)):
                 # the trace ends inside the domain, before this step
                 termination = Termination.DOMAIN_EXIT
                 break
-            dense.append(t, h, y, k)
+            dense.hs.append(h)
+            dense.ks.append(k)
             ts.append(t1)
             ys.append(y1)
             n_acc += 1
@@ -405,8 +448,9 @@ def _adaptive_rk(rhs, t0, y0, t_max, in_domain, degeneracy, observer=None):
             h_peak = max(h_peak, h)
             if h < _STALL * h_peak and t < t_end:
                 if ratio0 is None:
-                    ratio0 = degeneracy(ys[0][0], ys[0][1])
-                if not degeneracy(y[0], y[1]) < _DEGENERATING * ratio0:
+                    ratio0 = degeneracy_ratio(*rt.coeffs(ys[0][0], ys[0][1]))
+                ratio = degeneracy_ratio(*rt.coeffs(y[0], y[1]))
+                if not ratio < _DEGENERATING * ratio0:
                     termination = Termination.SINGULARITY
                     break
             factor = 0.9 * err ** -0.17 * err_prev ** 0.04 if err > 0 else 10.0
@@ -462,60 +506,21 @@ class ClosureReport:
     trace: Optional[GeodesicTrace] = dc_field(default=None, repr=False)
 
 
-def _geodesic_rhs(runtime):
-    chris = runtime.christoffel
-
-    def rhs(t, y):
-        x, yy, vx, vy = y
-        _, _, _, a, b, c, d, e, f = chris(x, yy)
-        return (vx, vy, -(a * vx * vx + 2.0 * b * vx * vy + c * vy * vy),
-                -(d * vx * vx + 2.0 * e * vx * vy + f * vy * vy))
-
-    return rhs
-
-
-def _jacobi_rhs(runtime):
-    chris = runtime.christoffel
-    curv = runtime.curvature
-
-    def rhs(t, y):
-        x, yy, vx, vy, jx, jy, wx, wy = y
-        E, F, G, a, b, c, d, e, f = chris(x, yy)
-        kq = curv(x, yy)
-        gvj1 = a * vx * jx + b * (vx * jy + vy * jx) + c * vy * jy
-        gvj2 = d * vx * jx + e * (vx * jy + vy * jx) + f * vy * jy
-        gvw1 = a * vx * wx + b * (vx * wy + vy * wx) + c * vy * wy
-        gvw2 = d * vx * wx + e * (vx * wy + vy * wx) + f * vy * wy
-        ev = E * vx * vx + 2.0 * F * vx * vy + G * vy * vy
-        gjv = E * jx * vx + F * (jx * vy + jy * vx) + G * jy * vy
-        # covariant Jacobi equation in components:
-        #   dJ/dt = W - Gamma(v, J),  dW/dt = -K (g(v,v) J - g(J,v) v) - Gamma(v, W)
-        return (vx, vy, -(a * vx * vx + 2.0 * b * vx * vy + c * vy * vy),
-                -(d * vx * vx + 2.0 * e * vx * vy + f * vy * vy),
-                wx - gvj1, wy - gvj2,
-                -kq * (ev * jx - gjv * vx) - gvw1,
-                -kq * (ev * jy - gjv * vy) - gvw2)
-
-    return rhs
-
-
 def _run(chart, system, trace_type, state, y0, t_end, observer=None):
-    """Step system(runtime) from y0 at state.t to t_end inside the chart."""
+    """Step the system from y0 at state.t to t_end inside the chart."""
     rt = chart.runtime()
     if not rt.in_domain(state.x, state.y):
         raise DomainError("initial state (%g, %g) is outside chart %r"
                           % (state.x, state.y, chart.name))
-
-    return trace_type(chart.name, *_adaptive_rk(
-        system(rt), state.t, y0, t_end, lambda x, y: rt.in_domain(x, y),
-        lambda x, y: degeneracy_ratio(*rt.coeffs(x, y)), observer))
+    return trace_type(chart.name, *_adaptive_rk(system, rt, state.t, y0,
+                                                t_end, observer))
 
 
 def integrate_geodesic(chart, state, t_max, observer=None):
     """Integrate the geodesic through the state for parameter length t_max."""
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
-    return _run(chart, _geodesic_rhs, GeodesicTrace, state,
+    return _run(chart, "geodesic", GeodesicTrace, state,
                 (state.x, state.y, state.vx, state.vy), state.t + t_max,
                 observer)
 
@@ -523,7 +528,7 @@ def integrate_geodesic(chart, state, t_max, observer=None):
 def _jacobi_run(chart, state, j0, dj0, t_end):
     """The geodesic through state jointly with the Jacobi field (j0, dj0)."""
     y0 = (state.x, state.y, state.vx, state.vy, j0[0], j0[1], dj0[0], dj0[1])
-    return _run(chart, _jacobi_rhs, JacobiTrace, state, y0, t_end)
+    return _run(chart, "jacobi", JacobiTrace, state, y0, t_end)
 
 
 def find_conjugate_points(chart, state, t_max):

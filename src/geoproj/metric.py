@@ -316,12 +316,11 @@ def gaussian_curvature_limit(chart, base, direction):
     return table[0]
 
 
-def metric_eval(chart, point, v, w=None):
-    """g(v, w) at the point; w defaults to v."""
-    if w is None:
-        w = v
+def metric_eval(chart, point, v):
+    """g(v, v) at the point."""
     E, F, G = chart.coefficients_at(point)
-    return (E * v[0] * w[0] + F * (v[0] * w[1] + v[1] * w[0]) + G * v[1] * w[1])
+    a, b = v
+    return E * a * a + F * (a * b + b * a) + G * b * b
 
 
 def christoffel(chart, point):

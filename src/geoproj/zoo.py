@@ -45,6 +45,13 @@ class ZooError(ValueError):
     """Raised when catalogue parameters leave their valid range."""
 
 
+def _sampled_bounds(field, xs, ys=(0.0,)):
+    """(min, max) of the field over the grid xs x ys: the constructors check
+    the sign of a profile or a denominator on these samples."""
+    vals = [expr.evaluate(field, (float(x), float(y))) for x in xs for y in ys]
+    return min(vals), max(vals)
+
+
 # ---------------------------------------------------------------------------
 # null coordinate metric on the punctured plane
 
@@ -102,9 +109,8 @@ def band_chart(f=None, a=1.0, l=0.0):
     d = 1.0 + l * f
 
     box = (0.0, 1.0, 0.0, 1.0)
-    xs = np.linspace(box[0], box[1], 201)
-    dv = np.array([expr.evaluate(d, (float(t), 0.0)) for t in xs])
-    if np.min(np.abs(dv)) < 1e-9 or (np.min(dv) < 0.0 < np.max(dv)):
+    lo, hi = _sampled_bounds(d, np.linspace(box[0], box[1], 201))
+    if lo < 1e-9 and hi > -1e-9:
         raise ZooError("1 + l*f changes sign or vanishes on the sample "
                        "interval; the strip metric degenerates")
 
@@ -112,7 +118,7 @@ def band_chart(f=None, a=1.0, l=0.0):
     g12 = expr.const(a) / d
     g22 = (expr.const(a) * f) / d
     # det = -a^2 / (1 + l f)^3, so the causal type follows the denominator
-    sig = Signature.LORENTZIAN if dv[0] > 0.0 else Signature.RIEMANNIAN
+    sig = Signature.LORENTZIAN if lo > 0.0 else Signature.RIEMANNIAN
     chart = MetricChart(
         name="band[a=%g,l=%g]" % (a, l), g11=g11, g12=g12, g22=g22,
         domain=Domain(), signature=sig, sample_box=box).validate()
@@ -201,9 +207,9 @@ def _tannery_profile(c, h):
         if abs(plus + minus) > 1e-9 * max(1.0, abs(plus)):
             raise ZooError("h must be an odd function on [-1, 1]")
     prof = c + expr.substitute(h, expr.cos(X), Y)
-    for r in np.linspace(1e-3, math.pi - 1e-3, 211):
-        if expr.evaluate(prof, (float(r), 0.0)) < 1e-9:
-            raise ZooError("profile c + h(cos r) must stay positive")
+    lo, _ = _sampled_bounds(prof, np.linspace(1e-3, math.pi - 1e-3, 211))
+    if lo < 1e-9:
+        raise ZooError("profile c + h(cos r) must stay positive")
     return prof
 
 
@@ -358,11 +364,9 @@ def projective_shift(f=None, a=2.0, eps=0.5):
     if f is None:
         f = expr.sin(math.pi * X) ** 2
 
-    fv = np.array([expr.evaluate(f, (float(t), 0.0))
-                   for t in np.linspace(0.0, 1.0, 2001)])
-    if np.min(fv) < -1e-12:
+    f_min, f_max = _sampled_bounds(f, np.linspace(0.0, 1.0, 2001))
+    if f_min < -1e-12:
         raise ZooError("profile f must be nonnegative")
-    f_max = float(np.max(fv))
     if f_max <= 0.0:
         raise ZooError("profile f must have positive maximum")
     bound = (a ** 3 - 1.0) / (f_max * a ** 3)
@@ -481,12 +485,9 @@ def liouville_chart(h1=None, h2=None, sign=1, periods=(None, None)):
     w = h1 + h2
     box = (0.0, 1.0, 0.0, 1.0)
 
-    vals = []
-    for t in np.linspace(box[0], box[1], 21):
-        for rr in np.linspace(box[2], box[3], 21):
-            vals.append(expr.evaluate(w, (float(t), float(rr))))
-    vals = np.array(vals)
-    if np.min(np.abs(vals)) < 1e-9 or (np.min(vals) < 0.0 < np.max(vals)):
+    lo, hi = _sampled_bounds(w, np.linspace(box[0], box[1], 21),
+                             np.linspace(box[2], box[3], 21))
+    if lo < 1e-9 and hi > -1e-9:
         raise ZooError("h1 + h2 changes sign or vanishes on the sample box")
 
     sig = Signature.LORENTZIAN if sign == -1 else Signature.RIEMANNIAN

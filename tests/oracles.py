@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from geoproj import expr, sampling
+from geoproj import expr, metric, sampling
 
 
 def fd_derivative(fn, x, y, name, h=None):
@@ -108,6 +108,14 @@ def fd_gaussian_curvature(coeff_fn, x, y, h=1e-4):
     return (det3(m1) - det3(m2)) / (det * det)
 
 
+def metric_pairing(chart, point, v, w):
+    """g(v, w) by polarization of the quadratic form metric.metric_eval."""
+    plus = (v[0] + w[0], v[1] + w[1])
+    minus = (v[0] - w[0], v[1] - w[1])
+    return 0.25 * (metric.metric_eval(chart, point, plus)
+                   - metric.metric_eval(chart, point, minus))
+
+
 def fd_map_jacobian(fx, fy, x, y, h=1e-6):
     """Jacobian of the map (fx, fy) from central differences."""
     return ((fd_derivative(fx, x, y, "x", h), fd_derivative(fx, x, y, "y", h)),
@@ -129,6 +137,18 @@ def richardson_limit(fn, base, direction, scales=(1e-2, 5e-3, 2.5e-3)):
             table[i] = ((0.0 - xs[i + level]) * table[i] - (0.0 - xs[i]) * table[i + 1]) \
                 / (xs[i] - xs[i + level])
     return table[0]
+
+
+def eip_reference(u, coeffs):
+    """exp(-1/u) * P(1/u), 0.0 at or below u = 1e-3: the compiled cutoff's
+    reference, a loop in the same operation order as the generated code."""
+    if u <= 1e-3:
+        return 0.0
+    s = 1.0 / u
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * s + c
+    return math.exp(-s) * acc
 
 
 def _bump(u, coeffs):

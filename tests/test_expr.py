@@ -1,10 +1,11 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from geoproj import expr
-from oracles import eval_tree, fd_derivative
+from oracles import eip_reference, eval_tree, fd_derivative
 
 
 def _sample_fields():
@@ -167,3 +168,32 @@ def test_floor_sign_abs_semantics():
     ab = expr.absval(expr.X)
     assert ab.diff("x")(-2.0, 0.0) == -1.0
     assert fl.diff("x")(2.7, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("coeffs", [
+    (1.0,), (0.5, -2.0), (3.0, 0.25, -1.5), (1.0, -0.5, 2.0, -0.0),
+    (-0.0,), (2.0, -0.0)])
+def test_compiled_eip_equals_the_reference_bit_for_bit(coeffs):
+    fn = expr.compile_fields([expr.expinv(expr.X, coeffs)])
+    cutoff = 1e-3
+    for u in (-1.0, 0.0, math.nextafter(cutoff, 0.0), cutoff,
+              math.nextafter(cutoff, 1.0), 2e-3, 0.1, 0.7, 3.0, 1e6,
+              math.inf, math.nan):
+        got, want = fn(u, 0.0)[0], eip_reference(u, coeffs)
+        assert struct.pack("d", got) == struct.pack("d", want), (u, got, want)
+    # a constant argument is written into the compiled line as a number
+    got = expr.compile_fields([expr.expinv(math.pi, coeffs)])(0.0, 0.0)[0]
+    assert struct.pack("d", got) == struct.pack(
+        "d", eip_reference(math.pi, coeffs))
+
+
+def test_non_finite_constants_raise_expression_error():
+    for make in (lambda: expr.compile_fields([expr.X * math.inf]),
+                 lambda: expr.X + expr.const(math.nan),
+                 lambda: expr.const(-math.inf),
+                 lambda: expr.expinv(expr.X, (1.0, math.nan)),
+                 lambda: expr.expinv(expr.X, (math.inf,)),
+                 lambda: expr.X ** math.inf,
+                 lambda: expr.parse_prefix("(* x inf)")):
+        with pytest.raises(expr.ExpressionError):
+            make()

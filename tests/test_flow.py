@@ -12,6 +12,7 @@ from geoproj.flow import (GeodesicState, Termination, detect_closure,
                           find_conjugate_points, integrate_geodesic,
                           trace_to_csv)
 from chartlib import flat_chart, lumpy_chart, null_plane_chart, sphere_chart
+from oracles import metric_pairing
 
 
 def _energy_along(chart, trace):
@@ -279,7 +280,8 @@ def test_bulk_positions_refuse_to_extrapolate():
         with pytest.raises(ValueError):
             tr.dense.positions(np.sort(np.append(inside, bad)))
     with pytest.raises(ValueError):
-        flow.DenseOutput().positions([0.0])
+        # a trace of one state and no steps
+        flow.DenseOutput([0.0], [(0.1, -0.2, 0.3, 0.7)]).positions([0.0])
 
 
 def test_final_states_match_scipy_dop853():
@@ -341,6 +343,38 @@ def test_rhs_evaluations_per_trace(monkeypatch):
     assert calls[0] == evaluations(tr, dropped=1)
 
 
+def test_non_finite_stage_2_rejects_the_step(monkeypatch):
+    # stage 2 weighs nothing in the 5th-order update and the error
+    # estimate; its own finiteness test rejects the step
+    m = sphere_chart()
+    chris = m.runtime().christoffel
+    calls = [0]
+
+    def nan_on(call):
+        def christoffel(x, y):
+            calls[0] += 1
+            out = chris(x, y)
+            return out[:3] + (math.nan,) + out[4:] if calls[0] == call else out
+        return christoffel
+
+    rhs, attempt = flow._binder("geodesic")(nan_on(1), None, flow.ATOL,
+                                            flow.RTOL)
+    y = (1.2, 0.3, 0.4, 0.5)
+    k1 = rhs(y)
+    with pytest.raises(FloatingPointError, match="stage 2 is not finite"):
+        attempt(0.1, y, k1)
+
+    # the first attempt of a trace evaluates its stage 2 on the third call,
+    # after the initial slope and the step-size guess
+    s0 = GeodesicState(1.2, 0.3, 0.4, 0.5)
+    assert integrate_geodesic(m, s0, 1.0).n_rejected == 0
+    calls[0] = 0
+    monkeypatch.setattr(m.runtime(), "christoffel", nan_on(3))
+    tr = integrate_geodesic(m, s0, 1.0)
+    assert tr.termination == Termination.TIME_LIMIT
+    assert tr.n_rejected == 1
+
+
 def test_initial_state_outside_domain_raises():
     m = sphere_chart()
     with pytest.raises(metric.DomainError):
@@ -383,7 +417,7 @@ def test_jacobi_equation_residual_finite_difference():
         cov_acc = dw_fd + np.einsum("kij,i,j->k", gam, v, wvec)
         kq = metric.gaussian_curvature(m, (x, y))
         gvv = metric.metric_eval(m, (x, y), (vx, vy))
-        gjv = metric.metric_eval(m, (x, y), (jx, jy), (vx, vy))
+        gjv = metric_pairing(m, (x, y), (jx, jy), (vx, vy))
         want = -kq * (gvv * jvec - gjv * v)
         assert_allclose(cov_acc, want, rtol=1e-4, atol=1e-7)
 

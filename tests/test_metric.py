@@ -9,7 +9,8 @@ from geoproj import expr, metric
 from geoproj.metric import (CausalClass, ChartMap, Domain, MetricChart,
                             Signature, VectorField)
 from chartlib import lumpy_chart, null_plane_chart, sphere_chart
-from oracles import fd_christoffel, fd_gaussian_curvature, fd_map_jacobian
+from oracles import (fd_christoffel, fd_gaussian_curvature, fd_map_jacobian,
+                     metric_pairing)
 
 
 def test_validate_rejects_wrong_signature_tag():
@@ -60,12 +61,11 @@ def test_metric_eval_bilinear():
     m = lumpy_chart()
     p = (0.3, -0.4)
     v, w = (1.2, -0.7), (0.5, 2.0)
-    direct = metric.metric_eval(m, p, v, w)
     E, F, G = m.coefficients_at(p)
-    assert direct == pytest.approx(
-        E * v[0] * w[0] + F * (v[0] * w[1] + v[1] * w[0]) + G * v[1] * w[1])
     assert metric.metric_eval(m, p, v) == pytest.approx(
-        metric.metric_eval(m, p, v, v))
+        E * v[0] * v[0] + 2.0 * F * v[0] * v[1] + G * v[1] * v[1])
+    assert metric_pairing(m, p, v, w) == pytest.approx(
+        E * v[0] * w[0] + F * (v[0] * w[1] + v[1] * w[0]) + G * v[1] * w[1])
 
 
 def test_christoffel_matches_finite_differences():
@@ -151,8 +151,8 @@ def test_pullback_matches_chain_rule_oracle():
         jac = fd_map_jacobian(lambda a, b: phi.fx(a, b), lambda a, b: phi.fy(a, b), *p)
         vv = (jac[0][0] * v[0] + jac[0][1] * v[1], jac[1][0] * v[0] + jac[1][1] * v[1])
         ww = (jac[0][0] * w[0] + jac[0][1] * w[1], jac[1][0] * w[0] + jac[1][1] * w[1])
-        want = metric.metric_eval(m, phi.apply(p), vv, ww)
-        got = metric.metric_eval(pb, p, v, w)
+        want = metric_pairing(m, phi.apply(p), vv, ww)
+        got = metric_pairing(pb, p, v, w)
         assert got == pytest.approx(want, rel=1e-6, abs=1e-9)
 
 

@@ -1,6 +1,7 @@
 """Tests for the chart catalogue: fingerprints, identities, degeneracies."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -62,6 +63,32 @@ def test_band_rejects_degenerate_parameters():
     with pytest.raises(zoo.ZooError):
         # 1 - 1.5 sin^2(pi x) crosses zero inside the strip
         zoo.band_chart(l=-1.5)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: zoo.band_chart(l=-1.5),
+     "1 + l*f changes sign or vanishes on the sample interval"),
+    (lambda: zoo.band_chart(f=expr.const(1.0), l=-1.0),
+     "1 + l*f changes sign or vanishes on the sample interval"),
+    (lambda: zoo.tannery_chart(h=-1.2 * X),
+     "profile c + h(cos r) must stay positive"),
+    (lambda: zoo.projective_shift(f=expr.sin(math.pi * X) - 0.5),
+     "profile f must be nonnegative"),
+    (lambda: zoo.projective_shift(f=expr.const(0.0)),
+     "profile f must have positive maximum"),
+    (lambda: zoo.liouville_chart(h2=expr.const(-2.5)),
+     "h1 + h2 changes sign or vanishes on the sample box"),
+])
+def test_sampled_sign_checks_name_what_fails(build, message):
+    with pytest.raises(zoo.ZooError, match=re.escape(message)):
+        build()
+
+
+def test_band_signature_follows_the_denominator():
+    # det = -a^2 / (1 + l f)^3: a denominator negative on the whole strip
+    # makes the member Riemannian
+    chart, _ = zoo.band_chart(f=expr.const(1.0), l=-2.0)
+    assert chart.signature is Signature.RIEMANNIAN
 
 
 def test_band_killing_field():
