@@ -5,7 +5,9 @@ functions and a C-infinity cutoff primitive.  Differentiation is exact,
 memoized per (node, variable) and closed over the node set.  Evaluation
 compiles a tree (or a bundle of trees sharing subexpressions) to one plain
 Python function; common subexpressions are emitted once, keyed by node
-identity, so fields built with shared subtrees stay cheap at runtime.
+identity, so fields built with shared subtrees stay cheap at runtime, and
+the rest is written inline.  The same emitter (emit) writes bundles into
+code generated elsewhere, such as the flow module's integrator steps.
 
 Fields round-trip through a prefix serialization, e.g.::
 
@@ -577,6 +579,108 @@ def substitute(field, ex, ey):
 # compiled code calls each unary function by its kind name
 _COMPILE_NS = dict(_UNARY_EVAL, _pow=math.pow, __builtins__={})
 
+# Deepest nesting of an inlined subexpression: a node that would nest deeper
+# becomes a statement of its own, which keeps every emitted line far below
+# CPython's limit of 200 nested parentheses.
+_MAX_NESTING = 32
+
+
+def emit(fields, targets=None, variables=None):
+    """Python source that evaluates the fields: (lines, outs).
+
+    lines are unindented statements; outs holds one expression per field,
+    valid after the lines.  variables maps 'x' and 'y' to the names the code
+    reads them from (by default themselves).  With targets, one name per
+    field, the lines assign each field to its target and outs are the
+    targets.
+
+    A subexpression used once is written inline in its parent.  These are
+    statements of their own: a node shared between parents or fields (by
+    object identity), so it is computed once; an ExpInvPoly node and its
+    argument, which its cutoff reads twice; and a node that would otherwise
+    nest deeper than _MAX_NESTING.  Each node does the same operation on
+    the same operands either way, so the values do not depend on which
+    nodes are inlined.
+    """
+    # Every node once, each after its children, in the order a left-to-right
+    # recursive walk finishes them; the walk keeps its own stack, so deep
+    # trees are fine.  uses counts the edges into each node, and the fields.
+    uses = {}
+    order = []
+    cutoffs = set()     # ExpInvPoly nodes and their arguments
+    for f in fields:
+        if id(f) in uses:
+            uses[id(f)] += 1
+            continue
+        uses[id(f)] = 1
+        stack = [(f, iter(f.children()))]
+        while stack:
+            node, todo = stack[-1]
+            for child in todo:
+                key = id(child)
+                if key in uses:
+                    uses[key] += 1
+                    continue
+                uses[key] = 1
+                kids = child.children()
+                if kids:
+                    stack.append((child, iter(kids)))
+                    break
+                order.append(child)
+            else:
+                stack.pop()
+                order.append(node)
+                if isinstance(node, ExpInvPoly):
+                    cutoffs.update((id(node), id(node.a)))
+    named = {}
+    if targets is not None:
+        for f, t in zip(fields, targets):
+            named.setdefault(id(f), t)
+
+    variables = variables or {}
+    lines = []
+    text = {}       # node id -> source
+    depth = {}      # node id -> nesting depth of its source
+    counter = itertools.count()
+    for node in order:
+        key = id(node)
+        d = 0
+        if isinstance(node, Var):
+            src = variables.get(node.name, node.name)
+        elif isinstance(node, Const):
+            src = node._emit(text)
+        else:
+            src = node._emit(text)
+            for child in node.children():
+                if depth[id(child)] > d:
+                    d = depth[id(child)]
+            d += 1
+        if key in named:
+            lines.append("%s = %s" % (named[key], src))
+            src, d = named[key], 0
+        elif d and (uses[key] > 1 or key in cutoffs or d > _MAX_NESTING):
+            name = "v%d" % next(counter)
+            lines.append("%s = %s" % (name, src))
+            src, d = name, 0
+        text[key] = src
+        depth[key] = d
+    if targets is None:
+        return lines, [text[id(f)] for f in fields]
+    for f, t in zip(fields, targets):
+        if named[id(f)] != t:
+            lines.append("%s = %s" % (t, named[id(f)]))
+    return lines, list(targets)
+
+
+def compile_function(src, name, filename, **names):
+    """Execute the source of a function and return the function.
+
+    Its globals are the unary functions compiled fields call, plus names.
+    """
+    ns = dict(_COMPILE_NS, **names)
+    exec(compile(src, filename, "exec"), ns)
+    return ns[name]
+
 
 def compile_fields(fields):
     """Compile several fields into one function (x, y) -> tuple of values.
@@ -585,32 +689,10 @@ def compile_fields(fields):
     once.  Use this for metric coefficient bundles rather than compiling each
     coefficient separately.
     """
-    lines = []
-    names = {}
-    counter = itertools.count()
-
-    def emit(node):
-        key = id(node)
-        if key in names:
-            return names[key]
-        for child in node.children():
-            emit(child)
-        if isinstance(node, (Const, Var)):
-            name = node._emit(names)
-        else:
-            name = "v%d" % next(counter)
-            lines.append("    %s = %s" % (name, node._emit(names)))
-        names[key] = name
-        return name
-
-    outs = [emit(f) for f in fields]
-    src = "def _compiled(x, y):\n%s\n    return (%s,)" % (
-        "\n".join(lines) if lines else "    pass",
-        ", ".join(outs),
-    )
-    ns = dict(_COMPILE_NS)
-    exec(compile(src, "<geoproj.expr>", "exec"), ns)
-    return ns["_compiled"]
+    lines, outs = emit(fields)
+    src = "def _compiled(x, y):\n%s    return (%s,)\n" % (
+        "".join("    %s\n" % line for line in lines), ", ".join(outs))
+    return compile_function(src, "_compiled", "<geoproj.expr>")
 
 
 # -- prefix serialization ------------------------------------------------------

@@ -9,29 +9,39 @@ for periodic orbits.
 The systems have four or eight components, too few for numpy to pay off: a
 numpy call costs more than the arithmetic it does on four floats.  So the
 stepper runs on plain Python floats.  States are tuples, and one step
-attempt is generated per system, equations written into the step: it is
-straight-line code in which each stage combination, the system's
-right-hand side at that stage, the fifth-order update and the error
-estimate are written out term by term, with the zero entries of the
+attempt is generated per system and chart, equations written into the
+step: it is straight-line code in which each stage combination, the
+system's right-hand side at that stage, the fifth-order update and the
+error estimate are written out term by term, with the zero entries of the
 tableau dropped (Dormand & Prince 1980; Hairer, Norsett & Wanner, Solving
-ODEs I, sec. II.4-5).  The right-hand sides are one table of source lines
-(`_SYSTEMS`), which also generates the plain rhs(y) that starts a trace;
-both call the chart's Christoffel bundle (and, for the Jacobi system, its
-curvature) once per evaluation, bound when the trace starts.  An accepted
-step keeps only its stages; the coefficients of its interpolant are built
-from them when the dense output is evaluated, which most traces never are.
-Only the finished trace is turned into arrays.  The sums run in a fixed
-order without fused multiply-adds, so the results do not depend on the
-machine's BLAS.  The dense output refuses to extrapolate: it raises
+ODEs I, sec. II.4-5).  Each stage's right-hand side is the chart's bundle,
+written out by the expression emitter that compiled fields use
+(metric._Runtime.source), followed by the system's lines from one table
+(`_SYSTEMS`); the Jacobi system's bundle holds the Christoffel symbols and
+the curvature together, so the derivatives they share are computed once.
+No stage calls anything but the elementary functions.  The same source
+generates the plain rhs(y) that starts a trace.  The step is compiled on a
+chart runtime's first trace of the system and kept on the runtime.  An
+accepted step keeps only its stages; the coefficients of its interpolant
+are built from them when the dense output is evaluated, which most traces
+never are.  Only the finished trace is turned into arrays.  The sums run in
+a fixed order without fused multiply-adds, so the results do not depend on
+the machine's BLAS.  The dense output refuses to extrapolate: it raises
 ValueError a few ulps outside the traced range.
 
 Every trace runs at the tolerances `ATOL` (1e-11) and `RTOL` (1e-10) on a
 budget of `MAX_STEPS` (300 000) step attempts, with `H_MIN` (1e-13) as the
 smallest step; the stepper reads these module constants once per trace.
+A trace counts its right-hand side evaluations (n_rhs): two to start, the
+initial slope and the step-size guess, then six per attempted step, a step
+that a domain exit drops included.
+
 Traces terminate for one of five reasons: the requested parameter time was
-reached, the trajectory left the chart domain, the step size stalled (the
-numerical signature of hitting a metric singularity or a finite-time
-blowup), closure was detected by the observer, or the step budget ran out.
+reached, the trajectory left the chart domain (checked at the end and the
+midpoint of each step and, on a chart with an excluded disc, along the
+chord of the step), the step size stalled (the numerical signature of
+hitting a metric singularity or a finite-time blowup), closure was detected
+by the observer, or the step budget ran out.
 
 An observer, if given, is called as observer(t0, t1, y1, dense) after every
 accepted step from t0 to t1, with y1 the state at t1 and dense the
@@ -262,23 +272,25 @@ def _rms(v):
 
 
 # The right-hand sides as source: per system, the names of the state's
-# components, the lines that evaluate the chart's bundles once, and one
-# expression per component of the derivative.  Their names must differ from
-# the generated step's own: h, y, k1, y<j>, z<j>, k<s>_<j>, e<j> and err.
+# components, the names of the chart's bundle it reads (metric._Runtime.source
+# sets them), the lines that combine them, and one expression per component
+# of the derivative.  Their names must differ from the generated step's own:
+# h, y, k1, y<j>, z<j>, k<s>_<j>, ay<j>, az<j>, e<j>, err and the bundle's
+# v<i> and r.
 _ACCELERATION = ("-(a * vx * vx + 2.0 * b * vx * vy + c * vy * vy)",
                  "-(d * vx * vx + 2.0 * e * vx * vy + f * vy * vy)")
 _SYSTEMS = {
     "geodesic": (
         ("x", "yy", "vx", "vy"),
-        ("_, _, _, a, b, c, d, e, f = chris(x, yy)",),
+        ("a", "b", "c", "d", "e", "f"),
+        (),
         ("vx", "vy") + _ACCELERATION),
     # covariant Jacobi equation in components, W the derivative of J:
     #   dJ/dt = W - Gamma(v, J),  dW/dt = -K (g(v,v) J - g(J,v) v) - Gamma(v, W)
     "jacobi": (
         ("x", "yy", "vx", "vy", "jx", "jy", "wx", "wy"),
-        ("E, F, G, a, b, c, d, e, f = chris(x, yy)",
-         "kq = curv(x, yy)",
-         "gvj1 = a * vx * jx + b * (vx * jy + vy * jx) + c * vy * jy",
+        ("E", "F", "G", "a", "b", "c", "d", "e", "f", "kq"),
+        ("gvj1 = a * vx * jx + b * (vx * jy + vy * jx) + c * vy * jy",
          "gvj2 = d * vx * jx + e * (vx * jy + vy * jx) + f * vy * jy",
          "gvw1 = a * vx * wx + b * (vx * wy + vy * wx) + c * vy * wy",
          "gvw2 = d * vx * wx + e * (vx * wy + vy * wx) + f * vy * wy",
@@ -291,28 +303,36 @@ _SYSTEMS = {
 }
 
 
-def _system_source(system):
-    """Source of bind(chris, curv, atol, rtol) -> (rhs, attempt).
+def _abs(v):
+    """abs(v) as source: the same float in every case, -0.0 and nan
+    included, without a call."""
+    return "(%s if %s > 0.0 else 0.0 - %s)" % (v, v, v)
+
+
+def _step_source(names, body, outs):
+    """Source of bind(atol, rtol) -> (rhs, attempt) for one system on one
+    chart: names are the state's components, body the lines that evaluate
+    the right-hand side's terms (the chart's bundle written out, then the
+    system's own lines) and outs the derivative's components.
 
     rhs(y) is the system's derivative at the state y, as a tuple.
     attempt(h, y, k1) evaluates stages 2 to 7 of one DP5 step from y with
     first stage k1 and returns (err, z, k7, k, mx, my): the error norm, the
     5th-order state, the last stage, the packed stages of DenseOutput and
     the midpoint position.  Each stage evaluates the right-hand side inline
-    on the stage's state and raises FloatingPointError unless all its
-    components are finite: k * 0.0 is +-0.0 for a finite k and nan
-    otherwise, so one isfinite over the sum of those tests them all.  Every
-    sum is written out term by term on plain floats, without the tableau's
-    zero entries.
+    on the stage's state, bundle included, and raises FloatingPointError
+    unless all its components are finite: k * 0.0 is +-0.0 for a finite k
+    and nan otherwise, so one isfinite over the sum of those tests them all.
+    Every sum is written out term by term on plain floats, without the
+    tableau's zero entries.
     """
-    names, body, outs = _SYSTEMS[system]
     n = len(names)
     comps = range(n)
 
     def combo(weights, j):
         return _combo(weights, ["k%d_%d" % (s + 1, j) for s in range(7)])
 
-    lines = ["def bind(chris, curv, atol, rtol):",
+    lines = ["def bind(atol, rtol):",
              "    def rhs(y):",
              "        %s, = y" % ", ".join(names)]
     lines += ["        " + b for b in body]
@@ -333,8 +353,13 @@ def _system_source(system):
                       "k%d_%d * 0.0" % (i + 1, j) for j in comps),
                   "            raise FloatingPointError("
                   "'stage %d is not finite')" % (i + 1)]
-    lines += ["        e%d = h * (%s) / (atol + rtol * max(abs(y%d), abs(z%d)))"
-              % (j, combo(_E, j), j, j) for j in comps]
+    # the scale atol + rtol * max(abs(y), abs(z)), where max(a, b) is a
+    # unless b > a
+    for j in comps:
+        lines += ["        ay%d = %s" % (j, _abs("y%d" % j)),
+                  "        az%d = %s" % (j, _abs("z%d" % j)),
+                  "        e%d = h * (%s) / (atol + rtol * (az%d if az%d > "
+                  "ay%d else ay%d))" % (j, combo(_E, j), j, j, j, j)]
     lines.append("        err = sqrt((%s) / %d)"
                  % (" + ".join("e%d * e%d" % (j, j) for j in comps), n))
     kept = ", ".join("k%d_%d" % (s + 1, j) for j in comps for s in _DENSE)
@@ -346,19 +371,21 @@ def _system_source(system):
     return "\n".join(lines) + "\n"
 
 
-_BINDERS = {}
+def _binder(rt, system):
+    """The compiled bind function of the system on the chart runtime rt.
 
-
-def _binder(system):
-    """The compiled bind function of the system, built once per system."""
-    fn = _BINDERS.get(system)
+    It is built on the runtime's first trace of the system and kept in
+    rt.steps.
+    """
+    fn = rt.steps.get(system)
     if fn is None:
-        n = len(_SYSTEMS[system][0])
-        ns = {"isfinite": isfinite, "sqrt": math.sqrt,
-              "pack": struct.Struct("%dd" % (len(_DENSE) * n)).pack}
-        exec(compile(_system_source(system), "<geoproj.flow dp5 %s>" % system,
-                     "exec"), ns)
-        fn = _BINDERS[system] = ns["bind"]
+        names, bundle, body, outs = _SYSTEMS[system]
+        src = _step_source(names, rt.source(bundle, names[1]) + list(body),
+                           outs)
+        fn = rt.steps[system] = rt.compile(
+            src, "bind", "<geoproj.flow dp5 %s>" % system,
+            isfinite=isfinite, FloatingPointError=FloatingPointError,
+            pack=struct.Struct("%dd" % (len(_DENSE) * len(names))).pack)
     return fn
 
 
@@ -377,17 +404,35 @@ def _initial_step(rhs, y0, f0, t_span, atol, rtol):
     return min(100.0 * h0, h1, t_span)
 
 
+def _chord_hits_disc(x0, y0, x1, y1, r2):
+    """Whether the segment from (x0, y0) to (x1, y1), whose ends lie outside
+    the closed origin disc of squared radius r2, passes through it."""
+    dx = x1 - x0
+    dy = y1 - y0
+    d2 = dx * dx + dy * dy
+    # the segment's closest point to the origin lies strictly between its
+    # ends when the projection s of -(x0, y0) on it does
+    s = -(x0 * dx + y0 * dy)
+    if not 0.0 < s < d2:
+        return False
+    cross = x0 * dy - y0 * dx
+    return cross * cross <= r2 * d2
+
+
 def _adaptive_rk(system, rt, t0, y0, t_max, observer=None):
     """Core stepper: the system (a key of _SYSTEMS) on the chart runtime rt.
 
     The right-hand side raising one of _RHS_ERRORS rejects the step.
-    rt.in_domain tests the first two components of the state, and the
-    metric's degeneracy ratio comes from rt.coeffs.  Returns the trace
-    fields (ts, ys, termination, dense, n_accepted, n_rejected).
+    rt.in_domain tests the first two components of the state at the end and
+    the midpoint of each step; on a chart with an excluded disc, the chord of
+    the step must miss it too.  The metric's degeneracy ratio comes from
+    rt.coeffs.  Returns the trace fields (ts, ys, termination, dense,
+    n_accepted, n_rejected, n_rhs).
     """
     atol, rtol, h_min, max_steps = ATOL, RTOL, H_MIN, MAX_STEPS
-    rhs, attempt = _binder(system)(rt.christoffel, rt.curvature, atol, rtol)
+    rhs, attempt = _binder(rt, system)(atol, rtol)
     in_domain = rt.in_domain
+    r2 = rt.exclude_r2
     y = tuple(map(float, y0))
     t = float(t0)
     try:
@@ -400,6 +445,8 @@ def _adaptive_rk(system, rt, t0, y0, t_max, observer=None):
     ts = [t]
     ys = [y]
     dense = DenseOutput(ts, ys)
+    ts_append, ys_append = ts.append, ys.append
+    hs_append, ks_append = dense.hs.append, dense.ks.append
     h = _initial_step(rhs, y, f, t_max - t0, atol, rtol)
     err_prev = 1e-4
     n_acc = 0
@@ -413,7 +460,9 @@ def _adaptive_rk(system, rt, t0, y0, t_max, observer=None):
         if n_acc + n_rej >= max_steps:
             termination = Termination.STEP_BUDGET
             break
-        h = min(h, t_max - t)
+        rest = t_max - t
+        if rest < h:
+            h = rest
         if h < h_min:
             termination = Termination.SINGULARITY
             break
@@ -430,14 +479,16 @@ def _adaptive_rk(system, rt, t0, y0, t_max, observer=None):
 
         if err <= 1.0:
             t1 = t + h
-            if not (in_domain(y1[0], y1[1]) and in_domain(mx, my)):
+            if not (in_domain(y1[0], y1[1]) and in_domain(mx, my)) or (
+                    r2 > 0.0 and _chord_hits_disc(y[0], y[1], y1[0], y1[1],
+                                                  r2)):
                 # the trace ends inside the domain, before this step
                 termination = Termination.DOMAIN_EXIT
                 break
-            dense.hs.append(h)
-            dense.ks.append(k)
-            ts.append(t1)
-            ys.append(y1)
+            hs_append(h)
+            ks_append(k)
+            ts_append(t1)
+            ys_append(y1)
             n_acc += 1
             if observer is not None and observer(t, t1, y1, dense):
                 termination = Termination.CLOSURE
@@ -445,7 +496,8 @@ def _adaptive_rk(system, rt, t0, y0, t_max, observer=None):
             t = t1
             y = y1
             f = k7  # first-same-as-last
-            h_peak = max(h_peak, h)
+            if h > h_peak:
+                h_peak = h
             if h < _STALL * h_peak and t < t_end:
                 if ratio0 is None:
                     ratio0 = degeneracy_ratio(*rt.coeffs(ys[0][0], ys[0][1]))
@@ -453,14 +505,22 @@ def _adaptive_rk(system, rt, t0, y0, t_max, observer=None):
                 if not ratio < _DEGENERATING * ratio0:
                     termination = Termination.SINGULARITY
                     break
-            factor = 0.9 * err ** -0.17 * err_prev ** 0.04 if err > 0 else 10.0
-            h *= min(10.0, max(0.2, factor))
-            err_prev = max(err, 1e-10)
+            # min(hi, max(lo, q)) and max(err, 1e-10) as comparisons, which
+            # give the same float: max(a, b) is a unless b > a, and min(a,
+            # b) is a unless b < a
+            q = 0.9 * err ** -0.17 * err_prev ** 0.04 if err > 0 else 10.0
+            h *= (q if q < 10.0 else 10.0) if q > 0.2 else 0.2
+            err_prev = 1e-10 if 1e-10 > err else err
         else:
             n_rej += 1
-            h *= min(0.9, max(0.2, 0.9 * err ** -0.2))
+            q = 0.9 * err ** -0.2
+            h *= (q if q < 0.9 else 0.9) if q > 0.2 else 0.2
 
-    return np.array(ts), np.array(ys), termination, dense, n_acc, n_rej
+    # two evaluations start the trace, and every attempted step makes six,
+    # the step a domain exit drops included
+    attempts = n_acc + n_rej + (termination is Termination.DOMAIN_EXIT)
+    return (np.array(ts), np.array(ys), termination, dense, n_acc, n_rej,
+            2 + 6 * attempts)
 
 
 @dataclass
@@ -472,6 +532,7 @@ class GeodesicTrace:
     dense: DenseOutput
     n_accepted: int
     n_rejected: int
+    n_rhs: int
 
     def final_state(self):
         return self.state_at_index(len(self.ts) - 1)

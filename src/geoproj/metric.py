@@ -56,12 +56,38 @@ class CausalClass(str, Enum):
 
 # A coefficient matrix counts as degenerate where |det g| is at most this
 # fraction of its largest squared coefficient.  MetricChart.validate and the
-# curvature both decide through _degenerate.
+# curvature both decide through the one test _DEGENERATE, as source.
 DEGENERACY_TOL = 1e-12
+_DEGENERATE = "abs(det) <= %r * max(E * E, F * F, G * G, 1e-300)" % (
+    DEGENERACY_TOL,)
+_degenerate = eval("lambda det, E, F, G: " + _DEGENERATE)
+
+# The names _Runtime.source can set: the coefficients E, F, G, the
+# Christoffel symbols G^1_11, G^1_12, G^1_22, G^2_11, G^2_12, G^2_22 as a
+# to f, the Gaussian curvature kq, and the coefficient jet kq is built from.
+_CHRISTOFFEL = ("E", "F", "G", "a", "b", "c", "d", "e", "f")
+_CURVATURE_JET = ("E", "F", "G", "Eu", "Ev", "Fu", "Fv", "Gu", "Gv",
+                  "Evv", "Fuv", "Guu")
 
 
-def _degenerate(det, E, F, G):
-    return abs(det) <= DEGENERACY_TOL * max(E * E, F * F, G * G, 1e-300)
+def _curvature_lines(y):
+    """Source that sets kq, the Gaussian curvature, from the coefficient jet
+    at the point (x, <y>): the determinant formula in E, F, G and their
+    first and second derivatives, valid for either signature.  It raises
+    DegenerateMetricError where the coefficient matrix degenerates."""
+    return [
+        "det = E * G - F * F",
+        "if %s:" % _DEGENERATE,
+        "    raise DegenerateMetricError('metric is numerically degenerate"
+        " at (%%g, %%g)' %% (x, %s))" % y,
+        "aa = -0.5 * Evv + Fuv - 0.5 * Guu",
+        "m1 = (aa * (E * G - F * F)"
+        " - 0.5 * Eu * ((Fv - 0.5 * Gu) * G - F * 0.5 * Gv)"
+        " + (Fu - 0.5 * Ev) * ((Fv - 0.5 * Gu) * F - E * 0.5 * Gv))",
+        "m2 = (- 0.5 * Ev * (0.5 * Ev * G - F * 0.5 * Gu)"
+        " + 0.5 * Gu * (0.5 * Ev * F - E * 0.5 * Gu))",
+        "kq = (m1 - m2) / (det * det)",
+    ]
 
 
 def degeneracy_ratio(E, F, G):
@@ -123,20 +149,27 @@ class VectorField:
 
 
 class _Runtime:
-    """Compiled evaluators attached to one chart."""
+    """Compiled evaluators attached to one chart.
+
+    christoffel, curvature and in_domain are the standalone evaluators.
+    source() writes the chart's Christoffel and curvature bundle as source
+    lines for code generated elsewhere; steps holds the DP5 steps the flow
+    module generates from it, by system.
+    """
 
     def __init__(self, chart):
         self.coeffs = expr.compile_fields([chart.g11, chart.g12, chart.g22])
         self._chris = None
         self._curv = None
         self._chart = chart
+        self.steps = {}
 
         dom = chart.domain
         cons = dom.constraint
         cons_fn = expr.compile_fields([cons]) if cons is not None else None
         x_min, x_max = dom.x_min, dom.x_max
         y_min, y_max = dom.y_min, dom.y_max
-        r2 = dom.exclude_radius ** 2
+        r2 = self.exclude_r2 = dom.exclude_radius ** 2
 
         def in_domain(x, y):
             if not (x_min < x < x_max and y_min < y < y_max):
@@ -153,6 +186,57 @@ class _Runtime:
 
         self.in_domain = in_domain
 
+    def _christoffel_fields(self):
+        """E, F, G and the six Christoffel symbols, as fields."""
+        c = self._chart
+        E, F, G = c.g11, c.g12, c.g22
+        Ex, Ey, Fx, Fy = E.diff("x"), E.diff("y"), F.diff("x"), F.diff("y")
+        Gx, Gy = G.diff("x"), G.diff("y")
+        det = E * G - F * F
+        i11, i12, i22 = G / det, -F / det, E / det
+        b111, b112, b121 = 0.5 * Ex, Fx - 0.5 * Ey, 0.5 * Ey
+        b122, b221, b222 = 0.5 * Gx, Fy - 0.5 * Gx, 0.5 * Gy
+        return [E, F, G,
+                i11 * b111 + i12 * b112, i11 * b121 + i12 * b122,
+                i11 * b221 + i12 * b222,
+                i12 * b111 + i22 * b112, i12 * b121 + i22 * b122,
+                i12 * b221 + i22 * b222]
+
+    def _curvature_jet(self):
+        """The fields named by _CURVATURE_JET."""
+        c = self._chart
+        E, F, G = c.g11, c.g12, c.g22
+        Eu, Ev = E.diff("x"), E.diff("y")
+        Fu, Fv = F.diff("x"), F.diff("y")
+        Gu, Gv = G.diff("x"), G.diff("y")
+        return [E, F, G, Eu, Ev, Fu, Fv, Gu, Gv,
+                Ev.diff("y"), Fu.diff("y"), Gu.diff("x")]
+
+    def source(self, names, y="y"):
+        """Source lines that set each of names at the point (x, <y>).
+
+        names are drawn from _CHRISTOFFEL and "kq".  The fields are emitted
+        as one bundle, so the derivatives the Christoffel symbols and the
+        curvature share (the same nodes, since differentiation is memoized)
+        are computed once.
+        """
+        want = [n for n in names if n != "kq"]
+        fields = dict(zip(_CHRISTOFFEL, self._christoffel_fields())
+                      if want else ())
+        tail = []
+        if "kq" in names:
+            fields.update(zip(_CURVATURE_JET, self._curvature_jet()))
+            want += [n for n in _CURVATURE_JET if n not in want]
+            tail = _curvature_lines(y)
+        lines, _ = expr.emit([fields[n] for n in want], want, {"y": y})
+        return lines + tail
+
+    def compile(self, src, name, filename, **names):
+        """The function defined by source that uses source() lines."""
+        return expr.compile_function(
+            src, name, filename, max=max,
+            DegenerateMetricError=DegenerateMetricError, **names)
+
     def christoffel(self, x, y):
         """Returns (E, F, G, G^1_11, G^1_12, G^1_22, G^2_11, G^2_12, G^2_22).
 
@@ -162,44 +246,19 @@ class _Runtime:
         """
         fn = self._chris
         if fn is None:
-            c = self._chart
-            E, F, G = c.g11, c.g12, c.g22
-            Ex, Ey, Fx, Fy = E.diff("x"), E.diff("y"), F.diff("x"), F.diff("y")
-            Gx, Gy = G.diff("x"), G.diff("y")
-            det = E * G - F * F
-            i11, i12, i22 = G / det, -F / det, E / det
-            b111, b112, b121 = 0.5 * Ex, Fx - 0.5 * Ey, 0.5 * Ey
-            b122, b221, b222 = 0.5 * Gx, Fy - 0.5 * Gx, 0.5 * Gy
-            fn = self._chris = expr.compile_fields([
-                E, F, G,
-                i11 * b111 + i12 * b112, i11 * b121 + i12 * b122,
-                i11 * b221 + i12 * b222,
-                i12 * b111 + i22 * b112, i12 * b121 + i22 * b122,
-                i12 * b221 + i22 * b222])
+            fn = self._chris = expr.compile_fields(self._christoffel_fields())
         return fn(x, y)
 
     def curvature(self, x, y):
-        if self._curv is None:
-            c = self._chart
-            E, F, G = c.g11, c.g12, c.g22
-            Eu, Ev = E.diff("x"), E.diff("y")
-            Fu, Fv = F.diff("x"), F.diff("y")
-            Gu, Gv = G.diff("x"), G.diff("y")
-            bundle = [E, F, G, Eu, Ev, Fu, Fv, Gu, Gv,
-                      Ev.diff("y"), Fu.diff("y"), Gu.diff("x")]
-            self._curv = expr.compile_fields(bundle)
-        E, F, G, Eu, Ev, Fu, Fv, Gu, Gv, Evv, Fuv, Guu = self._curv(x, y)
-        det = E * G - F * F
-        if _degenerate(det, E, F, G):
-            raise DegenerateMetricError(
-                "metric is numerically degenerate at (%g, %g)" % (x, y))
-        a = -0.5 * Evv + Fuv - 0.5 * Guu
-        m1 = (a * (E * G - F * F)
-              - 0.5 * Eu * ((Fv - 0.5 * Gu) * G - F * 0.5 * Gv)
-              + (Fu - 0.5 * Ev) * ((Fv - 0.5 * Gu) * F - E * 0.5 * Gv))
-        m2 = (- 0.5 * Ev * (0.5 * Ev * G - F * 0.5 * Gu)
-              + 0.5 * Gu * (0.5 * Ev * F - E * 0.5 * Gu))
-        return (m1 - m2) / (det * det)
+        """The Gaussian curvature; one compiled function, built on the first
+        call, evaluates the coefficient jet and the curvature algebra."""
+        fn = self._curv
+        if fn is None:
+            body = "".join("    %s\n" % line for line in self.source(("kq",)))
+            fn = self._curv = self.compile(
+                "def curvature(x, y):\n%s    return kq\n" % body,
+                "curvature", "<geoproj.metric curvature>")
+        return fn(x, y)
 
 
 @dataclass

@@ -1,5 +1,6 @@
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -197,3 +198,26 @@ def test_non_finite_constants_raise_expression_error():
                  lambda: expr.parse_prefix("(* x inf)")):
         with pytest.raises(expr.ExpressionError):
             make()
+
+
+def test_deep_trees_compile_and_match_the_reference():
+    # a 1000-term left-nested sum and a chain of 300 unary functions: each
+    # node is used once and so written inline, until the nesting cap turns
+    # one into a statement (nested whole, either would pass CPython's limit
+    # of 200 parentheses)
+    total = expr.X
+    for k in range(1, 1000):
+        total = total + (k + 0.5) * expr.Y
+    chain = expr.X
+    for k in range(300):
+        chain = expr.cos(chain) if k % 2 else expr.sin(chain)
+    fn = expr.compile_fields([total, chain])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 5000))
+    try:
+        for x, y in ((0.3, -1.7), (2.5, 0.01), (-4.0, 3.3)):
+            got = fn(x, y)
+            want = (eval_tree(total, x, y), eval_tree(chain, x, y))
+            assert got == want, (x, y, got, want)
+    finally:
+        sys.setrecursionlimit(limit)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from geoproj import flow, metric, sampling, zoo
+from geoproj import expr, flow, metric, sampling, zoo
 from geoproj.flow import (GeodesicState, Termination, detect_closure,
                           find_conjugate_points, integrate_geodesic,
                           trace_to_csv)
@@ -314,52 +314,66 @@ def test_final_states_match_scipy_dop853():
 def test_rhs_evaluations_per_trace(monkeypatch):
     # two evaluations to start (the initial slope and the step-size guess)
     # and six per attempted step, FSAL supplying the seventh; a trace that
-    # leaves the domain also ran the six of the step it dropped
-    calls = [0]
-    original = metric._Runtime.christoffel
-
-    def counting(self, x, y):
-        calls[0] += 1
-        return original(self, x, y)
-
-    monkeypatch.setattr(metric._Runtime, "christoffel", counting)
+    # leaves the domain also ran the six of the step it dropped.  They are
+    # counted through the sine the sphere's bundle calls, patched into the
+    # compile namespace before the runtime's steps are built; one rhs call
+    # tells how many sines an evaluation takes.
     m = sphere_chart()
+    calls = [0]
 
-    def evaluations(tr, dropped=0):
-        return 2 + 6 * (tr.n_accepted + tr.n_rejected + dropped)
+    def counting_sin(v):
+        calls[0] += 1
+        return math.sin(v)
 
+    monkeypatch.setitem(expr._COMPILE_NS, "sin", counting_sin)
+    rt = m.runtime()
+
+    def sines_per_evaluation(system, state):
+        rhs, _ = flow._binder(rt, system)(flow.ATOL, flow.RTOL)
+        calls[0] = 0
+        rhs(state)
+        return calls[0]
+
+    def check(tr, system, sines, dropped=0):
+        per = sines_per_evaluation(system, tuple(tr.ys[0]))
+        assert per > 0
+        assert tr.n_rhs == 2 + 6 * (tr.n_accepted + tr.n_rejected + dropped)
+        assert sines == per * tr.n_rhs
+
+    calls[0] = 0
     tr = integrate_geodesic(m, GeodesicState(1.68, 5.89, -1.0, 0.0315), 1.0)
     assert tr.termination == Termination.TIME_LIMIT and tr.n_rejected > 0
-    assert calls[0] == evaluations(tr)
+    check(tr, "geodesic", calls[0])
 
     calls[0] = 0
     _, jt = find_conjugate_points(m, GeodesicState(1.2, 0.4, 0.3, 0.5), 4.0)
     assert jt.termination == Termination.TIME_LIMIT
-    assert calls[0] == evaluations(jt)
+    check(jt, "jacobi", calls[0])
 
     calls[0] = 0
     tr = integrate_geodesic(m, GeodesicState(1.0, 0.0, -1.0, 0.0), 3.0)
     assert tr.termination == Termination.DOMAIN_EXIT
-    assert calls[0] == evaluations(tr, dropped=1)
+    check(tr, "geodesic", calls[0], dropped=1)
 
 
 def test_non_finite_stage_2_rejects_the_step(monkeypatch):
     # stage 2 weighs nothing in the 5th-order update and the error
-    # estimate; its own finiteness test rejects the step
+    # estimate; its own finiteness test rejects the step.  The non-finite
+    # value comes from the sine the sphere's bundle calls once per
+    # evaluation, patched into the compile namespace before the runtime's
+    # step is built.
     m = sphere_chart()
-    chris = m.runtime().christoffel
     calls = [0]
+    nan_on = [0]
 
-    def nan_on(call):
-        def christoffel(x, y):
-            calls[0] += 1
-            out = chris(x, y)
-            return out[:3] + (math.nan,) + out[4:] if calls[0] == call else out
-        return christoffel
+    def sin(v):
+        calls[0] += 1
+        return math.nan if calls[0] == nan_on[0] else math.sin(v)
 
-    rhs, attempt = flow._binder("geodesic")(nan_on(1), None, flow.ATOL,
-                                            flow.RTOL)
+    monkeypatch.setitem(expr._COMPILE_NS, "sin", sin)
+    rhs, attempt = flow._binder(m.runtime(), "geodesic")(flow.ATOL, flow.RTOL)
     y = (1.2, 0.3, 0.4, 0.5)
+    nan_on[0] = 2
     k1 = rhs(y)
     with pytest.raises(FloatingPointError, match="stage 2 is not finite"):
         attempt(0.1, y, k1)
@@ -367,12 +381,105 @@ def test_non_finite_stage_2_rejects_the_step(monkeypatch):
     # the first attempt of a trace evaluates its stage 2 on the third call,
     # after the initial slope and the step-size guess
     s0 = GeodesicState(1.2, 0.3, 0.4, 0.5)
+    calls[0] = nan_on[0] = 0
     assert integrate_geodesic(m, s0, 1.0).n_rejected == 0
     calls[0] = 0
-    monkeypatch.setattr(m.runtime(), "christoffel", nan_on(3))
+    nan_on[0] = 3
     tr = integrate_geodesic(m, s0, 1.0)
     assert tr.termination == Termination.TIME_LIMIT
     assert tr.n_rejected == 1
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+def _reference_rhs(chart, state):
+    """The geodesic or Jacobi right-hand side from metric.christoffel and
+    metric.gaussian_curvature, in the generated step's operation order."""
+    x, y, vx, vy = state[:4]
+    gam = metric.christoffel(chart, (x, y))
+    a, b, c = (float(v) for v in (gam[0, 0, 0], gam[0, 0, 1], gam[0, 1, 1]))
+    d, e, f = (float(v) for v in (gam[1, 0, 0], gam[1, 0, 1], gam[1, 1, 1]))
+    out = (vx, vy, -(a * vx * vx + 2.0 * b * vx * vy + c * vy * vy),
+           -(d * vx * vx + 2.0 * e * vx * vy + f * vy * vy))
+    if len(state) == 4:
+        return out
+    jx, jy, wx, wy = state[4:]
+    E, F, G = chart.coefficients_at((x, y))
+    kq = metric.gaussian_curvature(chart, (x, y))
+    gvj1 = a * vx * jx + b * (vx * jy + vy * jx) + c * vy * jy
+    gvj2 = d * vx * jx + e * (vx * jy + vy * jx) + f * vy * jy
+    gvw1 = a * vx * wx + b * (vx * wy + vy * wx) + c * vy * wy
+    gvw2 = d * vx * wx + e * (vx * wy + vy * wx) + f * vy * wy
+    ev = E * vx * vx + 2.0 * F * vx * vy + G * vy * vy
+    gjv = E * jx * vx + F * (jx * vy + jy * vx) + G * jy * vy
+    return out + (wx - gvj1, wy - gvj2,
+                  -kq * (ev * jx - gjv * vx) - gvw1,
+                  -kq * (ev * jy - gjv * vy) - gvw2)
+
+
+def test_inlined_bundles_equal_the_runtime_evaluators_bit_for_bit():
+    for name in sorted(zoo.catalogue()):
+        chart = zoo.build_bundle(name).chart
+        rng = np.random.default_rng(2024)
+        rhs = {system: flow._binder(chart.runtime(), system)(
+                   flow.ATOL, flow.RTOL)[0]
+               for system in ("geodesic", "jacobi")}
+        for s in sampling.sample_states(chart, 20, rng):
+            y = (s.x, s.y, s.vx, s.vy)
+            jw = tuple(float(v) for v in rng.normal(size=4))
+            for state, system in ((y, "geodesic"), (y + jw, "jacobi")):
+                assert _bits(rhs[system](state)) == _bits(
+                    _reference_rhs(chart, state)), (name, system, state)
+
+
+@pytest.mark.parametrize("g22, degenerate", [(1e-13, True), (1e-11, False)])
+def test_jacobi_rhs_refuses_a_degenerate_metric_like_the_curvature(
+        g22, degenerate):
+    # the points of test_metric's shared-threshold test
+    chart = metric.MetricChart(
+        name="thin", g11=expr.const(1.0), g12=expr.const(0.0),
+        g22=expr.const(g22), domain=metric.Domain(),
+        signature=metric.Signature.RIEMANNIAN,
+        sample_box=(0.0, 1.0, 0.0, 1.0))
+    rhs, _ = flow._binder(chart.runtime(), "jacobi")(flow.ATOL, flow.RTOL)
+
+    def refuses(fn, *args):
+        try:
+            fn(*args)
+        except metric.DegenerateMetricError:
+            return True
+        return False
+
+    assert refuses(metric.gaussian_curvature, chart, (0.5, 0.5)) == degenerate
+    assert refuses(rhs, (0.5, 0.5, 0.3, 0.4, 0.1, 0.2, 0.3, 0.5)) == degenerate
+
+
+def test_a_step_whose_chord_crosses_an_excluded_disc_exits_the_domain():
+    # a straight line through the origin of the flat plane: its steps grow
+    # tenfold each, so one jumps over the thin disc around the origin with
+    # its end and midpoint, the points the domain test checks, far outside
+    def flat(domain):
+        return metric.MetricChart(
+            name="flat", g11=expr.const(1.0), g12=expr.const(0.0),
+            g22=expr.const(1.0), domain=domain,
+            signature=metric.Signature.RIEMANNIAN,
+            sample_box=(-2.0, 2.0, -2.0, 2.0))
+
+    s0 = GeodesicState(-1.0, 0.0, 1.0, 0.0)
+    free = integrate_geodesic(flat(metric.Domain()), s0, 2.0)
+    i = int(np.searchsorted(free.ts, 1.0))     # the step over x = 0
+    t0, t1 = free.ts[i - 1], free.ts[i]
+    r = 1e-6
+    for t in (t1, 0.5 * (t0 + t1)):
+        assert math.hypot(*free.dense(t)[:2]) > 1e3 * r
+    assert free.ys[i - 1][0] < 0.0 < free.ys[i][0]
+
+    holed = integrate_geodesic(flat(metric.Domain(exclude_radius=r)), s0, 2.0)
+    assert holed.termination == Termination.DOMAIN_EXIT
+    assert holed.ts[-1] == t0
+    assert np.array_equal(holed.ys, free.ys[:i])
 
 
 def test_initial_state_outside_domain_raises():

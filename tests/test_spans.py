@@ -9,7 +9,7 @@ import importlib.util
 import math
 import os
 
-from geoproj import flow, zoo
+from geoproj import flow, metric, zoo
 from geoproj.flow import GeodesicState
 
 _SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
@@ -37,6 +37,10 @@ def test_recorder_counts_a_geodesic_and_a_jacobi_run():
     try:
         trace = flow.integrate_geodesic(sphere, state, 0.5)
         times, jt = flow.find_conjugate_points(sphere, state, 3.5)
+        # the generated steps write the bundles inline, so the runtime's
+        # standalone evaluators are called here directly
+        metric.christoffel(sphere, (state.x, state.y))
+        metric.gaussian_curvature(sphere, (state.x, state.y))
     finally:
         rec.uninstall()
 
@@ -46,6 +50,7 @@ def test_recorder_counts_a_geodesic_and_a_jacobi_run():
     assert "flow.integrate_geodesic" in calls
     assert "flow.find_conjugate_points" in calls
     assert rec.leaf["metric.christoffel"][0] > 0
+    assert rec.leaf["metric.curvature"][0] > 0
     assert rec.leaf["flow.dense"][0] > 0
     assert flow.integrate_geodesic is original
     assert not hasattr(sphere.runtime(), "_perfbench_wrapped")
