@@ -467,8 +467,7 @@ X = Var("x")
 Y = Var("y")
 
 
-def const(v):
-    return Const(v)
+const = Const
 
 
 def _unary_ctor(kind):
@@ -481,18 +480,10 @@ def _unary_ctor(kind):
     return ctor
 
 
-sin = _unary_ctor("sin")
-cos = _unary_ctor("cos")
-sinh = _unary_ctor("sinh")
-cosh = _unary_ctor("cosh")
-exp = _unary_ctor("exp")
-log = _unary_ctor("log")
-arcsin = _unary_ctor("arcsin")
-sqrt = _unary_ctor("sqrt")
-cbrt = _unary_ctor("cbrt")
-absval = _unary_ctor("abs")
-sign = _unary_ctor("sign")
-floor_of = _unary_ctor("floor")
+sin, cos, sinh, cosh, exp, log, arcsin, sqrt, cbrt = map(
+    _unary_ctor, ("sin", "cos", "sinh", "cosh", "exp", "log", "arcsin",
+                  "sqrt", "cbrt"))
+absval, sign, floor_of = map(_unary_ctor, ("abs", "sign", "floor"))
 
 
 def expinv(a, coeffs=(1.0,)):
@@ -585,14 +576,13 @@ _COMPILE_NS = dict(_UNARY_EVAL, _pow=math.pow, __builtins__={})
 _MAX_NESTING = 32
 
 
-def emit(fields, targets=None, variables=None):
+def emit(fields, targets=None):
     """Python source that evaluates the fields: (lines, outs).
 
-    lines are unindented statements; outs holds one expression per field,
-    valid after the lines.  variables maps 'x' and 'y' to the names the code
-    reads them from (by default themselves).  With targets, one name per
-    field, the lines assign each field to its target and outs are the
-    targets.
+    lines are unindented statements that read the point from x and y; outs
+    holds one expression per field, valid after the lines.  With targets,
+    one name per field, the lines assign each field to its target and outs
+    are the targets.
 
     A subexpression used once is written inline in its parent.  These are
     statements of their own: a node shared between parents or fields (by
@@ -637,24 +627,17 @@ def emit(fields, targets=None, variables=None):
         for f, t in zip(fields, targets):
             named.setdefault(id(f), t)
 
-    variables = variables or {}
     lines = []
     text = {}       # node id -> source
     depth = {}      # node id -> nesting depth of its source
     counter = itertools.count()
     for node in order:
         key = id(node)
+        src = node._emit(text)
         d = 0
-        if isinstance(node, Var):
-            src = variables.get(node.name, node.name)
-        elif isinstance(node, Const):
-            src = node._emit(text)
-        else:
-            src = node._emit(text)
-            for child in node.children():
-                if depth[id(child)] > d:
-                    d = depth[id(child)]
-            d += 1
+        for child in node.children():
+            if depth[id(child)] >= d:
+                d = depth[id(child)] + 1
         if key in named:
             lines.append("%s = %s" % (named[key], src))
             src, d = named[key], 0
@@ -738,9 +721,28 @@ def to_prefix(field):
 
 _ATOMS = {"x": X, "y": Y, "pi": Const(math.pi), "e": Const(math.e)}
 
+# The deepest expression parse_prefix accepts, in nested forms and in levels
+# of the tree it builds.  Differentiation and serialization recurse; under
+# CPython's default recursion limit a chart whose coefficient is 450 levels
+# deep still has a curvature, at 600 not.  The catalogue's deepest has 18.
+_PARSE_DEPTH = 200
 
-def _tokenize(text):
-    return text.replace("(", " ( ").replace(")", " ) ").split()
+
+def _constant(node, what):
+    if not isinstance(node, Const):
+        raise ExpressionError("%s must be a constant" % what)
+    return node.value
+
+
+# the forms parse_prefix reads with a fixed number of arguments, besides
+# the variadic +, * and eip: head -> (argument count, constructor)
+_FORMS = {
+    "-": (2, _sub), "/": (2, _div), "neg": (1, _neg),
+    "sq": (1, lambda a: _mul(a, a)), "smoothstep": (1, smoothstep),
+    "pow": (2, lambda a, p: _pow(a, _constant(p, "'pow' exponent"))),
+    "mod": (2, lambda a, p: mod_field(a, _constant(p, "'mod' period"))),
+}
+_FORMS.update((kind, (1, _unary_ctor(kind))) for kind in _UNARY_EVAL)
 
 
 def parse_prefix(text):
@@ -748,23 +750,21 @@ def parse_prefix(text):
 
     Core forms: numbers, x, y, pi, e, (+ a b), (- a b), (* a b ...),
     (/ a b), (neg a), (pow a p), the unary functions, and (eip a c0 c1 ...).
-    Convenience macros: (smoothstep a), (mod a period), (sq a).
+    Convenience macros: (smoothstep a), (mod a period), (sq a).  Text
+    nested, or a tree, deeper than _PARSE_DEPTH raises ExpressionError.
     """
-    tokens = _tokenize(text)
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()[::-1]
     if not tokens:
         raise ExpressionError("empty expression")
-    pos = 0
 
-    def peek():
-        if pos >= len(tokens):
+    def peek():     # the next token is the last of the reversed list
+        if not tokens:
             raise ExpressionError("unexpected end of expression")
-        return tokens[pos]
+        return tokens[-1]
 
     def take():
-        nonlocal pos
-        tok = peek()
-        pos += 1
-        return tok
+        peek()
+        return tokens.pop()
 
     def atom(tok):
         if tok in _ATOMS:
@@ -775,64 +775,45 @@ def parse_prefix(text):
             raise ExpressionError("unknown token %r" % (tok,)) from None
         return _folded(float, value)
 
-    def parse_one():
+    def parse_one(forms):
         tok = take()
         if tok == ")":
             raise ExpressionError("unexpected ')'")
         if tok != "(":
             return atom(tok)
+        if forms == _PARSE_DEPTH:
+            raise ExpressionError("expression nests more than %d forms"
+                                  % _PARSE_DEPTH)
         head = take()
         args = []
         while peek() != ")":
-            args.append(parse_one())
+            args.append(parse_one(forms + 1))
         take()
-
-        def need(n):
-            if len(args) != n:
-                raise ExpressionError("'%s' takes %d argument(s), got %d" % (head, n, len(args)))
-
-        if head in ("+", "*"):
+        if head in ("+", "*", "eip"):
             if len(args) < 2:
                 raise ExpressionError(
                     "'%s' needs at least two arguments" % head)
+            if head == "eip":
+                return ExpInvPoly(args[0], [_constant(c, "'eip' coefficient")
+                                            for c in args[1:]])
             return functools.reduce(_FOLD[head], args)
-        if head in ("-", "/"):
-            need(2)
-            return _FOLD[head](args[0], args[1])
-        if head == "pow":
-            need(2)
-            if not isinstance(args[1], Const):
-                raise ExpressionError("'pow' exponent must be a constant")
-            return _pow(args[0], args[1].value)
-        if head == "eip":
-            if len(args) < 2:
-                raise ExpressionError("'eip' needs an argument and coefficients")
-            coeffs = []
-            for c in args[1:]:
-                if not isinstance(c, Const):
-                    raise ExpressionError("'eip' coefficients must be constants")
-                coeffs.append(c.value)
-            return ExpInvPoly(args[0], coeffs)
-        if head == "smoothstep":
-            need(1)
-            return smoothstep(args[0])
-        if head == "mod":
-            need(2)
-            if not isinstance(args[1], Const):
-                raise ExpressionError("'mod' period must be a constant")
-            return mod_field(args[0], args[1].value)
-        if head == "sq":
-            need(1)
-            return _mul(args[0], args[0])
-        if head == "neg":
-            need(1)
-            return _neg(args[0])
-        if head in _UNARY_EVAL:
-            need(1)
-            return _unary_ctor(head)(args[0])
-        raise ExpressionError("unknown operator %r" % (head,))
+        if head not in _FORMS:
+            raise ExpressionError("unknown operator %r" % (head,))
+        n, build = _FORMS[head]
+        if len(args) != n:
+            raise ExpressionError("'%s' takes %d argument(s), got %d"
+                                  % (head, n, len(args)))
+        return build(*args)
 
-    result = parse_one()
-    if pos != len(tokens):
-        raise ExpressionError("trailing tokens after expression: %r" % (tokens[pos:],))
+    result = parse_one(0)
+    if tokens:
+        raise ExpressionError("trailing tokens after expression: %r" % (tokens[::-1],))
+    # the levels of the tree, breadth first: nodes holds those at depth
+    nodes, depth = [result], 0
+    while nodes:
+        if depth > _PARSE_DEPTH:
+            raise ExpressionError("expression tree is more than %d levels "
+                                  "deep" % _PARSE_DEPTH)
+        nodes = list({id(c): c for n in nodes for c in n.children()}.values())
+        depth += 1
     return result

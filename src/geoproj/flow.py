@@ -19,9 +19,12 @@ written out by the expression emitter that compiled fields use
 (metric._Runtime.source), followed by the system's lines from one table
 (`_SYSTEMS`); the Jacobi system's bundle holds the Christoffel symbols and
 the curvature together, so the derivatives they share are computed once.
-No stage calls anything but the elementary functions.  The same source
-generates the plain rhs(y) that starts a trace.  The step is compiled on a
-chart runtime's first trace of the system and kept on the runtime.  An
+No stage calls anything but the elementary functions.  The step names the
+state s and its components s0, s1, ..., so the bundle and the system's
+lines read each stage's point as the chart's own x and y.  The same source
+generates the plain rhs(s) that starts a trace.  The step is compiled, by
+expr.compile_function, on a chart runtime's first trace of the system and
+kept on the runtime.  An
 accepted step keeps only its stages; the coefficients of its interpolant
 are built from them when the dense output is evaluated, which most traces
 never are.  Only the finished trace is turned into arrays.  The sums run in
@@ -89,6 +92,7 @@ from typing import Optional
 
 import numpy as np
 
+from .expr import compile_function
 from .metric import DomainError, degeneracy_ratio
 
 __all__ = [
@@ -193,10 +197,8 @@ def _interpolant():
     q = [_combo([_P[s][m] for s in _DENSE], names) for m in range(4)]
     horner = "(%s) + u * ((%s) + u * ((%s) + u * (%s)))" % tuple(q)
     src = ("def interpolate(y0, h, u, %s):\n"
-           "    return y0 + h * u * (%s)" % (", ".join(names), horner))
-    ns = {}
-    exec(compile(src, "<geoproj.flow interpolant>", "exec"), ns)
-    return ns["interpolate"]
+           "    return y0 + h * u * (%s)\n" % (", ".join(names), horner))
+    return compile_function(src, "interpolate", "<geoproj.flow interpolant>")
 
 
 _interpolate = _interpolant()
@@ -275,20 +277,20 @@ def _rms(v):
 # components, the names of the chart's bundle it reads (metric._Runtime.source
 # sets them), the lines that combine them, and one expression per component
 # of the derivative.  Their names must differ from the generated step's own:
-# h, y, k1, y<j>, z<j>, k<s>_<j>, ay<j>, az<j>, e<j>, err and the bundle's
-# v<i> and r.
+# h, s, k1, s<j>, z<j>, k<i>_<j>, a_s<j>, a_z<j>, e<j>, err and the bundle's
+# v<i> and r; the state is s, so x and y are the chart's own coordinates.
 _ACCELERATION = ("-(a * vx * vx + 2.0 * b * vx * vy + c * vy * vy)",
                  "-(d * vx * vx + 2.0 * e * vx * vy + f * vy * vy)")
 _SYSTEMS = {
     "geodesic": (
-        ("x", "yy", "vx", "vy"),
+        ("x", "y", "vx", "vy"),
         ("a", "b", "c", "d", "e", "f"),
         (),
         ("vx", "vy") + _ACCELERATION),
     # covariant Jacobi equation in components, W the derivative of J:
     #   dJ/dt = W - Gamma(v, J),  dW/dt = -K (g(v,v) J - g(J,v) v) - Gamma(v, W)
     "jacobi": (
-        ("x", "yy", "vx", "vy", "jx", "jy", "wx", "wy"),
+        ("x", "y", "vx", "vy", "jx", "jy", "wx", "wy"),
         ("E", "F", "G", "a", "b", "c", "d", "e", "f", "kq"),
         ("gvj1 = a * vx * jx + b * (vx * jy + vy * jx) + c * vy * jy",
          "gvj2 = d * vx * jx + e * (vx * jy + vy * jx) + f * vy * jy",
@@ -315,14 +317,16 @@ def _step_source(names, body, outs):
     the right-hand side's terms (the chart's bundle written out, then the
     system's own lines) and outs the derivative's components.
 
-    rhs(y) is the system's derivative at the state y, as a tuple.
-    attempt(h, y, k1) evaluates stages 2 to 7 of one DP5 step from y with
+    rhs(s) is the system's derivative at the state s, as a tuple.
+    attempt(h, s, k1) evaluates stages 2 to 7 of one DP5 step from s with
     first stage k1 and returns (err, z, k7, k, mx, my): the error norm, the
     5th-order state, the last stage, the packed stages of DenseOutput and
-    the midpoint position.  Each stage evaluates the right-hand side inline
-    on the stage's state, bundle included, and raises FloatingPointError
-    unless all its components are finite: k * 0.0 is +-0.0 for a finite k
-    and nan otherwise, so one isfinite over the sum of those tests them all.
+    the midpoint position.  s<j> are the components of s, and each stage
+    sets its state under names, where the body reads it.  Each stage
+    evaluates the right-hand side inline, bundle included, and raises
+    FloatingPointError unless all its components are finite: k * 0.0 is
+    +-0.0 for a finite k and nan otherwise, so one isfinite over the sum of
+    those tests them all.
     Every sum is written out term by term on plain floats, without the
     tableau's zero entries.
     """
@@ -333,18 +337,18 @@ def _step_source(names, body, outs):
         return _combo(weights, ["k%d_%d" % (s + 1, j) for s in range(7)])
 
     lines = ["def bind(atol, rtol):",
-             "    def rhs(y):",
-             "        %s, = y" % ", ".join(names)]
+             "    def rhs(s):",
+             "        %s, = s" % ", ".join(names)]
     lines += ["        " + b for b in body]
     lines += ["        return (%s,)" % ", ".join(outs),
-              "    def attempt(h, y, k1):",
-              "        %s, = y" % ", ".join("y%d" % j for j in comps),
+              "    def attempt(h, s, k1):",
+              "        %s, = s" % ", ".join("s%d" % j for j in comps),
               "        %s, = k1" % ", ".join("k1_%d" % j for j in comps)]
     for i in range(1, 7):
         for j, v in enumerate(names):
             # stage 7 is evaluated at the 5th-order state z itself
             lhs = "%s = z%d" % (v, j) if i == 6 else v
-            lines.append("        %s = y%d + h * (%s)"
+            lines.append("        %s = s%d + h * (%s)"
                          % (lhs, j, combo(_A[i], j)))
         lines += ["        " + b for b in body]
         lines += ["        k%d_%d = %s" % (i + 1, j, out)
@@ -353,36 +357,32 @@ def _step_source(names, body, outs):
                       "k%d_%d * 0.0" % (i + 1, j) for j in comps),
                   "            raise FloatingPointError("
                   "'stage %d is not finite')" % (i + 1)]
-    # the scale atol + rtol * max(abs(y), abs(z)), where max(a, b) is a
+    # the scale atol + rtol * max(abs(s), abs(z)), where max(a, b) is a
     # unless b > a
     for j in comps:
-        lines += ["        ay%d = %s" % (j, _abs("y%d" % j)),
-                  "        az%d = %s" % (j, _abs("z%d" % j)),
-                  "        e%d = h * (%s) / (atol + rtol * (az%d if az%d > "
-                  "ay%d else ay%d))" % (j, combo(_E, j), j, j, j, j)]
+        lines += ["        a_s%d = %s" % (j, _abs("s%d" % j)),
+                  "        a_z%d = %s" % (j, _abs("z%d" % j)),
+                  "        e%d = h * (%s) / (atol + rtol * (a_z%d if a_z%d > "
+                  "a_s%d else a_s%d))" % (j, combo(_E, j), j, j, j, j)]
     lines.append("        err = sqrt((%s) / %d)"
                  % (" + ".join("e%d * e%d" % (j, j) for j in comps), n))
     kept = ", ".join("k%d_%d" % (s + 1, j) for j in comps for s in _DENSE)
     lines.append("        return (err, (%s,), (%s,), pack(%s), %s)" % (
         ", ".join("z%d" % j for j in comps),
         ", ".join("k7_%d" % j for j in comps), kept,
-        ", ".join("y%d + h * (%s)" % (j, combo(_MID, j)) for j in (0, 1))))
+        ", ".join("s%d + h * (%s)" % (j, combo(_MID, j)) for j in (0, 1))))
     lines.append("    return rhs, attempt")
     return "\n".join(lines) + "\n"
 
 
 def _binder(rt, system):
-    """The compiled bind function of the system on the chart runtime rt.
-
-    It is built on the runtime's first trace of the system and kept in
-    rt.steps.
-    """
-    fn = rt.steps.get(system)
+    """The compiled bind function of the system on the chart runtime rt,
+    built on the runtime's first trace of the system, kept in rt.compiled."""
+    fn = rt.compiled.get(system)
     if fn is None:
         names, bundle, body, outs = _SYSTEMS[system]
-        src = _step_source(names, rt.source(bundle, names[1]) + list(body),
-                           outs)
-        fn = rt.steps[system] = rt.compile(
+        src = _step_source(names, rt.source(bundle) + list(body), outs)
+        fn = rt.compiled[system] = rt.compile(
             src, "bind", "<geoproj.flow dp5 %s>" % system,
             isfinite=isfinite, FloatingPointError=FloatingPointError,
             pack=struct.Struct("%dd" % (len(_DENSE) * len(names))).pack)
@@ -694,41 +694,38 @@ def detect_closure(chart, state, t_max, tol=1e-6):
 
     arm_radius = max(1e-3, 10.0 * tol)
     h_watch = (t_max - state.t) / 512.0
-    history = []
-    best = {"d": math.inf}
-    armed = {"on": False}
-    closure = []    # (period, distance) once the orbit closes
+    best = math.inf
+    armed = False
+    # the last three sub-samples (time, distance), the oldest first
+    ta = da = tb = db = tc = dc = None
+    closure = None      # (period, distance) once the orbit closes
 
     def observer(t0, t1, y1, dense):
+        nonlocal best, armed, ta, da, tb, db, tc, dc, closure
         n_sub = max(1, int(math.ceil((t1 - t0) / h_watch)))
         for j in range(1, n_sub + 1):
-            tj = t1 if j == n_sub else t0 + (t1 - t0) * (j / n_sub)
-            dj = distance_of(y1 if j == n_sub else dense(tj))
-            history.append((tj, dj))
-            if not armed["on"]:
-                if dj > arm_radius:
-                    armed["on"] = True
+            ta, da, tb, db = tb, db, tc, dc
+            tc = t1 if j == n_sub else t0 + (t1 - t0) * (j / n_sub)
+            dc = distance_of(y1 if j == n_sub else dense(tc))
+            if not armed:
+                armed = dc > arm_radius
                 continue
-            best["d"] = min(best["d"], dj)
-            if len(history) < 3:
-                continue
-            (ta, da), (tb, db), (tc, dc) = history[-3], history[-2], history[-1]
-            if not (db <= da and db <= dc):
+            best = min(best, dc)
+            if ta is None or not (db <= da and db <= dc):
                 continue
 
             tstar, dstar = golden_min(lambda t: distance_of(dense(t)),
                                       ta, tc, 1e-10)
-            best["d"] = min(best["d"], dstar)
+            best = min(best, dstar)
             if dstar <= tol:
-                closure.append((float(tstar - state.t), float(dstar)))
+                closure = (float(tstar - state.t), float(dstar))
                 return True
         return False
 
     trace = integrate_geodesic(chart, state, t_max, observer=observer)
     if closure:
-        period, distance = closure[0]
-        return ClosureReport(True, period, distance, tol, trace=trace)
-    return ClosureReport(False, None, float(best["d"]), tol, trace=trace)
+        return ClosureReport(True, *closure, tol, trace=trace)
+    return ClosureReport(False, None, float(best), tol, trace=trace)
 
 
 def trace_to_csv(chart, trace, fileobj, extra_columns=()):

@@ -60,7 +60,9 @@ class CausalClass(str, Enum):
 DEGENERACY_TOL = 1e-12
 _DEGENERATE = "abs(det) <= %r * max(E * E, F * F, G * G, 1e-300)" % (
     DEGENERACY_TOL,)
-_degenerate = eval("lambda det, E, F, G: " + _DEGENERATE)
+_degenerate = expr.compile_function(
+    "def degenerate(det, E, F, G):\n    return %s\n" % _DEGENERATE,
+    "degenerate", "<geoproj.metric degenerate>", max=max)
 
 # The names _Runtime.source can set: the coefficients E, F, G, the
 # Christoffel symbols G^1_11, G^1_12, G^1_22, G^2_11, G^2_12, G^2_22 as a
@@ -70,16 +72,16 @@ _CURVATURE_JET = ("E", "F", "G", "Eu", "Ev", "Fu", "Fv", "Gu", "Gv",
                   "Evv", "Fuv", "Guu")
 
 
-def _curvature_lines(y):
+def _curvature_lines():
     """Source that sets kq, the Gaussian curvature, from the coefficient jet
-    at the point (x, <y>): the determinant formula in E, F, G and their
+    at the point (x, y): the determinant formula in E, F, G and their
     first and second derivatives, valid for either signature.  It raises
     DegenerateMetricError where the coefficient matrix degenerates."""
     return [
         "det = E * G - F * F",
         "if %s:" % _DEGENERATE,
         "    raise DegenerateMetricError('metric is numerically degenerate"
-        " at (%%g, %%g)' %% (x, %s))" % y,
+        " at (%g, %g)' % (x, y))",
         "aa = -0.5 * Evv + Fuv - 0.5 * Guu",
         "m1 = (aa * (E * G - F * F)"
         " - 0.5 * Eu * ((Fv - 0.5 * Gu) * G - F * 0.5 * Gv)"
@@ -152,17 +154,15 @@ class _Runtime:
     """Compiled evaluators attached to one chart.
 
     christoffel, curvature and in_domain are the standalone evaluators.
-    source() writes the chart's Christoffel and curvature bundle as source
-    lines for code generated elsewhere; steps holds the DP5 steps the flow
-    module generates from it, by system.
+    source() writes the chart's fields as source lines; christoffel,
+    curvature and the DP5 steps of the flow module are compiled from it
+    through compile() and kept in compiled, by name.
     """
 
     def __init__(self, chart):
         self.coeffs = expr.compile_fields([chart.g11, chart.g12, chart.g22])
-        self._chris = None
-        self._curv = None
         self._chart = chart
-        self.steps = {}
+        self.compiled = {}
 
         dom = chart.domain
         cons = dom.constraint
@@ -186,49 +186,38 @@ class _Runtime:
 
         self.in_domain = in_domain
 
-    def _christoffel_fields(self):
-        """E, F, G and the six Christoffel symbols, as fields."""
+    def _fields(self, second):
+        """The chart's fields by name over _CHRISTOFFEL and _CURVATURE_JET,
+        the second derivatives only if second; each is taken once."""
         c = self._chart
         E, F, G = c.g11, c.g12, c.g22
-        Ex, Ey, Fx, Fy = E.diff("x"), E.diff("y"), F.diff("x"), F.diff("y")
-        Gx, Gy = G.diff("x"), G.diff("y")
+        Eu, Ev, Fu, Fv, Gu, Gv = (f.diff(v) for f in (E, F, G) for v in "xy")
         det = E * G - F * F
         i11, i12, i22 = G / det, -F / det, E / det
-        b111, b112, b121 = 0.5 * Ex, Fx - 0.5 * Ey, 0.5 * Ey
-        b122, b221, b222 = 0.5 * Gx, Fy - 0.5 * Gx, 0.5 * Gy
-        return [E, F, G,
-                i11 * b111 + i12 * b112, i11 * b121 + i12 * b122,
-                i11 * b221 + i12 * b222,
-                i12 * b111 + i22 * b112, i12 * b121 + i22 * b122,
-                i12 * b221 + i22 * b222]
+        b111, b112, b121 = 0.5 * Eu, Fu - 0.5 * Ev, 0.5 * Ev
+        b122, b221, b222 = 0.5 * Gu, Fv - 0.5 * Gu, 0.5 * Gv
+        table = dict(E=E, F=F, G=G, Eu=Eu, Ev=Ev, Fu=Fu, Fv=Fv, Gu=Gu, Gv=Gv,
+                     a=i11 * b111 + i12 * b112, b=i11 * b121 + i12 * b122,
+                     c=i11 * b221 + i12 * b222, d=i12 * b111 + i22 * b112,
+                     e=i12 * b121 + i22 * b122, f=i12 * b221 + i22 * b222)
+        if second:
+            table.update(Evv=Ev.diff("y"), Fuv=Fu.diff("y"), Guu=Gu.diff("x"))
+        return table
 
-    def _curvature_jet(self):
-        """The fields named by _CURVATURE_JET."""
-        c = self._chart
-        E, F, G = c.g11, c.g12, c.g22
-        Eu, Ev = E.diff("x"), E.diff("y")
-        Fu, Fv = F.diff("x"), F.diff("y")
-        Gu, Gv = G.diff("x"), G.diff("y")
-        return [E, F, G, Eu, Ev, Fu, Fv, Gu, Gv,
-                Ev.diff("y"), Fu.diff("y"), Gu.diff("x")]
-
-    def source(self, names, y="y"):
-        """Source lines that set each of names at the point (x, <y>).
+    def source(self, names):
+        """Source lines that set each of names at the point (x, y).
 
         names are drawn from _CHRISTOFFEL and "kq".  The fields are emitted
         as one bundle, so the derivatives the Christoffel symbols and the
-        curvature share (the same nodes, since differentiation is memoized)
-        are computed once.
+        curvature share are computed once.
         """
         want = [n for n in names if n != "kq"]
-        fields = dict(zip(_CHRISTOFFEL, self._christoffel_fields())
-                      if want else ())
         tail = []
         if "kq" in names:
-            fields.update(zip(_CURVATURE_JET, self._curvature_jet()))
             want += [n for n in _CURVATURE_JET if n not in want]
-            tail = _curvature_lines(y)
-        lines, _ = expr.emit([fields[n] for n in want], want, {"y": y})
+            tail = _curvature_lines()
+        fields = self._fields("kq" in names)
+        lines, _ = expr.emit([fields[n] for n in want], want)
         return lines + tail
 
     def compile(self, src, name, filename, **names):
@@ -237,27 +226,27 @@ class _Runtime:
             src, name, filename, max=max,
             DegenerateMetricError=DegenerateMetricError, **names)
 
-    def christoffel(self, x, y):
-        """Returns (E, F, G, G^1_11, G^1_12, G^1_22, G^2_11, G^2_12, G^2_22).
+    def _evaluator(self, name, names, result):
+        """name(x, y) -> result, where result reads the source() of names,
+        compiled and kept in compiled."""
+        body = "".join("    %s\n" % line for line in self.source(names))
+        self.compiled[name] = fn = self.compile(
+            "def %s(x, y):\n%s    return %s\n" % (name, body, result),
+            name, "<geoproj.metric %s>" % name)
+        return fn
 
-        One compiled function evaluates the coefficients, their first
-        derivatives and the Christoffel algebra; it is built on the first
-        call.
-        """
-        fn = self._chris
-        if fn is None:
-            fn = self._chris = expr.compile_fields(self._christoffel_fields())
+    def christoffel(self, x, y):
+        """Returns (E, F, G, G^1_11, G^1_12, G^1_22, G^2_11, G^2_12, G^2_22)
+        from one function, compiled on the first call."""
+        fn = self.compiled.get("christoffel") or self._evaluator(
+            "christoffel", _CHRISTOFFEL, "(%s,)" % ", ".join(_CHRISTOFFEL))
         return fn(x, y)
 
     def curvature(self, x, y):
-        """The Gaussian curvature; one compiled function, built on the first
-        call, evaluates the coefficient jet and the curvature algebra."""
-        fn = self._curv
-        if fn is None:
-            body = "".join("    %s\n" % line for line in self.source(("kq",)))
-            fn = self._curv = self.compile(
-                "def curvature(x, y):\n%s    return kq\n" % body,
-                "curvature", "<geoproj.metric curvature>")
+        """The Gaussian curvature from one function, compiled on the first
+        call."""
+        fn = self.compiled.get("curvature") or self._evaluator(
+            "curvature", ("kq",), "kq")
         return fn(x, y)
 
 
@@ -503,29 +492,61 @@ def chart_to_dict(chart):
 
 
 def chart_from_dict(data):
+    """The chart a chart_to_dict dictionary describes.  A malformed entry
+    raises DomainError naming it (an unknown signature ValueError, a
+    missing entry KeyError)."""
+    def need(ok, key, what):
+        if not ok:
+            raise DomainError("chart field %r must be %s" % (key, what))
+
+    def number(value, key, missing=None):
+        if value is None and missing is not None:
+            return missing
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            raise DomainError("chart field %r must be a number, got %r"
+                              % (key, value)) from None
+
+    def field(value, key):
+        need(isinstance(value, str), key, "expression text")
+        try:
+            return expr.parse_prefix(value)
+        except expr.ExpressionError as err:
+            raise DomainError("chart field %r: %s" % (key, err)) from None
+
+    if not isinstance(data, dict):
+        raise DomainError("a chart must be a JSON object")
     if data.get("schema") != 1:
         raise DomainError("unsupported chart schema: %r" % (data.get("schema"),))
-    co = data["coefficients"]
-    dd = data.get("domain", {})
+    co, dd = data.get("coefficients"), data.get("domain", {})
+    box, periods = data.get("sample_box"), data.get("periods", [None, None])
+    need(isinstance(co, dict), "coefficients", "a JSON object")
+    need(isinstance(dd, dict), "domain", "a JSON object")
+    need(isinstance(box, list) and len(box) == 4, "sample_box",
+         "a list of 4 numbers")
+    need(isinstance(periods, list) and len(periods) == 2, "periods",
+         "a list of 2 entries")
+    radius = number(dd.get("exclude_radius", 0.0), "exclude_radius")
+    need(0.0 <= radius < math.inf, "exclude_radius", "finite and >= 0")
     dom = Domain(
-        x_min=-math.inf if dd.get("x_min") is None else float(dd["x_min"]),
-        x_max=math.inf if dd.get("x_max") is None else float(dd["x_max"]),
-        y_min=-math.inf if dd.get("y_min") is None else float(dd["y_min"]),
-        y_max=math.inf if dd.get("y_max") is None else float(dd["y_max"]),
-        exclude_radius=float(dd.get("exclude_radius", 0.0)),
+        x_min=number(dd.get("x_min"), "x_min", -math.inf),
+        x_max=number(dd.get("x_max"), "x_max", math.inf),
+        y_min=number(dd.get("y_min"), "y_min", -math.inf),
+        y_max=number(dd.get("y_max"), "y_max", math.inf),
+        exclude_radius=radius,
         constraint=None if dd.get("constraint") is None
-        else expr.parse_prefix(dd["constraint"]),
+        else field(dd["constraint"], "constraint"),
     )
-    periods = data.get("periods", [None, None])
     chart = MetricChart(
         name=data["name"],
-        g11=expr.parse_prefix(co["g11"]),
-        g12=expr.parse_prefix(co["g12"]),
-        g22=expr.parse_prefix(co["g22"]),
+        g11=field(co["g11"], "g11"),
+        g12=field(co["g12"], "g12"),
+        g22=field(co["g22"], "g22"),
         domain=dom,
         signature=Signature(data["signature"]),
-        sample_box=tuple(float(v) for v in data["sample_box"]),
-        periods=(None if periods[0] is None else float(periods[0]),
-                 None if periods[1] is None else float(periods[1])),
+        sample_box=tuple(number(v, "sample_box") for v in box),
+        periods=tuple(None if v is None else number(v, "periods")
+                      for v in periods),
     )
     return chart.validate(n=5)

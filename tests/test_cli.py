@@ -115,6 +115,54 @@ def test_geodesic_from_chart_file(capsys, tmp_path):
     assert json.loads(out)["chart"] == "band[a=2,l=0.3]"
 
 
+def _chart_file_data(change):
+    """The flat chart's file data, with change applied to a copy."""
+    data = {"schema": 1, "name": "flat", "signature": "riemannian",
+            "coefficients": {"g11": "1.0", "g12": "0.0", "g22": "1.0"},
+            "domain": {"x_min": None, "x_max": None, "y_min": None,
+                       "y_max": None, "exclude_radius": 0.0,
+                       "constraint": None},
+            "sample_box": [-2.0, 2.0, -2.0, 2.0], "periods": [None, None]}
+    return change(data)
+
+
+def _nested_g11(levels):
+    """A change that sets g11 to a tree levels + 1 deep."""
+    text = "(+ 2.0 %s%s%s)" % ("(* 1.0001 " * levels, "x", ")" * levels)
+    return lambda d: {**d, "coefficients": {**d["coefficients"],
+                                            "g11": text}}
+
+
+@pytest.mark.parametrize("change, field", [
+    (lambda d: [d], "JSON object"),
+    (lambda d: {**d, "domain": [0.0, 1.0]}, "'domain'"),
+    (lambda d: {**d, "periods": 5}, "'periods'"),
+    (lambda d: {**d, "sample_box": None}, "'sample_box'"),
+    (lambda d: {**d, "coefficients": {**d["coefficients"], "g12": 0.0}},
+     "'g12'"),
+    (lambda d: {**d, "domain": {**d["domain"], "exclude_radius": "nan"}},
+     "'exclude_radius'"),
+    (lambda d: {**d, "domain": {**d["domain"], "exclude_radius": -1.0}},
+     "'exclude_radius'"),
+    (lambda d: {**d, "domain": {**d["domain"], "exclude_radius": "inf"}},
+     "'exclude_radius'"),
+    (_nested_g11(200), "'g11'"),    # one level above the parse cap
+    (_nested_g11(600), "'g11'"),    # too deep to differentiate
+    (_nested_g11(1200), "'g11'"),   # too deep for a recursive parser
+], ids=["top-list", "domain-list", "periods-number", "sample-box-null",
+        "coefficient-number", "radius-nan", "radius-negative", "radius-inf",
+        "nest-201", "nest-601", "nest-1201"])
+def test_malformed_chart_file_is_a_usage_error(capsys, tmp_path, change,
+                                               field):
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps(_chart_file_data(change)))
+    rc, _, err = run_cli(capsys, "geodesic", "--chart-file", str(path),
+                         "--x0", "0.5", "--y0", "0.5", "--vx0", "1.0",
+                         "--vy0", "0.0", "--tmax", "0.5")
+    assert rc == 2
+    assert err.startswith("error: bad chart file") and field in err
+
+
 def test_geodesic_requires_a_chart(capsys):
     rc, _, err = run_cli(capsys, "geodesic", "--x0", "0", "--y0", "0",
                          "--vx0", "1", "--vy0", "0", "--tmax", "1")

@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 import struct
 import sys
 
@@ -221,3 +223,65 @@ def test_deep_trees_compile_and_match_the_reference():
             assert got == want, (x, y, got, want)
     finally:
         sys.setrecursionlimit(limit)
+
+
+# the deepest expression parse_prefix accepts, in forms and in tree levels
+PARSE_CAP = 200
+
+
+def _nest(form, levels):
+    """form (one %s) wrapped around x levels times."""
+    text = "x"
+    for _ in range(levels):
+        text = form % text
+    return text
+
+
+def test_parse_accepts_the_depth_cap():
+    cap = PARSE_CAP
+    assert expr._PARSE_DEPTH == cap
+    f = expr.parse_prefix(_nest("(* 1.0001 %s)", cap))
+    assert f(2.0, 0.0) == pytest.approx(2.0 * 1.0001 ** cap, rel=1e-12)
+    # cap additions, nested by the left fold of a sum of cap + 1 terms
+    f = expr.parse_prefix("(+ %s)" % " ".join(["x"] * (cap + 1)))
+    assert f(2.0, 0.0) == 2.0 * (cap + 1)
+    assert expr.parse_prefix(_nest("(smoothstep %s)", cap // 4))(
+        0.5, 0.0) == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("text", [
+    _nest("(* 1.0001 %s)", PARSE_CAP + 1),
+    _nest("(neg %s)", PARSE_CAP + 1),   # folds back to x
+    _nest("(sin %s)", 1200),            # deeper than the parser recurses
+    "(+ %s)" % " ".join(["x"] * (PARSE_CAP + 2)),
+    # each smoothstep form builds four levels
+    _nest("(smoothstep %s)", PARSE_CAP // 4 + 1),
+], ids=["product", "folded", "parser", "flat-sum", "macro"])
+def test_parse_refuses_a_level_above_the_depth_cap(text):
+    with pytest.raises(expr.ExpressionError, match="more than 200"):
+        expr.parse_prefix(text)
+
+
+def test_only_compile_function_executes_source():
+    # Generated source becomes code in one place: the builtins exec, eval
+    # and compile are called by bare name only inside expr.compile_function
+    # (a method such as a chart runtime's compile is a different call).
+    package = pathlib.Path(expr.__file__).parent
+    calls = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef, ast.Lambda)):
+                inner = "%s.%s" % (scope, getattr(child, "name", "<lambda>"))
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Name)
+                    and child.func.id in ("exec", "eval", "compile")):
+                calls.add((scope, child.func.id))
+            visit(child, inner)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path.stem)
+    assert calls == {("expr.compile_function", "exec"),
+                     ("expr.compile_function", "compile")}

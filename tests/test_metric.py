@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from geoproj import expr, metric
+from geoproj import expr, flow, metric
 from geoproj.metric import (CausalClass, ChartMap, Domain, MetricChart,
                             Signature, VectorField)
 from chartlib import lumpy_chart, null_plane_chart, sphere_chart
@@ -227,6 +227,40 @@ def test_chart_serialization_round_trip():
     back2 = metric.chart_from_dict(json.loads(json.dumps(metric.chart_to_dict(s))))
     assert back2.domain.x_max == pytest.approx(math.pi)
     assert back2.periods[1] == pytest.approx(2.0 * math.pi)
+
+
+@pytest.mark.parametrize("form", [
+    "(* 1.0001 %s)", "(/ %s 1.0001)", "(+ 0.001 %s)", "(sin %s)"])
+def test_a_chart_at_the_parse_depth_cap_passes_every_pass(form):
+    # differentiation recurses about two frames per tree level, and these
+    # shapes need the most; a coefficient 200 levels deep, the parse cap,
+    # goes through every pass that differentiates, serializes or
+    # substitutes it
+    text = "x"
+    for _ in range(199):
+        text = form % text
+    data = {"schema": 1, "name": "deep", "signature": "riemannian",
+            "coefficients": {"g11": "(+ 2.0 %s)" % text, "g12": "0.0",
+                             "g22": "1.0"},
+            "domain": {}, "sample_box": [0.1, 0.5, 0.1, 0.5],
+            "periods": [None, None]}
+    chart = metric.chart_from_dict(data)
+    p = (0.3, 0.3)
+    want = fd_christoffel(chart.runtime().coeffs, *p)
+    assert_allclose(metric.christoffel(chart, p), want, rtol=1e-5,
+                    atol=1e-8)
+    assert math.isfinite(metric.gaussian_curvature(chart, p))
+    state = flow.GeodesicState(0.3, 0.3, 0.1, 1.0)
+    assert flow.integrate_geodesic(chart, state, 0.1).termination \
+        == flow.Termination.TIME_LIMIT
+    _, jt = flow.find_conjugate_points(chart, state, 0.1)
+    assert jt.termination == flow.Termination.TIME_LIMIT
+    back = metric.chart_from_dict(json.loads(json.dumps(
+        metric.chart_to_dict(chart))))
+    assert back.coefficients_at(p) == chart.coefficients_at(p)
+    moved = metric.pullback(chart, ChartMap("shift", expr.X + 0.01, expr.Y))
+    assert_allclose(moved.coefficients_at(p),
+                    chart.coefficients_at((0.31, 0.3)), rtol=1e-14)
 
 
 def test_grid_points_respects_domain():
