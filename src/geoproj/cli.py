@@ -122,9 +122,13 @@ def cmd_zoo(args):
             sys.stdout.write("%-20s %s\n" % (name, entry.summary))
         return 0
     bundle = _build(args.name, _collect_overrides(args))
+    try:
+        chart = chart_to_dict(bundle.chart)
+    except ExpressionError as err:
+        raise UsageError("cannot serialize %r: %s" % (args.name, err))
     out = {
         "schema": 1,
-        "chart": chart_to_dict(bundle.chart),
+        "chart": chart,
         "killing": None if bundle.killing is None else bundle.killing.name,
         "integrals": list(bundle.integrals),
         "maps": list(bundle.maps),

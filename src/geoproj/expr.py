@@ -137,7 +137,10 @@ class ScalarField:
         raise NotImplementedError
 
     def __repr__(self):
-        return "<field %s>" % to_prefix(self)
+        try:
+            return "<field %s>" % to_prefix(self)
+        except (ExpressionError, RecursionError):
+            return "<field too large to write out>"
 
 
 class Const(ScalarField):
@@ -680,7 +683,33 @@ def compile_fields(fields):
 
 # -- prefix serialization ------------------------------------------------------
 
+# The most nodes to_prefix writes out.  The text writes a shared subtree
+# once per use, so it grows exponentially with the nesting of shared nodes:
+# a 30-deep (sq ...) nest would write x 2^30 times.  The catalogue's
+# largest field writes 567 nodes.
+_PREFIX_NODES = 100_000
+
+
+def _written_nodes(field):
+    """The nodes of field's tree with every shared subtree written out once
+    per use, from one walk over the distinct nodes."""
+    sizes = {}
+
+    def size(node):
+        n = sizes.get(id(node))
+        if n is None:
+            n = sizes[id(node)] = 1 + sum(map(size, node.children()))
+        return n
+
+    return size(field)
+
+
 def to_prefix(field):
+    """field as prefix text; ExpressionError if the text would write out
+    more than _PREFIX_NODES nodes."""
+    if _written_nodes(field) > _PREFIX_NODES:
+        raise ExpressionError("expression writes out more than %d nodes"
+                              % _PREFIX_NODES)
     out = []
 
     def walk(node):

@@ -3,10 +3,10 @@
 The stepper is an embedded Dormand-Prince 5(4) pair with the first-same-as-
 last optimization, a PI step-size controller and a quartic dense-output
 interpolant per accepted step.  On top of it sit the geodesic system, the
-joint geodesic + Jacobi system (for conjugate points) and closure detection
-for periodic orbits.
+geodesic jointly with the scalar Jacobi equation of its normal Jacobi field
+(for conjugate points) and closure detection for periodic orbits.
 
-The systems have four or eight components, too few for numpy to pay off: a
+The systems have four or six components, too few for numpy to pay off: a
 numpy call costs more than the arithmetic it does on four floats.  So the
 stepper runs on plain Python floats.  States are tuples, and one step
 attempt is generated per system and chart, equations written into the
@@ -216,10 +216,11 @@ class DenseOutput:
     which long traces notice.  The quartic's coefficients are built from the
     stages only when the interpolant is evaluated: most traces, such as the
     conservation traces and every trace that ends in a singularity, never
-    are.  Calling the interpolant evaluates every component at one time;
-    positions() evaluates x and y at an array of times in one pass, through
-    the same interpolate function, so its values equal the scalar ones bit
-    for bit.  Evaluating outside the traced range raises ValueError.
+    are.  Calling the interpolant evaluates every component at one time, or
+    one component alone; positions() evaluates x and y at an array of times
+    in one pass, through the same interpolate function, so its values equal
+    the scalar ones bit for bit.  Evaluating outside the traced range raises
+    ValueError.
     """
 
     def __init__(self, ts, ys):
@@ -238,12 +239,16 @@ class DenseOutput:
             raise ValueError("t = %r is outside the trace [%r, %r]"
                              % (t, lo, hi))
 
-    def __call__(self, t):
+    def __call__(self, t, j=None):
+        """The state at t as an array, or its component j alone as the
+        float the array holds there."""
         self._check_range(t)
         ts, hs = self.ts, self.hs
         i = max(bisect_right(ts, t, 0, len(hs)) - 1, 0)
         h, k = hs[i], memoryview(self.ks[i]).cast("d")
         u = (t - ts[i]) / h
+        if j is not None:
+            return _interpolate(self.ys[i][j], h, u, *k[6 * j:6 * j + 6])
         return np.array([_interpolate(y, h, u, *k[6 * j:6 * j + 6])
                          for j, y in enumerate(self.ys[i])])
 
@@ -277,8 +282,9 @@ def _rms(v):
 # components, the names of the chart's bundle it reads (metric._Runtime.source
 # sets them), the lines that combine them, and one expression per component
 # of the derivative.  Their names must differ from the generated step's own:
-# h, s, k1, s<j>, z<j>, k<i>_<j>, a_s<j>, a_z<j>, e<j>, err and the bundle's
-# v<i> and r; the state is s, so x and y are the chart's own coordinates.
+# h, s, k1, s<j>, z<j>, k<i>_<j>, a_s<j>, a_z<j>, e<j>, err, atol, rtol, the
+# bundle's v<i> and r, and the compile namespace's (isfinite, pack, sqrt, ...);
+# the state is s, so x and y are the chart's own coordinates.
 _ACCELERATION = ("-(a * vx * vx + 2.0 * b * vx * vy + c * vy * vy)",
                  "-(d * vx * vx + 2.0 * e * vx * vy + f * vy * vy)")
 _SYSTEMS = {
@@ -287,21 +293,16 @@ _SYSTEMS = {
         ("a", "b", "c", "d", "e", "f"),
         (),
         ("vx", "vy") + _ACCELERATION),
-    # covariant Jacobi equation in components, W the derivative of J:
-    #   dJ/dt = W - Gamma(v, J),  dW/dt = -K (g(v,v) J - g(J,v) v) - Gamma(v, W)
+    # a Jacobi field with J(0) = 0 on a surface is J = alpha gamma' + jn N,
+    # N parallel and transverse to gamma'; only jn decides conjugacy, and
+    #   jn'' = -K g(gamma', gamma') jn,  jp = jn'
+    # for every causal character of the geodesic (do Carmo, Riemannian
+    # Geometry ch. 5; O'Neill, Semi-Riemannian Geometry ch. 10)
     "jacobi": (
-        ("x", "y", "vx", "vy", "jx", "jy", "wx", "wy"),
+        ("x", "y", "vx", "vy", "jn", "jp"),
         ("E", "F", "G", "a", "b", "c", "d", "e", "f", "kq"),
-        ("gvj1 = a * vx * jx + b * (vx * jy + vy * jx) + c * vy * jy",
-         "gvj2 = d * vx * jx + e * (vx * jy + vy * jx) + f * vy * jy",
-         "gvw1 = a * vx * wx + b * (vx * wy + vy * wx) + c * vy * wy",
-         "gvw2 = d * vx * wx + e * (vx * wy + vy * wx) + f * vy * wy",
-         "ev = E * vx * vx + 2.0 * F * vx * vy + G * vy * vy",
-         "gjv = E * jx * vx + F * (jx * vy + jy * vx) + G * jy * vy"),
-        ("vx", "vy") + _ACCELERATION + (
-            "wx - gvj1", "wy - gvj2",
-            "-kq * (ev * jx - gjv * vx) - gvw1",
-            "-kq * (ev * jy - gjv * vy) - gvw2")),
+        ("ev = E * vx * vx + 2.0 * F * vx * vy + G * vy * vy",),
+        ("vx", "vy") + _ACCELERATION + ("jp", "-kq * ev * jn")),
 }
 
 
@@ -547,15 +548,15 @@ class GeodesicTrace:
 
 
 class JacobiTrace(GeodesicTrace):
-    """A geodesic trace whose ys carry the Jacobi field too: columns x, y,
-    vx, vy, jx, jy, wx, wy with W = (wx, wy) the derivative of J."""
+    """A geodesic trace whose ys carry the normal part of a Jacobi field
+    too: columns x, y, vx, vy, jn, jp, with jn the component of J along a
+    parallel field transverse to gamma' and jp its derivative."""
 
-    def jacobi_cross(self, t=None):
-        """cross(J, gamma') at sample times (or one t): the conjugate detector."""
+    def normal_component(self, t=None):
+        """jn at the sample times (or at one t): the conjugate detector."""
         if t is None:
-            return self.ys[:, 4] * self.ys[:, 3] - self.ys[:, 5] * self.ys[:, 2]
-        v = self.dense(t)
-        return float(v[4] * v[3] - v[5] * v[2])
+            return self.ys[:, 4]
+        return self.dense(t, 4)
 
 
 @dataclass
@@ -586,29 +587,28 @@ def integrate_geodesic(chart, state, t_max, observer=None):
                 observer)
 
 
-def _jacobi_run(chart, state, j0, dj0, t_end):
-    """The geodesic through state jointly with the Jacobi field (j0, dj0)."""
-    y0 = (state.x, state.y, state.vx, state.vy, j0[0], j0[1], dj0[0], dj0[1])
+def _jacobi_run(chart, state, t_end):
+    """The geodesic through state jointly with the normal part of the
+    Jacobi field with J(0) = 0: jn = 0 and jp = 1 at the start."""
+    y0 = (state.x, state.y, state.vx, state.vy, 0.0, 1.0)
     return _run(chart, "jacobi", JacobiTrace, state, y0, t_end)
 
 
 def find_conjugate_points(chart, state, t_max):
     """Parameter times of conjugate points along the geodesic through state.
 
-    Integrates the Jacobi field with J(0) = 0 and a unit first derivative
-    transverse to the initial velocity; conjugate points are the zeros of
-    cross(J, gamma') for t > 0, refined by bisection on the interpolant.
-    Returns (times, jacobi_trace).
+    Integrates the normal part jn of the Jacobi field with J(0) = 0 (see
+    _SYSTEMS); conjugate points are the zeros of jn for t > 0, bracketed by
+    sign changes between accepted steps and refined by bisection on jn's
+    interpolant.  Returns (times, jacobi_trace).
     """
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
-    speed = math.hypot(state.vx, state.vy)
-    if speed == 0.0:
+    if state.vx == 0.0 and state.vy == 0.0:
         raise ValueError("zero initial velocity has no geodesic")
-    u = (-state.vy / speed, state.vx / speed)
-    jt = _jacobi_run(chart, state, (0.0, 0.0), u, state.t + t_max)
+    jt = _jacobi_run(chart, state, state.t + t_max)
 
-    w = jt.jacobi_cross()
+    w = jt.normal_component()
     times = []
     for i in range(1, len(jt.ts) - 1):
         a, b = jt.ts[i], jt.ts[i + 1]
@@ -620,7 +620,7 @@ def find_conjugate_points(chart, state, t_max):
             lo, hi, wlo = float(a), float(b), wa
             while hi - lo > 1e-8:
                 mid = 0.5 * (lo + hi)
-                wm = jt.jacobi_cross(mid)
+                wm = jt.normal_component(mid)
                 if wm == 0.0:
                     lo = hi = mid
                     break

@@ -223,3 +223,52 @@ def independence_gram(i1, i2, chart, n, seed):
         det = na * nb - float(a @ b) ** 2
         worst = min(worst, det / (na * nb))
     return worst
+
+
+def jacobi_conjugate_times(chart, state, t_end):
+    """Conjugate times of the geodesic through state in (0, t_end], from the
+    covariant Jacobi equation in all its components, stepped by scipy's
+    DOP853 on the runtime evaluators rather than the generated steps.
+
+    The state is (x, y, v, J, W) with W the covariant derivative of J:
+        dJ/dt = W - Gamma(v, J),
+        dW/dt = -K (g(v, v) J - g(J, v) v) - Gamma(v, W),
+    from J(0) = 0 and W(0) the Euclidean unit normal of v.  A conjugate point
+    is a zero of cross(J, gamma'): each sign change between DOP853's steps is
+    refined by brentq on its dense output.
+    """
+    from scipy.integrate import solve_ivp
+    from scipy.optimize import brentq
+
+    def rhs(t, s):
+        x, y, vx, vy, jx, jy, wx, wy = s
+        gam = metric.christoffel(chart, (x, y))
+        E, F, G = chart.coefficients_at((x, y))
+        kq = metric.gaussian_curvature(chart, (x, y))
+        v, j, w = np.array([vx, vy]), np.array([jx, jy]), np.array([wx, wy])
+        gvv = E * vx * vx + 2.0 * F * vx * vy + G * vy * vy
+        gjv = E * jx * vx + F * (jx * vy + jy * vx) + G * jy * vy
+        return np.concatenate([
+            v, -np.einsum("kij,i,j->k", gam, v, v),
+            w - np.einsum("kij,i,j->k", gam, v, j),
+            -kq * (gvv * j - gjv * v) - np.einsum("kij,i,j->k", gam, v, w)])
+
+    speed = math.hypot(state.vx, state.vy)
+    s0 = [state.x, state.y, state.vx, state.vy, 0.0, 0.0,
+          -state.vy / speed, state.vx / speed]
+    sol = solve_ivp(rhs, (state.t, t_end), s0, method="DOP853",
+                    rtol=1e-12, atol=1e-12, dense_output=True)
+    assert sol.status == 0, sol.message
+
+    def cross(t):
+        s = sol.sol(t)
+        return s[4] * s[3] - s[5] * s[2]
+
+    times = []
+    for a, b in zip(sol.t[1:], sol.t[2:]):
+        ca, cb = cross(a), cross(b)
+        if ca * cb < 0.0:
+            times.append(brentq(cross, a, b, xtol=1e-13, rtol=1e-15))
+        elif cb == 0.0:
+            times.append(float(b))
+    return times

@@ -71,6 +71,16 @@ def test_expression_that_folds_to_an_error_is_a_usage_error(capsys, text):
     assert "bad expression for --f" in err
 
 
+def test_zoo_show_of_a_field_too_large_to_write_is_a_usage_error(capsys):
+    # a 17-deep (sq ...) nest would write x 2^17 times
+    nest = "x"
+    for _ in range(17):
+        nest = "(sq %s)" % nest
+    rc, out, err = run_cli(capsys, "zoo", "show", "band", "--f", nest)
+    assert rc == 2 and out == ""
+    assert "more than 100000 nodes" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "rescaling"), ("accept",),
     ("check", "isometry", "--chart", "projective-shift", "--map", "shift")])

@@ -262,6 +262,27 @@ def test_parse_refuses_a_level_above_the_depth_cap(text):
         expr.parse_prefix(text)
 
 
+def test_to_prefix_refuses_text_past_the_node_cap():
+    # an n-deep (sq ...) nest is n + 1 distinct nodes, and its text writes
+    # the product tree out: 2^(n + 1) - 1 nodes
+    assert expr._PREFIX_NODES == 100_000
+    text = expr.to_prefix(expr.parse_prefix(_nest("(sq %s)", 15)))
+    assert text.count("x") == 2 ** 15
+    with pytest.raises(expr.ExpressionError, match="more than 100000"):
+        expr.to_prefix(expr.parse_prefix(_nest("(sq %s)", 16)))
+    # 30 deep the text would write x 2^30 times; the cap walks 31 nodes
+    deep = expr.parse_prefix(_nest("(sq %s)", 30))
+    with pytest.raises(expr.ExpressionError, match="more than 100000"):
+        expr.to_prefix(deep)
+    assert repr(deep) == "<field too large to write out>"
+    assert deep(-1.0, 0.0) == 1.0
+    # a tree built in code deeper than the serializer recurses
+    chain = expr.X
+    for _ in range(3000):
+        chain = expr.sin(chain)
+    assert repr(chain) == "<field too large to write out>"
+
+
 def test_only_compile_function_executes_source():
     # Generated source becomes code in one place: the builtins exec, eval
     # and compile are called by bare name only inside expr.compile_function
