@@ -293,23 +293,6 @@ def liouville_swap_map(k, kind="swap"):
     raise ValueError("kind must be 'swap' or 'anti-swap'")
 
 
-def _swap_residual(h1v, h2_at, xs, k, orient):
-    """Mean-square failure of h2(o(x, k)) = h1(x) + const plus the
-    2k-periodicity of h1 that the swap condition forces."""
-    if orient > 0:
-        shifted = h2_at(xs + k)
-    else:
-        shifted = h2_at(-xs - k)
-    diff = shifted - h1v
-    c = float(np.mean(diff))
-    r = float(np.mean((diff - c) ** 2))
-    return r, c
-
-
-def _h1_period_residual(h1_at, xs, k):
-    return float(np.mean((h1_at(xs + 2.0 * k) - h1_at(xs)) ** 2))
-
-
 def liouville_isometry_search(h1, h2, period):
     """Search for a swap or anti-swap isometry of the separable metric.
 
@@ -319,45 +302,68 @@ def liouville_isometry_search(h1, h2, period):
     of h1, both sampled at 256 points) drops below 1e-8.  Reports the
     smallest accepted k.  Constant profile pairs are flagged degenerate:
     every offset works and the returned k is not meaningful.
+
+    The scan takes the offsets in blocks of 32 and evaluates each profile
+    once per distinct argument in a block (the shifted sample points fall
+    on a fine grid, so most repeat); the block size bounds the scan's
+    temporary memory.
     """
     period = float(period)
-    if period <= 0.0:
-        raise ValueError("period must be positive")
-    grid = 512
+    if not (0.0 < period < math.inf):
+        raise ValueError("period must be positive and finite")
+    grid, block = 512, 32
     xs = np.linspace(0.0, period, 256, endpoint=False)
 
     h1c = expr.compile_fields([h1])
     h2c = expr.compile_fields([h2])
 
+    def distinct(fn, arr):
+        # keyed on the bit pattern, so 0.0 and -0.0 stay apart
+        keys, inv = np.unique(arr.ravel().view(np.int64),
+                              return_inverse=True)
+        vals = np.array([fn(t) for t in keys.view(np.float64).tolist()])
+        return vals[inv].reshape(arr.shape)
+
     def h1_at(arr):
-        return np.array([h1c(float(t), 0.0)[0] for t in arr])
+        return distinct(lambda t: h1c(t, 0.0)[0], arr)
 
     def h2_at(arr):
-        return np.array([h2c(0.0, float(t))[0] for t in arr])
+        return distinct(lambda t: h2c(0.0, t)[0], arr)
 
     h1v = h1_at(xs)
     h2v = h2_at(xs)
     degenerate = (float(np.var(h1v)) < 1e-18
                   and float(np.var(h2v)) < 1e-18)
 
+    def residuals(ks, orient):
+        """Combined residual and constant c at each offset of ks: the
+        mean-square failure of h2(o(x, k)) = h1(x) + c plus that of the
+        2k-periodicity of h1 the swap condition forces."""
+        k = ks[:, None]
+        diff = h2_at(xs + k if orient > 0 else -xs - k) - h1v
+        c = np.mean(diff, axis=1)
+        r = np.mean((diff - c[:, None]) ** 2, axis=1)
+        return r + np.mean((h1_at(xs + 2.0 * k) - h1v) ** 2, axis=1), c
+
     def total(k, orient):
-        r, _ = _swap_residual(h1v, h2_at, xs, k, orient)
-        return r + _h1_period_residual(h1_at, xs, k)
+        r, c = residuals(np.array([k]), orient)
+        return float(r[0]), float(c[0])
 
     ks = np.linspace(0.0, period, grid, endpoint=False)
     best = {}
     for kind, orient in (("swap", +1), ("anti-swap", -1)):
-        vals = np.array([total(float(k), orient) for k in ks])
+        vals = np.concatenate([residuals(ks[j:j + block], orient)[0]
+                               for j in range(0, grid, block)])
         i = int(np.argmin(vals))
-        lo = ks[max(i - 1, 0)]
-        hi = ks[min(i + 1, grid - 1)]
+        lo = float(ks[max(i - 1, 0)])
+        hi = float(ks[min(i + 1, grid - 1)])
         if hi <= lo:
             hi = lo + period / grid
-        k_ref, _ = golden_min(lambda k: total(k, orient), lo, hi, 1e-13)
+        k_ref, _ = golden_min(lambda k: total(k, orient)[0], lo, hi,
+                              1e-13)
         if abs(k_ref) < 1e-12 or abs(k_ref - period) < 1e-12:
             k_ref = abs(k_ref) % period
-        res = total(k_ref, orient)
-        _, c = _swap_residual(h1v, h2_at, xs, k_ref, orient)
+        res, c = total(k_ref, orient)
         best[kind] = (res, k_ref % period, c)
 
     kind = min(best, key=lambda kk: best[kk][0])

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from geoproj import expr, metric, sampling
+from geoproj import expr, flow, metric, projective, sampling
 
 
 def fd_derivative(fn, x, y, name, h=None):
@@ -272,3 +272,77 @@ def jacobi_conjugate_times(chart, state, t_end):
         elif cb == 0.0:
             times.append(float(b))
     return times
+
+
+def _swap_residual(h1v, h2_at, xs, k, orient):
+    """Mean-square failure of h2(o(x, k)) = h1(x) + const plus the
+    2k-periodicity of h1 that the swap condition forces."""
+    if orient > 0:
+        shifted = h2_at(xs + k)
+    else:
+        shifted = h2_at(-xs - k)
+    diff = shifted - h1v
+    c = float(np.mean(diff))
+    r = float(np.mean((diff - c) ** 2))
+    return r, c
+
+
+def _h1_period_residual(h1_at, xs, k):
+    return float(np.mean((h1_at(xs + 2.0 * k) - h1_at(xs)) ** 2))
+
+
+def liouville_search_reference(h1, h2, period):
+    """The separable symmetry search of projective.liouville_isometry_search
+    one offset at a time, as it was before the scan went to blocks: each
+    residual calls the compiled profiles once per sample point, repeated
+    arguments included.  Kept to pin the blocked scan bit for bit.
+    """
+    period = float(period)
+    if period <= 0.0:
+        raise ValueError("period must be positive")
+    grid = 512
+    xs = np.linspace(0.0, period, 256, endpoint=False)
+
+    h1c = expr.compile_fields([h1])
+    h2c = expr.compile_fields([h2])
+
+    def h1_at(arr):
+        return np.array([h1c(float(t), 0.0)[0] for t in arr])
+
+    def h2_at(arr):
+        return np.array([h2c(0.0, float(t))[0] for t in arr])
+
+    h1v = h1_at(xs)
+    h2v = h2_at(xs)
+    degenerate = (float(np.var(h1v)) < 1e-18
+                  and float(np.var(h2v)) < 1e-18)
+
+    def total(k, orient):
+        r, _ = _swap_residual(h1v, h2_at, xs, k, orient)
+        return r + _h1_period_residual(h1_at, xs, k)
+
+    ks = np.linspace(0.0, period, grid, endpoint=False)
+    best = {}
+    for kind, orient in (("swap", +1), ("anti-swap", -1)):
+        vals = np.array([total(float(k), orient) for k in ks])
+        i = int(np.argmin(vals))
+        lo = ks[max(i - 1, 0)]
+        hi = ks[min(i + 1, grid - 1)]
+        if hi <= lo:
+            hi = lo + period / grid
+        k_ref, _ = flow.golden_min(lambda k: total(k, orient), lo, hi, 1e-13)
+        if abs(k_ref) < 1e-12 or abs(k_ref - period) < 1e-12:
+            k_ref = abs(k_ref) % period
+        res = total(k_ref, orient)
+        _, c = _swap_residual(h1v, h2_at, xs, k_ref, orient)
+        best[kind] = (res, k_ref % period, c)
+
+    kind = min(best, key=lambda kk: best[kk][0])
+    res, k, c = best[kind]
+    found = res <= 1e-8
+    return projective.LiouvilleSymmetry(
+        found=found, kind=kind if found else None,
+        k=k if found else math.nan, c=c if found else math.nan,
+        residual=res, degenerate=degenerate,
+        candidates={kk: {"residual": v[0], "k": v[1], "c": v[2]}
+                    for kk, v in best.items()})

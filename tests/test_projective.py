@@ -16,6 +16,7 @@ from geoproj.projective import (EQUIVALENT, INCONCLUSIVE, NOT_EQUIVALENT,
                                 check_projective_equivalence,
                                 liouville_isometry_search, liouville_swap_map)
 
+import oracles
 from chartlib import flat_chart, sphere_chart
 
 
@@ -243,6 +244,64 @@ def test_liouville_search_degenerate_flag():
     result = liouville_isometry_search(expr.const(1.0), expr.const(2.0),
                                        period=1.0)
     assert result.degenerate
+
+
+def _anti_swap_h1(t):
+    return 2.0 + expr.sin(4.0 * math.pi * t) + 0.3 * expr.sin(8.0 * math.pi * t)
+
+
+# profile pairs (h1, h2, period) the blocked scan must search exactly as the
+# one-offset-at-a-time reference does; the first two are the benchmark's
+SEARCH_PAIRS = {
+    "quarter-shift": (2.0 + expr.sin(4.0 * math.pi * X),
+                      5.0 - expr.sin(4.0 * math.pi * Y), 0.5),
+    "mismatched": (2.0 + expr.sin(2.0 * math.pi * X),
+                   2.0 + expr.sin(4.0 * math.pi * Y), 1.0),
+    "constant": (expr.const(1.0), expr.const(2.0), 1.0),
+    "two-harmonic": (3.0 + expr.sin(2.0 * math.pi * X)
+                     + 0.4 * expr.cos(6.0 * math.pi * X),
+                     1.0 - expr.sin(2.0 * math.pi * Y)
+                     - 0.4 * expr.cos(6.0 * math.pi * Y), 1.0),
+    "sin-squared": (1.0 + expr.sin(math.pi * X) ** 2,
+                    4.0 + expr.sin(math.pi * Y + 0.7) ** 2, 1.0),
+    "non-periodic": (1.0 + X ** 2, 2.0 + Y, 1.0),
+    "anti-swap": (_anti_swap_h1(X), _anti_swap_h1(-Y - 0.25) + 1.0, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_PAIRS))
+def test_liouville_search_matches_the_reference_bit_for_bit(name):
+    h1, h2, period = SEARCH_PAIRS[name]
+    got = liouville_isometry_search(h1, h2, period)
+    want = oracles.liouville_search_reference(h1, h2, period)
+    assert (got.found, got.kind, got.degenerate) \
+        == (want.found, want.kind, want.degenerate)
+    for attr in ("k", "c", "residual"):
+        assert type(getattr(got, attr)) is float, attr
+        assert float.hex(getattr(got, attr)) \
+            == float.hex(float(getattr(want, attr))), attr
+    assert set(got.candidates) == set(want.candidates)
+    for kind, cand in got.candidates.items():
+        assert set(cand) == set(want.candidates[kind])
+        for key, value in cand.items():
+            assert type(value) is float, (kind, key)
+            assert float.hex(value) \
+                == float.hex(float(want.candidates[kind][key])), (kind, key)
+
+
+def test_liouville_search_finds_an_anti_swap():
+    h1, h2, period = SEARCH_PAIRS["anti-swap"]
+    result = liouville_isometry_search(h1, h2, period)
+    assert result.found and result.kind == "anti-swap"
+    assert abs(result.k - 0.25) < 1e-6
+    assert abs(result.c - 1.0) < 1e-6
+    assert result.candidates["swap"]["residual"] > 1e-3
+
+
+@pytest.mark.parametrize("period", [0.0, -1.0, math.nan, math.inf])
+def test_liouville_search_refuses_a_period_not_positive_and_finite(period):
+    with pytest.raises(ValueError, match="positive and finite"):
+        liouville_isometry_search(X, Y, period)
 
 
 def test_swap_maps_invert():
