@@ -3,8 +3,10 @@
 The stepper is an embedded Dormand-Prince 5(4) pair with the first-same-as-
 last optimization, a PI step-size controller and a quartic dense-output
 interpolant per accepted step.  On top of it sit the geodesic system, the
-geodesic jointly with the scalar Jacobi equation of its normal Jacobi field
-(for conjugate points) and closure detection for periodic orbits.
+geodesic by the Euclidean arc length of its chart image (for comparing
+unparametrised curves), the geodesic jointly with the scalar Jacobi
+equation of its normal Jacobi field (for conjugate points) and closure
+detection for periodic orbits.
 
 The systems have four or six components, too few for numpy to pay off: a
 numpy call costs more than the arithmetic it does on four floats.  So the
@@ -97,8 +99,8 @@ from .metric import DomainError, degeneracy_ratio
 
 __all__ = [
     "Termination", "GeodesicState", "GeodesicTrace", "JacobiTrace",
-    "ClosureReport", "integrate_geodesic", "find_conjugate_points",
-    "detect_closure", "golden_min", "trace_to_csv",
+    "ClosureReport", "integrate_geodesic", "integrate_by_arclength",
+    "find_conjugate_points", "detect_closure", "golden_min", "trace_to_csv",
 ]
 
 
@@ -133,7 +135,7 @@ class GeodesicState:
 
 # Dormand-Prince 5(4) tableau: stage weights _A (row i weighs stages
 # 1..i), _E the 5th- minus the embedded 4th-order weights, and the
-# dense-output matrix _P.  Both systems are autonomous, so the nodes do not
+# dense-output matrix _P.  Every system is autonomous, so the nodes do not
 # appear.  The 5th-order weights are the last row of _A, so stage 7 is
 # evaluated at the new state itself and becomes the next step's first stage
 # (FSAL).
@@ -303,6 +305,13 @@ _SYSTEMS = {
         ("E", "F", "G", "a", "b", "c", "d", "e", "f", "kq"),
         ("ev = E * vx * vx + 2.0 * F * vx * vy + G * vy * vy",),
         ("vx", "vy") + _ACCELERATION + ("jp", "-kq * ev * jn")),
+    # the geodesic divided by its chart speed |(vx, vy)|: the parameter is
+    # the chart image's Euclidean arc length; vx, vy stay the affine velocity
+    "arclength": (
+        ("x", "y", "vx", "vy"),
+        ("a", "b", "c", "d", "e", "f"),
+        ("w = 1.0 / sqrt(vx * vx + vy * vy)",),
+        ("vx * w", "vy * w") + tuple("w * " + a for a in _ACCELERATION)),
 }
 
 
@@ -587,6 +596,16 @@ def integrate_geodesic(chart, state, t_max, observer=None):
                 observer)
 
 
+def integrate_by_arclength(chart, state, length):
+    """Integrate the geodesic through the state for the Euclidean arc length
+    `length` of its chart image: ts are state.t plus the arc length, whatever
+    the state's speed, and the velocity columns are the affine velocity."""
+    if length <= 0.0:
+        raise ValueError("length must be positive")
+    return _run(chart, "arclength", GeodesicTrace, state,
+                (state.x, state.y, state.vx, state.vy), state.t + length)
+
+
 def _jacobi_run(chart, state, t_end):
     """The geodesic through state jointly with the normal part of the
     Jacobi field with J(0) = 0: jn = 0 and jp = 1 at the start."""
@@ -693,7 +712,7 @@ def detect_closure(chart, state, t_max, tol=1e-6):
         return math.hypot(dx, dy) + dv
 
     arm_radius = max(1e-3, 10.0 * tol)
-    h_watch = (t_max - state.t) / 512.0
+    h_watch = t_max / 512.0
     best = math.inf
     armed = False
     # the last three sub-samples (time, distance), the oldest first

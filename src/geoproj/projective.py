@@ -20,7 +20,8 @@ import numpy as np
 
 from . import expr, sampling
 from .expr import X, Y
-from .flow import golden_min, integrate_geodesic
+# integrate_geodesic is unused here: perfbench/spans.py wraps it by this name
+from .flow import golden_min, integrate_by_arclength, integrate_geodesic
 from .integrals import (DegenerateRatioError, check_conservation,
                         darboux_integral)
 from .metric import ChartMap, christoffel, pullback
@@ -68,35 +69,10 @@ class EquivalenceReport:
         }
 
 
-def _resample_by_arclength(points, fractions, total):
-    """Positions at the given fractions of total chord length."""
-    seg = np.hypot(np.diff(points[:, 0]), np.diff(points[:, 1]))
-    s = np.concatenate([[0.0], np.cumsum(seg)])
-    want = fractions * total
-    return np.column_stack([np.interp(want, s, points[:, 0]),
-                            np.interp(want, s, points[:, 1])])
-
-
-def _chord_length(points):
-    return float(np.sum(np.hypot(np.diff(points[:, 0]),
-                                 np.diff(points[:, 1]))))
-
-
-def _overlap_positions(trace):
-    """(positions, chord length) of a trace fit for the overlap test, else
-    None.
-
-    The positions are the dense output at 400 times spaced uniformly in
-    parameter, evaluated in one bulk pass.  The raw accepted steps can be
-    long; comparing two traces through their step endpoints alone would
-    measure the step pattern, not the curve.
-    """
-    if len(trace.ts) < 5 or trace.termination.abandoned:
-        return None
-    pts = trace.dense.positions(
-        np.linspace(float(trace.ts[0]), float(trace.ts[-1]), 400))
-    chord = _chord_length(pts)
-    return (pts, chord) if chord >= 1e-3 else None
+def _usable(trace):
+    """Fit for the overlap test: 5 points, not abandoned, length >= 1e-3."""
+    return (len(trace.ts) >= 5 and not trace.termination.abandoned
+            and trace.length >= 1e-3)
 
 
 def check_projective_equivalence(g, gbar, n_traces=20, drift_tol=1e-6,
@@ -107,8 +83,10 @@ def check_projective_equivalence(g, gbar, n_traces=20, drift_tol=1e-6,
     determinant ratio must be conserved along the flow of g (max drift per
     unit parameter over sampled geodesics).  Second, shooting the same
     initial point and velocity through both flows must trace the same curve:
-    both traces are resampled by chord length and compared pointwise over
-    the arc both of them cover, and must stay within OVERLAP_TOL.
+    both are traced by the Euclidean arc length of their chart image, so
+    t_max is an arc length here and a parameter length for the conservation
+    traces, and compared at 51 equal arc lengths over the arc both cover;
+    they must stay within OVERLAP_TOL.
 
     The verdict is "equivalent" only if both measurements pass with enough
     usable traces, "not-equivalent" if either fails by a factor of ten, and
@@ -144,16 +122,14 @@ def check_projective_equivalence(g, gbar, n_traces=20, drift_tol=1e-6,
         if not in_bar(state.x, state.y):
             continue
         # the partner is traced only when the trace of g is usable
-        over_g = _overlap_positions(integrate_geodesic(g, state, t_max))
-        if over_g is None:
+        trace_g = integrate_by_arclength(g, state, t_max)
+        if not _usable(trace_g):
             continue
-        over_b = _overlap_positions(integrate_geodesic(gbar, state, t_max))
-        if over_b is None:
+        trace_b = integrate_by_arclength(gbar, state, t_max)
+        if not _usable(trace_b):
             continue
-        (pts_g, chord_g), (pts_b, chord_b) = over_g, over_b
-        arc = min(chord_g, chord_b)
-        a = _resample_by_arclength(pts_g, fractions, arc)
-        b = _resample_by_arclength(pts_b, fractions, arc)
+        at = state.t + fractions * min(trace_g.length, trace_b.length)
+        a, b = trace_g.dense.positions(at), trace_b.dense.positions(at)
         overlaps.append(float(np.max(np.hypot(*(a - b).T))))
 
     max_overlap = max(overlaps) if overlaps else math.inf

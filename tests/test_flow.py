@@ -11,8 +11,8 @@ from numpy.testing import assert_allclose
 
 from geoproj import expr, flow, metric, sampling, zoo
 from geoproj.flow import (GeodesicState, Termination, detect_closure,
-                          find_conjugate_points, integrate_geodesic,
-                          trace_to_csv)
+                          find_conjugate_points, integrate_by_arclength,
+                          integrate_geodesic, trace_to_csv)
 from chartlib import flat_chart, lumpy_chart, null_plane_chart, sphere_chart
 from oracles import jacobi_conjugate_times
 
@@ -311,6 +311,66 @@ def test_final_states_match_scipy_dop853():
         want = sol.y[:, -1]
         err = np.max(np.abs(tr.ys[-1] - want)) / max(1.0, np.max(np.abs(want)))
         assert err < 1e-9, (name, err)
+
+
+def test_arclength_trace_runs_the_equator_at_unit_chart_speed():
+    m = sphere_chart()
+    tr = integrate_by_arclength(m, GeodesicState(math.pi / 2, 0.3, 0.0, 1.0),
+                                5.0)
+    assert tr.termination == Termination.TIME_LIMIT
+    assert tr.length == pytest.approx(5.0, rel=1e-14)
+    s = np.linspace(0.0, 5.0, 41)
+    assert_allclose(tr.dense.positions(s),
+                    np.column_stack([np.full_like(s, math.pi / 2), 0.3 + s]),
+                    rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["band", "tannery-deformed",
+                                  "punctured-family"])
+def test_arclength_traces_do_not_depend_on_the_launch_speed(name):
+    # the same curve launched at speed v and at 3v: by arc length the two
+    # traces give the same positions at the same parameter
+    chart = zoo.build_bundle(name).chart
+    states = sampling.sample_states(chart, 6, np.random.default_rng(31))
+    for s in states:
+        fast = GeodesicState(s.x, s.y, 3.0 * s.vx, 3.0 * s.vy)
+        slow_tr = integrate_by_arclength(chart, s, 1.0)
+        fast_tr = integrate_by_arclength(chart, fast, 1.0)
+        assert slow_tr.termination == fast_tr.termination, (name, s)
+        at = np.linspace(0.0, min(slow_tr.length, fast_tr.length), 51)
+        gap = np.max(np.abs(slow_tr.dense.positions(at)
+                            - fast_tr.dense.positions(at)))
+        assert gap < 1e-9, (name, s, gap)
+
+
+def test_arclength_trace_ends_where_the_affine_trace_of_that_length_ends():
+    # an independent oracle: scipy's quad measures the chart length L of an
+    # affine trace from its velocity, and the trace by arc length L must
+    # end at the affine trace's end
+    quad = pytest.importorskip("scipy.integrate").quad
+    checked = 0
+    for name in ("band", "tannery-deformed", "punctured-family", "tannery"):
+        chart = zoo.build_bundle(name).chart
+        for s in sampling.sample_states(chart, 4,
+                                        np.random.default_rng(12345)):
+            tr = integrate_geodesic(chart, s, 1.0)
+            if tr.termination is not Termination.TIME_LIMIT:
+                continue
+            length, _ = quad(lambda t: math.hypot(*tr.dense(t)[2:4]),
+                             0.0, 1.0, epsabs=1e-14, epsrel=1e-13,
+                             limit=200)
+            by_arc = integrate_by_arclength(chart, s, length)
+            assert by_arc.termination is Termination.TIME_LIMIT
+            gap = np.max(np.abs(by_arc.ys[-1][:2] - tr.ys[-1][:2]))
+            assert gap < 1e-9, (name, s, gap)
+            checked += 1
+    assert checked >= 8
+
+
+def test_arclength_trace_refuses_a_length_not_positive():
+    with pytest.raises(ValueError):
+        integrate_by_arclength(sphere_chart(),
+                               GeodesicState(math.pi / 2, 0.0, 0.0, 1.0), 0.0)
 
 
 def test_rhs_evaluations_per_trace(monkeypatch):
@@ -654,6 +714,18 @@ def test_closure_uses_periodic_coordinates():
                          tol=1e-6)
     assert rep.closed
     assert rep.period == pytest.approx(2 * math.pi, abs=1e-7)
+
+
+def test_closure_watch_grid_does_not_depend_on_the_start_time():
+    # the watch grid spaces t_max / 512, not (t_max - t) / 512: started at
+    # t = 200 the equator orbit must close at 2 pi as it does from t = 0
+    chart, _ = zoo.tannery_chart()
+    for t0 in (0.0, 200.0):
+        rep = detect_closure(
+            chart, GeodesicState(math.pi / 2, 0.3, 0.0, 1.0, t=t0), 10.0,
+            tol=1e-6)
+        assert rep.closed, (t0, rep.min_distance)
+        assert rep.period == pytest.approx(2 * math.pi, abs=1e-7)
 
 
 def test_golden_min_stops_where_rounding_stops_the_bracket():

@@ -22,27 +22,25 @@ from chartlib import flat_chart, sphere_chart
 
 # The eight pairs of the benchmark's equivalence workload, decided at seed
 # 12345: verdict, repr of max_drift and max_overlap, n_conserved, n_overlap
-# and reason, as recorded before the overlap test sampled the dense output
-# in bulk.  The truncation pair reads "inconclusive", the documented
-# overlap-test defect.
+# and reason, as recorded once the overlap test traced both metrics by arc
+# length.  Every pair reads its expected verdict.
 GOLDEN_EQUIVALENCE = {
     "band-a2-l0.3": ("equivalent", "8.351141702028669e-09",
-                     "6.174420417483826e-06", 18, 8, ""),
+                     "2.0550521612126414e-10", 18, 8, ""),
     "band-a-1-l0.4": ("equivalent", "8.146511433641113e-09",
-                      "3.5437805437526494e-06", 18, 8, ""),
+                      "1.7627900120161886e-10", 18, 8, ""),
     "band-a1-l-0.5": ("equivalent", "1.0475287166625398e-08",
-                      "5.118625426061604e-06", 18, 8, ""),
+                      "1.2059517556340454e-10", 18, 8, ""),
     "punctured-family": ("equivalent", "6.38710267231914e-11",
-                         "7.799550710827892e-07", 19, 8, ""),
+                         "7.009101847870246e-11", 19, 8, ""),
     "tannery": ("equivalent", "6.266363361554047e-09",
-                "3.141603608081977e-06", 20, 8, ""),
+                "2.2593744801043335e-09", 20, 8, ""),
     "projective-shift": ("equivalent", "8.210633939333688e-10",
-                         "1.580511991481886e-05", 10, 8, ""),
-    "truncation": ("inconclusive", "1.9907432933493117e-10",
-                   "0.0008850024402545916", 20, 8,
-                   "measurements inside the gray zone"),
+                         "3.916074258704289e-11", 10, 8, ""),
+    "truncation": ("equivalent", "1.9907432933493117e-10",
+                   "7.788986995786565e-11", 20, 8, ""),
     "spoiled-strip": ("not-equivalent", "1152.277149597342",
-                      "0.3932655802763987", 18, 8, ""),
+                      "0.6105641201837201", 18, 8, ""),
 }
 
 
@@ -77,6 +75,18 @@ def test_equivalence_reports_are_golden():
         got[name] = (r.verdict, repr(r.max_drift), repr(r.max_overlap),
                      r.n_conserved, r.n_overlap, r.reason)
     assert got == GOLDEN_EQUIVALENCE
+
+
+@pytest.mark.parametrize("seed", [12345, 4242])
+def test_truncation_pair_is_equivalent(seed):
+    # the partner runs the same curves about three times faster in the
+    # chart; traced by arc length, both give the same positions
+    sphere, rot = zoo.tannery_chart()
+    trunc = zoo.clairaut_truncation(sphere, rot, l=1.0)
+    report = check_projective_equivalence(trunc.base, trunc.partner,
+                                          seed=seed)
+    assert report.verdict == EQUIVALENT, report
+    assert report.max_overlap < 1e-8
 
 
 def test_band_pair_is_equivalent():
@@ -139,22 +149,24 @@ def test_exhausted_step_budget_gives_a_verdict(monkeypatch):
 
 def test_partner_is_traced_only_for_usable_traces(monkeypatch):
     # the overlap test needs both traces; tracing the partner of a trace of
-    # g that is already unusable (at this seed one ends at a blow-up) is
-    # wasted work
-    base, _ = zoo.band_chart(a=1.0, l=0.0)
-    other, _ = zoo.band_chart(a=2.0, l=0.3)
+    # g that is already unusable is wasted work.  Traced by arc length, the
+    # band's blow-ups are regular traces (their chart images are unbounded),
+    # so g here is the truncation partner: at this seed one of its traces
+    # ends at a singularity, where its metric degenerates at the equator
+    sphere, rot = zoo.tannery_chart()
+    trunc = zoo.clairaut_truncation(sphere, rot, l=1.0)
+    g, gbar = trunc.partner, trunc.base
     traced = []
-    original = projective.integrate_geodesic
+    original = projective.integrate_by_arclength
 
-    def counting(chart, state, t_max):
-        trace = original(chart, state, t_max)
-        traced.append((chart is base,
-                       projective._overlap_positions(trace) is not None))
+    def counting(chart, state, length):
+        trace = original(chart, state, length)
+        traced.append((chart is g, projective._usable(trace)))
         return trace
 
-    monkeypatch.setattr(projective, "integrate_geodesic", counting)
-    report = check_projective_equivalence(base, other, n_traces=5,
-                                          t_max=1.0, seed=5)
+    monkeypatch.setattr(projective, "integrate_by_arclength", counting)
+    report = check_projective_equivalence(g, gbar, n_traces=5,
+                                          t_max=1.0, seed=0)
     assert report.verdict == EQUIVALENT
     usable_g = sum(1 for is_g, usable in traced if is_g and usable)
     partners = sum(1 for is_g, _ in traced if not is_g)
