@@ -414,8 +414,7 @@ def criterion_10(seed):
         worst_rev, used = 0.0, 0
         for st in states:
             fwd = integrate_geodesic(chart, st, 0.4)
-            if fwd.termination.abandoned \
-                    or len(fwd.ts) < 3 or fwd.length < 1e-3:
+            if fwd.drop_reason is not None:
                 continue
             end = fwd.final_state()
             back = integrate_geodesic(

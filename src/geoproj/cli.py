@@ -97,7 +97,7 @@ def _build(name, kwargs):
     except TypeError:
         raise UsageError("chart %r does not take parameters %s"
                          % (name, sorted(kwargs)))
-    except zoo.ZooError as err:
+    except (zoo.ZooError, ExpressionError) as err:
         raise UsageError("cannot build %r: %s" % (name, err))
 
 

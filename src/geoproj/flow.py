@@ -98,9 +98,10 @@ from .expr import compile_function
 from .metric import DomainError, degeneracy_ratio
 
 __all__ = [
-    "Termination", "GeodesicState", "GeodesicTrace", "JacobiTrace",
-    "ClosureReport", "integrate_geodesic", "integrate_by_arclength",
-    "find_conjugate_points", "detect_closure", "golden_min", "trace_to_csv",
+    "Termination", "DROP_REASONS", "GeodesicState", "GeodesicTrace",
+    "JacobiTrace", "ClosureReport", "integrate_geodesic",
+    "integrate_by_arclength", "find_conjugate_points", "detect_closure",
+    "golden_min", "trace_to_csv",
 ]
 
 
@@ -115,6 +116,11 @@ class Termination(str, Enum):
     def abandoned(self):
         """The integrator gave up on the trace before it could end."""
         return self in (Termination.SINGULARITY, Termination.STEP_BUDGET)
+
+
+# the values of GeodesicTrace.drop_reason other than None
+DROP_REASONS = ("short", Termination.SINGULARITY.value,
+                Termination.STEP_BUDGET.value)
 
 
 # tolerances, smallest step and step budget of every trace
@@ -554,6 +560,22 @@ class GeodesicTrace:
     @property
     def length(self):
         return float(self.ts[-1] - self.ts[0])
+
+    @property
+    def drop_reason(self):
+        """Why a decider cannot measure along the trace, or None if it can.
+
+        An abandoned trace gives its termination ("singularity": past the
+        stall the numbers say nothing; "step-budget"), and a trace of fewer
+        than 3 points or shorter than 1e-3 gives "short".  The conservation
+        traces, both overlap traces and the reversibility traces of the
+        acceptance suite are all dropped by this one rule.
+        """
+        if self.termination.abandoned:
+            return self.termination.value
+        if len(self.ts) < 3 or self.length < 1e-3:
+            return "short"
+        return None
 
 
 class JacobiTrace(GeodesicTrace):

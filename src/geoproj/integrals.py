@@ -21,8 +21,9 @@ import numpy as np
 
 from . import expr, sampling
 from .expr import ScalarField
-from .flow import Termination, integrate_geodesic
-from .metric import MetricChart, Signature, SignatureError, killing_residual
+from .flow import DROP_REASONS, integrate_geodesic
+from .metric import (_ZERO, MetricChart, Signature, killing_residual,
+                     pullback_form)
 
 __all__ = [
     "FiberIntegral", "KillingFieldError", "DegenerateRatioError",
@@ -40,8 +41,6 @@ class KillingFieldError(ValueError):
 class DegenerateRatioError(ValueError):
     """The determinant ratio of a metric pair collapses on the sample grid."""
 
-
-_ZERO = expr.const(0.0)
 
 
 @dataclass
@@ -157,9 +156,9 @@ def metric_from_quadratic_integral(chart, integral, name=None):
     If J(v) = Q(v, v) is conserved along the geodesics of g, the matrix
     (det g / det Q)^2 Q is the one metric candidate whose degree-two pair
     integral against g recovers J.  The coefficients are built symbolically
-    on the domain and sample box of g; the signature tag is read off the
-    determinant sign on the sample grid, which has to be consistent across
-    the grid.
+    on the domain and sample box of g.  The signature tag is read off the
+    determinant sign at the first point of the sample grid; validate()
+    then raises SignatureError where another grid point disagrees.
     """
     for part, label in ((integral.l1, "l1"), (integral.l2, "l2"),
                         (integral.c, "c")):
@@ -175,27 +174,12 @@ def metric_from_quadratic_integral(chart, integral, name=None):
     w = ratio * ratio
     g11, g12, g22 = w * integral.q11, w * integral.q12, w * integral.q22
 
-    dom, box = chart.domain, chart.sample_box
-    probe = MetricChart(name or ("partner[%s]" % integral.name),
-                        g11, g12, g22, dom, Signature.RIEMANNIAN, box,
-                        periods=chart.periods)
-    signs = set()
-    for p in probe.grid_points():
-        try:
-            d = probe.det_at(p)
-        except expr.EvaluationError:
-            continue
-        if d != 0.0:
-            signs.add(d > 0.0)
-    if len(signs) != 1:
-        raise SignatureError(
-            "partner metric of %r has no consistent determinant sign on the "
-            "sample grid" % integral.name)
-    sig = Signature.RIEMANNIAN if signs.pop() else Signature.LORENTZIAN
-    out = MetricChart(probe.name, g11, g12, g22, dom, sig, box,
-                      periods=chart.periods)
-    out.validate()
-    return out
+    out = MetricChart(name or ("partner[%s]" % integral.name),
+                      g11, g12, g22, chart.domain, Signature.RIEMANNIAN,
+                      chart.sample_box, periods=chart.periods)
+    if not out.det_at(out.grid_points()[0]) > 0.0:
+        out.signature = Signature.LORENTZIAN
+    return out.validate()
 
 
 def liouville_integral(h1, h2, sign=1):
@@ -229,20 +213,10 @@ def liouville_integral_printed(h1, h2, sign=1):
 
 def integral_pullback(integral, cmap, name=None):
     """Precompose a fiber integral with a chart map (chain rule on fibers)."""
-    a, b = cmap.fx, cmap.fy
-    ax, ay = a.diff("x"), a.diff("y")
-    bx, by = b.diff("x"), b.diff("y")
-    q11, q12, q22, l1, l2, c = expr.substitute(
-        [integral.q11, integral.q12, integral.q22, integral.l1, integral.l2,
-         integral.c], a, b)
     return FiberIntegral(
         name or "%s@%s" % (integral.name, cmap.name),
-        q11=q11 * ax * ax + 2.0 * q12 * ax * bx + q22 * bx * bx,
-        q12=q11 * ax * ay + q12 * (ax * by + ay * bx) + q22 * bx * by,
-        q22=q11 * ay * ay + 2.0 * q12 * ay * by + q22 * by * by,
-        l1=l1 * ax + l2 * bx,
-        l2=l1 * ay + l2 * by,
-        c=c)
+        *pullback_form(cmap, integral.q11, integral.q12, integral.q22,
+                       integral.l1, integral.l2, integral.c))
 
 
 @dataclass
@@ -274,22 +248,14 @@ class ConservationReport:
         }
 
 
-DROP_REASONS = ("short", Termination.SINGULARITY.value,
-                Termination.STEP_BUDGET.value)
-
-
 def check_conservation(chart, integral, n_samples=20, t_max=1.0, seed=None,
                        tol=1e-6):
     """Drift of the integral along sampled geodesics, per unit parameter.
 
     Each trace contributes max_t |I(t) - I(0)| / (scale * elapsed), with the
     scale set by |I(0)| (floored at 1e-3 so near-null values do not inflate
-    the statistic).  Traces that exit the domain almost immediately are
-    dropped from the statistic as "short", and so are traces the
-    integrator abandons at a blow-up ("singularity": past the point where
-    the step size collapses, the numbers say nothing about conservation) or
-    when the step budget runs out ("step-budget").  The report counts the
-    dropped traces per reason.
+    the statistic).  A trace with a GeodesicTrace.drop_reason is left out
+    of the statistic, and the report counts the dropped traces per reason.
     """
     seed = sampling.default_seed() if seed is None else int(seed)
     rng = np.random.default_rng(seed)
@@ -299,13 +265,11 @@ def check_conservation(chart, integral, n_samples=20, t_max=1.0, seed=None,
     value = integral.value
     for s in states:
         trace = integrate_geodesic(chart, s, t_max)
+        why = trace.drop_reason
+        if why is not None:
+            dropped[why] += 1
+            continue
         elapsed = trace.length
-        if trace.termination.abandoned:
-            dropped[trace.termination.value] += 1
-            continue
-        if len(trace.ts) < 3 or elapsed < 1e-3:
-            dropped["short"] += 1
-            continue
         vals = np.array([value((x, y), (vx, vy))
                          for x, y, vx, vy in trace.ys.tolist()])
         scale = max(abs(vals[0]), 1e-3)

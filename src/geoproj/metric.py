@@ -26,7 +26,7 @@ __all__ = [
     "Signature", "CausalClass", "Domain", "MetricChart", "ChartMap",
     "VectorField", "DegenerateMetricError", "SignatureError", "DomainError",
     "metric_eval", "christoffel", "gaussian_curvature", "classify",
-    "pullback", "lie_derivative_fields", "killing_residual",
+    "pullback", "pullback_form", "lie_derivative_fields", "killing_residual",
     "chart_to_dict", "chart_from_dict",
 ]
 
@@ -401,23 +401,41 @@ def classify(chart, point, v):
     return CausalClass.LIGHTLIKE
 
 
+_ZERO = expr.const(0.0)
+
+
+def pullback_form(cmap, q11, q12, q22, l1=_ZERO, l2=_ZERO, c=_ZERO):
+    """The fiber polynomial q(v, v) + l . v + c pulled back along cmap.
+
+    Returns the six coefficient fields (q11, q12, q22, l1, l2, c) of
+    q(J v, J v) + l . J v + c, each composed with cmap, where J is the
+    Jacobian of cmap: the chain rule on the fibers.  With l and c zero it
+    pulls back a symmetric 2-form, such as a metric.
+    """
+    a, b = cmap.fx, cmap.fy
+    ax, ay = a.diff("x"), a.diff("y")
+    bx, by = b.diff("x"), b.diff("y")
+    q11, q12, q22, l1, l2, c = expr.substitute(
+        [q11, q12, q22, l1, l2, c], a, b)
+    return (q11 * ax * ax + 2.0 * q12 * ax * bx + q22 * bx * bx,
+            q11 * ax * ay + q12 * (ax * by + ay * bx) + q22 * bx * by,
+            q11 * ay * ay + 2.0 * q12 * ay * by + q22 * by * by,
+            l1 * ax + l2 * bx,
+            l1 * ay + l2 * by,
+            c)
+
+
 def pullback(chart, cmap, name=None):
     """The pullback metric cmap^* g as a new chart.
 
     Coefficients are exact symbolic compositions; the domain is the
     preimage of the chart domain.
     """
-    a, b = cmap.fx, cmap.fy
-    ax, ay = a.diff("x"), a.diff("y")
-    bx, by = b.diff("x"), b.diff("y")
-    E, F, G = expr.substitute([chart.g11, chart.g12, chart.g22], a, b)
-    p11 = E * ax * ax + 2.0 * F * ax * bx + G * bx * bx
-    p12 = E * ax * ay + F * (ax * by + ay * bx) + G * bx * by
-    p22 = E * ay * ay + 2.0 * F * ay * by + G * by * by
-
+    p11, p12, p22, _, _, _ = pullback_form(cmap, chart.g11, chart.g12,
+                                           chart.g22)
     target = chart.domain.combined_field()
     dom = Domain(constraint=None if target is None
-                 else expr.substitute(target, a, b))
+                 else expr.substitute(target, cmap.fx, cmap.fy))
 
     if cmap.inverse is not None:
         ix, iy = cmap.inverse.fx, cmap.inverse.fy
@@ -529,6 +547,10 @@ def chart_from_dict(data):
          "a list of 2 entries")
     radius = number(dd.get("exclude_radius", 0.0), "exclude_radius")
     need(0.0 <= radius < math.inf, "exclude_radius", "finite and >= 0")
+    periods = tuple(None if v is None else number(v, "periods")
+                    for v in periods)
+    need(all(p is None or 0.0 < p < math.inf for p in periods), "periods",
+         "null or positive and finite")
     dom = Domain(
         x_min=number(dd.get("x_min"), "x_min", -math.inf),
         x_max=number(dd.get("x_max"), "x_max", math.inf),
@@ -546,7 +568,6 @@ def chart_from_dict(data):
         domain=dom,
         signature=Signature(data["signature"]),
         sample_box=tuple(number(v, "sample_box") for v in box),
-        periods=tuple(None if v is None else number(v, "periods")
-                      for v in periods),
+        periods=periods,
     )
     return chart.validate(n=5)

@@ -69,12 +69,6 @@ class EquivalenceReport:
         }
 
 
-def _usable(trace):
-    """Fit for the overlap test: 5 points, not abandoned, length >= 1e-3."""
-    return (len(trace.ts) >= 5 and not trace.termination.abandoned
-            and trace.length >= 1e-3)
-
-
 def check_projective_equivalence(g, gbar, n_traces=20, drift_tol=1e-6,
                                  t_max=1.0, seed=None):
     """Decide whether two metrics share their unparametrised geodesics.
@@ -86,7 +80,9 @@ def check_projective_equivalence(g, gbar, n_traces=20, drift_tol=1e-6,
     both are traced by the Euclidean arc length of their chart image, so
     t_max is an arc length here and a parameter length for the conservation
     traces, and compared at 51 equal arc lengths over the arc both cover;
-    they must stay within OVERLAP_TOL.
+    they must stay within OVERLAP_TOL.  Both measurements leave out the
+    traces that have a GeodesicTrace.drop_reason, and the overlap test
+    also the states outside gbar's domain.
 
     The verdict is "equivalent" only if both measurements pass with enough
     usable traces, "not-equivalent" if either fails by a factor of ten, and
@@ -123,10 +119,10 @@ def check_projective_equivalence(g, gbar, n_traces=20, drift_tol=1e-6,
             continue
         # the partner is traced only when the trace of g is usable
         trace_g = integrate_by_arclength(g, state, t_max)
-        if not _usable(trace_g):
+        if trace_g.drop_reason is not None:
             continue
         trace_b = integrate_by_arclength(gbar, state, t_max)
-        if not _usable(trace_b):
+        if trace_b.drop_reason is not None:
             continue
         at = state.t + fractions * min(trace_g.length, trace_b.length)
         a, b = trace_g.dense.positions(at), trace_b.dense.positions(at)

@@ -595,44 +595,35 @@ def _build_flat():
         chart, VectorField("translation", expr.const(0.0), expr.const(1.0)))
 
 
-def _build_clifton_pohl():
-    return _killing_bundle(*clifton_pohl())
+def _killing_entry(constructor, **defaults):
+    """The build function of an entry whose constructor returns a chart and
+    its Killing field.  defaults holds only the catalogue's defaults that
+    differ from the constructor's own; given parameters override them."""
+    def build(**kwargs):
+        return _killing_bundle(*constructor(**dict(defaults, **kwargs)))
+    return build
 
 
-def _build_band(f=None, a=2.0, l=0.3):
-    return _killing_bundle(*band_chart(f, a=a, l=l))
-
-
-def _build_punctured(a=1.0, l=0.5):
-    return _killing_bundle(*punctured_plane_family(a=a, l=l))
-
-
-def _build_tannery(c=1.0, h=None):
-    return _killing_bundle(*tannery_chart(c=c, h=h))
-
-
-def _build_tannery_deformed(c=1.0, h=None, l=-2.0):
-    return _killing_bundle(*tannery_deformed(c=c, h=h, l=l))
-
-
-def _build_shift(f=None, a=2.0, eps=0.5):
-    bundle = projective_shift(f=f, a=a, eps=eps)
+def _build_shift(**kwargs):
+    bundle = projective_shift(**kwargs)
     return _killing_bundle(bundle.chart, bundle.killing,
                            maps={"shift": bundle.tau},
                            extras={"shift_bundle": bundle})
 
 
-def _build_liouville(h1=None, h2=None, sign=1):
-    periods = (0.5, 0.5) if h1 is None and h2 is None else (None, None)
-    chart, sep = liouville_chart(h1, h2, sign=sign, periods=periods)
+def _build_liouville(**kwargs):
+    # the default profiles have period 1/2 in both coordinates
+    default = kwargs.get("h1") is None and kwargs.get("h2") is None
+    chart, sep = liouville_chart(
+        periods=(0.5, 0.5) if default else (None, None), **kwargs)
     return ZooBundle(chart,
                      integrals={"energy": energy_integral(chart),
                                 "separable": sep})
 
 
-def _build_truncation(l=1.0):
+def _build_truncation(**kwargs):
     base_chart, k = tannery_chart()
-    tb = clairaut_truncation(base_chart, k, l=l)
+    tb = clairaut_truncation(base_chart, k, **kwargs)
     return ZooBundle(tb.partner, killing=k,
                      integrals={"energy": energy_integral(tb.partner),
                                 "defining": tb.integral})
@@ -644,19 +635,19 @@ def catalogue():
         ZooEntry("flat", "Euclidean plane, the control chart", _build_flat),
         ZooEntry("clifton-pohl",
                  "null metric 2 dx dy/(x^2+y^2) off the origin",
-                 _build_clifton_pohl),
+                 _killing_entry(clifton_pohl)),
         ZooEntry("band",
                  "Lorentzian strip family over a profile f with Killing d/dy",
-                 _build_band),
+                 _killing_entry(band_chart, a=2.0, l=0.3)),
         ZooEntry("punctured-family",
                  "projective partners of the punctured-plane null metric",
-                 _build_punctured),
+                 _killing_entry(punctured_plane_family)),
         ZooEntry("tannery",
                  "rotation surface (c+h(cos r))^2 dr^2 + sin^2 r dtheta^2",
-                 _build_tannery),
+                 _killing_entry(tannery_chart)),
         ZooEntry("tannery-deformed",
                  "Clairaut-square deformation of the rotation surface",
-                 _build_tannery_deformed),
+                 _killing_entry(tannery_deformed)),
         ZooEntry("projective-shift",
                  "strip whose unit x-translation is projective, not affine",
                  _build_shift),

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -159,9 +160,14 @@ def _nested_g11(levels):
     (_nested_g11(200), "'g11'"),    # one level above the parse cap
     (_nested_g11(600), "'g11'"),    # too deep to differentiate
     (_nested_g11(1200), "'g11'"),   # too deep for a recursive parser
+    (lambda d: {**d, "periods": [None, 0.0]}, "'periods'"),
+    (lambda d: {**d, "periods": [-2.0 * math.pi, None]}, "'periods'"),
+    (lambda d: {**d, "periods": [None, "nan"]}, "'periods'"),
+    (lambda d: {**d, "periods": ["inf", None]}, "'periods'"),
 ], ids=["top-list", "domain-list", "periods-number", "sample-box-null",
         "coefficient-number", "radius-nan", "radius-negative", "radius-inf",
-        "nest-201", "nest-601", "nest-1201"])
+        "nest-201", "nest-601", "nest-1201", "period-zero",
+        "period-negative", "period-nan", "period-inf"])
 def test_malformed_chart_file_is_a_usage_error(capsys, tmp_path, change,
                                                field):
     path = tmp_path / "chart.json"
@@ -171,6 +177,22 @@ def test_malformed_chart_file_is_a_usage_error(capsys, tmp_path, change,
                          "--vy0", "0.0", "--tmax", "0.5")
     assert rc == 2
     assert err.startswith("error: bad chart file") and field in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["zoo", "show", "band", "--a", "nan"],
+    ["zoo", "show", "band", "--ell", "inf"],
+    ["zoo", "show", "tannery", "--c", "nan"],
+    ["zoo", "show", "punctured-family", "--a", "nan"],
+    ["zoo", "show", "tannery-deformed", "--ell", "nan"],
+    ["check", "projective", "--chart", "band", "--a", "nan",
+     "--chart-b", "flat"],
+], ids=["band-a", "band-ell", "tannery-c", "punctured-a", "deformed-ell",
+        "check-band-a"])
+def test_non_finite_catalogue_parameter_is_a_usage_error(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: cannot build") and "not finite" in err
 
 
 def test_geodesic_requires_a_chart(capsys):

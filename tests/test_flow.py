@@ -173,6 +173,43 @@ def test_tiny_final_step_is_not_a_collapse():
     assert tr.ts[-1] - tr.ts[-2] == pytest.approx(1e-9, rel=1e-3)
 
 
+def _hand_trace(ts):
+    ts = np.asarray(ts, dtype=float)
+    return flow.GeodesicTrace("c", ts, np.zeros((len(ts), 4)),
+                              Termination.TIME_LIMIT, None, len(ts) - 1, 0,
+                              7 * (len(ts) - 1))
+
+
+def test_drop_reason_of_a_usable_trace():
+    tr = integrate_geodesic(flat_chart(), GeodesicState(0.0, 0.0, 1.0, 0.0),
+                            1.0)
+    assert tr.termination == Termination.TIME_LIMIT
+    assert tr.drop_reason is None
+
+
+@pytest.mark.parametrize("ts, reason", [
+    ([0.0, 0.05, 0.1, 0.5], None),   # criterion 10 runs 4-point traces
+    ([0.0, 0.005, 0.01], None),
+    ([0.0, 1.0], "short"),           # two points
+    ([0.0, 1e-4, 2e-4], "short"),    # three points, shorter than 1e-3
+])
+def test_drop_reason_of_few_point_traces(ts, reason):
+    assert _hand_trace(ts).drop_reason == reason
+
+
+def test_drop_reason_of_abandoned_traces(monkeypatch):
+    cp, _ = zoo.clifton_pohl()
+    tr = integrate_geodesic(cp, GeodesicState(1e-2, 1e-3, -1.0, 0.0), 1.0)
+    assert tr.termination == Termination.SINGULARITY
+    assert tr.drop_reason == "singularity"
+    monkeypatch.setattr(flow, "MAX_STEPS", 50)
+    tr = integrate_geodesic(sphere_chart(),
+                            GeodesicState(math.pi / 2, 0.0, 0.3, 1.0), 10.0)
+    assert tr.termination == Termination.STEP_BUDGET
+    assert tr.drop_reason == "step-budget"
+    assert {"singularity", "step-budget", "short"} == set(flow.DROP_REASONS)
+
+
 def test_step_budget_ends_the_trace(monkeypatch):
     monkeypatch.setattr(flow, "MAX_STEPS", 50)
     m = sphere_chart()

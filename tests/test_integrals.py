@@ -191,6 +191,46 @@ def test_conservation_report_counts_drop_reasons(monkeypatch):
     assert rep.n_used == 0 and not rep.passed
 
 
+@pytest.mark.parametrize("name, t_max", [
+    ("projective-shift", 0.5),   # five traces blow up
+    ("flat", 1e-4),              # every trace is short
+])
+def test_conservation_drops_traces_by_their_drop_reason(monkeypatch, name,
+                                                        t_max):
+    chart = zoo.build_bundle(name).chart
+    traces = []
+    original = integrals.integrate_geodesic
+
+    def recording(*args):
+        traces.append(original(*args))
+        return traces[-1]
+
+    monkeypatch.setattr(integrals, "integrate_geodesic", recording)
+    rep = check_conservation(chart, energy_integral(chart), n_samples=20,
+                             t_max=t_max, seed=12345)
+    reasons = [tr.drop_reason for tr in traces]
+    assert len(traces) == 20 and set(reasons) - {None} != set()
+    assert rep.dropped == {why: reasons.count(why)
+                           for why in flow.DROP_REASONS}
+    assert rep.n_used == reasons.count(None)
+
+
+def test_partner_signature_is_read_at_the_first_grid_point():
+    # Q = x dx^2 + dy^2 on the flat chart: the partner's determinant 1/x^3
+    # changes sign across x = 0, which the sample grid straddles
+    m = flat_chart()
+    q = integrals.FiberIntegral("mixed", q11=expr.X, q22=expr.const(1.0))
+    with pytest.raises(metric.SignatureError, match="tagged lorentzian"):
+        integrals.metric_from_quadratic_integral(m, q)
+
+
+def test_catalogue_partners_keep_their_signature_tags():
+    tags = {name: zoo.build_bundle(name).chart.signature
+            for name in ("clairaut-truncation", "punctured-family")}
+    assert tags == {"clairaut-truncation": Signature.RIEMANNIAN,
+                    "punctured-family": Signature.LORENTZIAN}
+
+
 def test_drift_statistic_is_scale_invariant():
     m = sphere_chart()
     en = energy_integral(m)

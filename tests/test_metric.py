@@ -229,6 +229,19 @@ def test_chart_serialization_round_trip():
     assert back2.periods[1] == pytest.approx(2.0 * math.pi)
 
 
+@pytest.mark.parametrize("period", [0.0, -2.0 * math.pi, math.nan,
+                                    math.inf])
+def test_chart_file_period_must_be_positive_and_finite(period):
+    # a zero period made closure detection raise from math.fmod, and a
+    # negative one kept the sphere's equator from closing
+    data = metric.chart_to_dict(sphere_chart())
+    data["periods"] = [None, period]
+    with pytest.raises(metric.DomainError, match="'periods'"):
+        metric.chart_from_dict(data)
+    data["periods"] = [None, None]
+    assert metric.chart_from_dict(data).periods == (None, None)
+
+
 @pytest.mark.parametrize("form", [
     "(* 1.0001 %s)", "(/ %s 1.0001)", "(+ 0.001 %s)", "(sin %s)"])
 def test_a_chart_at_the_parse_depth_cap_passes_every_pass(form):

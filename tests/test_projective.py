@@ -161,7 +161,7 @@ def test_partner_is_traced_only_for_usable_traces(monkeypatch):
 
     def counting(chart, state, length):
         trace = original(chart, state, length)
-        traced.append((chart is g, projective._usable(trace)))
+        traced.append((chart is g, trace.drop_reason is None))
         return trace
 
     monkeypatch.setattr(projective, "integrate_by_arclength", counting)

@@ -259,6 +259,7 @@ def test_tannery_deformed_matches_partner_construction():
     j = energy_integral(band) + clairaut_integral(band, k) \
         .squared_linear().scaled(l)
     partner = metric_from_quadratic_integral(band, j)
+    assert partner.signature == Signature.LORENTZIAN
     deformed, _ = zoo.tannery_deformed(l=l)
     rng = np.random.default_rng(10)
     for _ in range(10):
