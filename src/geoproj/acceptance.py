@@ -464,7 +464,7 @@ CRITERIA = [
 
 def run_all(seed=None):
     """Run the ten acceptance criteria; a crash is a failure, not an abort."""
-    seed = sampling.default_seed() if seed is None else int(seed)
+    seed = sampling.resolve_seed(seed)
     results = []
     for cid, fn in CRITERIA:
         t0 = time.perf_counter()

@@ -3,7 +3,8 @@
 Subcommands: zoo (catalogue), geodesic (trace runs), check (equivalence,
 affinity, isometry), verify (closed-form identities), accept (the full
 acceptance suite).  Reports are JSON with sorted keys so identical
-invocations at the same seed produce byte-identical output; exit codes are
+invocations at the same seed produce byte-identical output; a number that
+is not finite prints as null.  Exit codes are
 0 for pass, 1 for a failed check, 2 for usage or configuration errors.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -27,8 +29,20 @@ class UsageError(Exception):
     pass
 
 
+def _finite(data):
+    """data with every non-finite float replaced by None, printed as null."""
+    if isinstance(data, float):
+        return data if math.isfinite(data) else None
+    if isinstance(data, dict):
+        return {key: _finite(value) for key, value in data.items()}
+    if isinstance(data, (list, tuple)):
+        return [_finite(value) for value in data]
+    return data
+
+
 def _emit(data, path=None):
-    text = json.dumps(data, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(_finite(data), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
     sys.stdout.write(text)
     if path:
         with open(path, "w") as fh:
@@ -51,7 +65,7 @@ def _positive(args, flag, default):
 def _seed(args):
     """The --seed flag, else the GEOPROJ_SEED variable, else 12345."""
     try:
-        return sampling.default_seed() if args.seed is None else args.seed
+        return sampling.resolve_seed(args.seed)
     except ValueError:
         raise UsageError("GEOPROJ_SEED must be an integer, got %r"
                          % os.environ["GEOPROJ_SEED"]) from None
@@ -159,18 +173,16 @@ def cmd_geodesic(args):
     except DomainError as err:
         raise UsageError("bad initial condition: %s" % err)
 
-    extras = []
-    if bundle is not None:
-        extras = [(name, integral.value_at_state)
-                  for name, integral in bundle.integrals.items()
-                  if name != "energy"]
+    energy = energy_integral(chart).along(trace)
     if args.csv:
+        columns = [("energy", energy)]
+        if bundle is not None:
+            columns += [(name, integral.along(trace))
+                        for name, integral in bundle.integrals.items()
+                        if name != "energy"]
         with open(args.csv, "w") as fh:
-            trace_to_csv(chart, trace, fh, extra_columns=extras)
+            trace_to_csv(trace, fh, columns)
 
-    energy = energy_integral(chart)
-    vals = [energy.value_at_state(trace.state_at_index(i))
-            for i in range(len(trace.ts))]
     end = trace.final_state()
     _emit({
         "schema": 1,
@@ -179,7 +191,7 @@ def cmd_geodesic(args):
         "t_final": end.t,
         "state": {"x": end.x, "y": end.y, "vx": end.vx, "vy": end.vy},
         "steps": {"accepted": trace.n_accepted, "rejected": trace.n_rejected},
-        "energy_drift": float(max(abs(v - vals[0]) for v in vals)),
+        "energy_drift": float(abs(energy - energy[0]).max()),
     }, args.json)
     return 0
 

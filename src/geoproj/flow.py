@@ -769,20 +769,15 @@ def detect_closure(chart, state, t_max, tol=1e-6):
     return ClosureReport(False, None, float(best), tol, trace=trace)
 
 
-def trace_to_csv(chart, trace, fileobj, extra_columns=()):
-    """Write t, x, y, vx, vy, energy and any extra named columns.
+def trace_to_csv(trace, fileobj, columns=()):
+    """Write t, x, y, vx, vy and the named columns, one row per trace point.
 
-    extra_columns is a sequence of (name, fn) with fn(state) -> float.
+    columns is a sequence of (name, values) with one value per row, such as
+    FiberIntegral.along(trace).
     """
-    coeffs = chart.runtime().coeffs
     writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(["t", "x", "y", "vx", "vy", "energy"]
-                    + [name for name, _ in extra_columns])
-    for i in range(len(trace.ts)):
-        s = trace.state_at_index(i)
-        E, F, G = coeffs(s.x, s.y)
-        energy = E * s.vx ** 2 + 2.0 * F * s.vx * s.vy + G * s.vy ** 2
-        row = [repr(float(v)) for v in
-               (s.t, s.x, s.y, s.vx, s.vy, energy)]
-        row += [repr(float(fn(s))) for _, fn in extra_columns]
-        writer.writerow(row)
+    writer.writerow(["t", "x", "y", "vx", "vy"] + [name for name, _ in columns])
+    table = np.column_stack([trace.ts, trace.ys[:, :4]]
+                            + [values for _, values in columns])
+    for row in table.tolist():
+        writer.writerow([repr(v) for v in row])

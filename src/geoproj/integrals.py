@@ -68,8 +68,11 @@ class FiberIntegral:
         return (q11 * v[0] * v[0] + 2.0 * q12 * v[0] * v[1] + q22 * v[1] * v[1]
                 + l1 * v[0] + l2 * v[1] + c)
 
-    def value_at_state(self, s):
-        return self.value((s.x, s.y), (s.vx, s.vy))
+    def along(self, trace):
+        """The integral at every row of the trace, as an array."""
+        value = self.value
+        return np.array([value((x, y), (vx, vy))
+                         for x, y, vx, vy in trace.ys[:, :4].tolist()])
 
     def __add__(self, other):
         if not isinstance(other, FiberIntegral):
@@ -257,12 +260,11 @@ def check_conservation(chart, integral, n_samples=20, t_max=1.0, seed=None,
     the statistic).  A trace with a GeodesicTrace.drop_reason is left out
     of the statistic, and the report counts the dropped traces per reason.
     """
-    seed = sampling.default_seed() if seed is None else int(seed)
+    seed = sampling.resolve_seed(seed)
     rng = np.random.default_rng(seed)
     states = sampling.sample_states(chart, n_samples, rng)
     drifts = []
     dropped = dict.fromkeys(DROP_REASONS, 0)
-    value = integral.value
     for s in states:
         trace = integrate_geodesic(chart, s, t_max)
         why = trace.drop_reason
@@ -270,8 +272,7 @@ def check_conservation(chart, integral, n_samples=20, t_max=1.0, seed=None,
             dropped[why] += 1
             continue
         elapsed = trace.length
-        vals = np.array([value((x, y), (vx, vy))
-                         for x, y, vx, vy in trace.ys.tolist()])
+        vals = integral.along(trace)
         scale = max(abs(vals[0]), 1e-3)
         drifts.append(float(np.max(np.abs(vals - vals[0])) / (scale * elapsed)))
     max_drift = max(drifts) if drifts else math.inf

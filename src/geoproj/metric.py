@@ -13,7 +13,7 @@ repeated evaluation (geodesic right-hand sides in particular) stays cheap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from typing import Callable, Optional
 
@@ -99,18 +99,13 @@ def degeneracy_ratio(E, F, G):
     return abs(E * G - F * F) / max(E * E, F * F, G * G, 1e-300)
 
 
-def _field_min(u, v):
-    # exact pointwise min; only the sign is ever used
-    return (u + v - expr.absval(u - v)) * 0.5
-
-
 @dataclass(frozen=True)
 class Domain:
-    """Open box, optionally minus a closed origin disc, cut by a constraint.
+    """Open box, optionally minus a closed origin disc, cut by constraints.
 
     A point is inside when it lies strictly within the bounds, strictly
-    outside the excluded disc, and the constraint field (when present) is
-    strictly positive there.
+    outside the excluded disc, and each constraint field is strictly
+    positive and finite there.
     """
 
     x_min: float = -math.inf
@@ -118,29 +113,24 @@ class Domain:
     y_min: float = -math.inf
     y_max: float = math.inf
     exclude_radius: float = 0.0
-    constraint: Optional[ScalarField] = None
+    constraints: tuple = ()
 
-    def combined_field(self):
-        """One field positive exactly on the domain, or None if unconstrained."""
-        factors = []
+    def factors(self):
+        """The fields that are each positive exactly on the domain: the
+        finite bounds, the disc, then the constraints."""
+        out = []
         if math.isfinite(self.x_min):
-            factors.append(expr.X - self.x_min)
+            out.append(expr.X - self.x_min)
         if math.isfinite(self.x_max):
-            factors.append(self.x_max - expr.X)
+            out.append(self.x_max - expr.X)
         if math.isfinite(self.y_min):
-            factors.append(expr.Y - self.y_min)
+            out.append(expr.Y - self.y_min)
         if math.isfinite(self.y_max):
-            factors.append(self.y_max - expr.Y)
+            out.append(self.y_max - expr.Y)
         if self.exclude_radius > 0.0:
-            factors.append(expr.X * expr.X + expr.Y * expr.Y - self.exclude_radius ** 2)
-        if self.constraint is not None:
-            factors.append(self.constraint)
-        if not factors:
-            return None
-        out = factors[0]
-        for f in factors[1:]:
-            out = _field_min(out, f)
-        return out
+            out.append(expr.X * expr.X + expr.Y * expr.Y
+                       - self.exclude_radius ** 2)
+        return tuple(out) + self.constraints
 
 
 @dataclass
@@ -165,8 +155,8 @@ class _Runtime:
         self.compiled = {}
 
         dom = chart.domain
-        cons = dom.constraint
-        cons_fn = expr.compile_fields([cons]) if cons is not None else None
+        cons_fn = (expr.compile_fields(list(dom.constraints))
+                   if dom.constraints else None)
         x_min, x_max = dom.x_min, dom.x_max
         y_min, y_max = dom.y_min, dom.y_max
         r2 = self.exclude_r2 = dom.exclude_radius ** 2
@@ -178,10 +168,12 @@ class _Runtime:
                 return False
             if cons_fn is not None:
                 try:
-                    c = cons_fn(x, y)[0]
+                    values = cons_fn(x, y)
                 except (ValueError, ZeroDivisionError, OverflowError):
                     return False
-                return c > 0.0 and math.isfinite(c)
+                for c in values:
+                    if not (c > 0.0 and math.isfinite(c)):
+                        return False
             return True
 
         self.in_domain = in_domain
@@ -336,13 +328,6 @@ class ChartMap:
         return np.array([[a, b], [c, d]])
 
 
-def restrict_domain(domain, extra_constraint):
-    """The domain cut down by one more strict-positivity constraint."""
-    cons = extra_constraint if domain.constraint is None \
-        else _field_min(domain.constraint, extra_constraint)
-    return replace(domain, constraint=cons)
-
-
 def gaussian_curvature_limit(chart, base, direction):
     """Extrapolated curvature limit approaching base along direction.
 
@@ -433,9 +418,9 @@ def pullback(chart, cmap, name=None):
     """
     p11, p12, p22, _, _, _ = pullback_form(cmap, chart.g11, chart.g12,
                                            chart.g22)
-    target = chart.domain.combined_field()
-    dom = Domain(constraint=None if target is None
-                 else expr.substitute(target, cmap.fx, cmap.fy))
+    factors = chart.domain.factors()
+    dom = Domain(constraints=tuple(expr.substitute(factors, cmap.fx, cmap.fy))
+                 if factors else ())
 
     if cmap.inverse is not None:
         ix, iy = cmap.inverse.fx, cmap.inverse.fy
@@ -485,7 +470,11 @@ def killing_residual(chart, k):
 # -- serialization ------------------------------------------------------------
 
 def chart_to_dict(chart):
+    """The chart as a JSON-ready dictionary.  The domain's constraints are
+    written as one expression text when there is one, as a list of texts
+    when there are several, and as null when there are none."""
     dom = chart.domain
+    texts = [expr.to_prefix(c) for c in dom.constraints]
     return {
         "schema": 1,
         "name": chart.name,
@@ -501,8 +490,7 @@ def chart_to_dict(chart):
             "y_min": None if not math.isfinite(dom.y_min) else dom.y_min,
             "y_max": None if not math.isfinite(dom.y_max) else dom.y_max,
             "exclude_radius": dom.exclude_radius,
-            "constraint": None if dom.constraint is None
-            else expr.to_prefix(dom.constraint),
+            "constraint": texts[0] if len(texts) == 1 else texts or None,
         },
         "sample_box": list(chart.sample_box),
         "periods": list(chart.periods),
@@ -545,6 +533,8 @@ def chart_from_dict(data):
          "a list of 4 numbers")
     need(isinstance(periods, list) and len(periods) == 2, "periods",
          "a list of 2 entries")
+    cons = dd.get("constraint")
+    cons = cons if isinstance(cons, list) else [] if cons is None else [cons]
     radius = number(dd.get("exclude_radius", 0.0), "exclude_radius")
     need(0.0 <= radius < math.inf, "exclude_radius", "finite and >= 0")
     periods = tuple(None if v is None else number(v, "periods")
@@ -557,8 +547,7 @@ def chart_from_dict(data):
         y_min=number(dd.get("y_min"), "y_min", -math.inf),
         y_max=number(dd.get("y_max"), "y_max", math.inf),
         exclude_radius=radius,
-        constraint=None if dd.get("constraint") is None
-        else field(dd["constraint"], "constraint"),
+        constraints=tuple(field(c, "constraint") for c in cons),
     )
     chart = MetricChart(
         name=data["name"],

@@ -24,7 +24,7 @@ from .expr import X, Y
 from .flow import golden_min, integrate_by_arclength, integrate_geodesic
 from .integrals import (DegenerateRatioError, check_conservation,
                         darboux_integral)
-from .metric import ChartMap, christoffel, pullback
+from .metric import ChartMap, DomainError, christoffel, pullback
 
 __all__ = [
     "EquivalenceReport", "MapCheck", "LiouvilleSymmetry",
@@ -86,22 +86,22 @@ def check_projective_equivalence(g, gbar, n_traces=20, drift_tol=1e-6,
 
     The verdict is "equivalent" only if both measurements pass with enough
     usable traces, "not-equivalent" if either fails by a factor of ten, and
-    "inconclusive" in between or when the pair integral cannot be built.
+    "inconclusive" in between, or when the pair integral cannot be built or
+    g's sample box holds too little of its domain to sample.
     """
-    seed = sampling.default_seed() if seed is None else int(seed)
+    seed = sampling.resolve_seed(seed)
 
     try:
         pair = darboux_integral(g, gbar)
-    except DegenerateRatioError as err:
+        conservation = check_conservation(
+            g, pair, n_samples=n_traces, t_max=t_max, seed=seed,
+            tol=drift_tol)
+    except (DegenerateRatioError, DomainError) as err:
         return EquivalenceReport(
             g=g.name, gbar=gbar.name, verdict=INCONCLUSIVE,
             max_drift=math.inf, max_overlap=math.inf, n_conserved=0,
             n_overlap=0, drift_tol=drift_tol, overlap_tol=OVERLAP_TOL,
             seed=seed, reason=str(err))
-
-    conservation = check_conservation(
-        g, pair, n_samples=n_traces, t_max=t_max, seed=seed,
-        tol=drift_tol)
 
     rng = np.random.default_rng(seed + 1)
     in_bar = gbar.runtime().in_domain
@@ -113,7 +113,7 @@ def check_projective_equivalence(g, gbar, n_traces=20, drift_tol=1e-6,
         attempts += 1
         try:
             state = sampling.sample_states(g, 1, rng)[0]
-        except sampling.DomainError:
+        except DomainError:
             break
         if not in_bar(state.x, state.y):
             continue
@@ -175,8 +175,7 @@ class MapCheck:
 
 
 def _comparison_points(g, pulled, n, seed):
-    rng = np.random.default_rng(sampling.default_seed()
-                                if seed is None else int(seed))
+    rng = np.random.default_rng(sampling.resolve_seed(seed))
     inside = pulled.runtime().in_domain
     pts = []
     attempts = 0
@@ -184,7 +183,7 @@ def _comparison_points(g, pulled, n, seed):
         attempts += 1
         try:
             p = sampling.sample_points(g, 1, rng)[0]
-        except sampling.DomainError:
+        except DomainError:
             break
         if inside(*p):
             pts.append(p)

@@ -8,7 +8,7 @@ import os
 from .flow import GeodesicState
 from .metric import DomainError
 
-__all__ = ["default_seed", "sample_states", "sample_points"]
+__all__ = ["default_seed", "resolve_seed", "sample_states", "sample_points"]
 
 
 def default_seed():
@@ -16,40 +16,41 @@ def default_seed():
     return int(os.environ.get("GEOPROJ_SEED", "12345"))
 
 
-def sample_points(chart, n, rng):
-    """n positions uniform over the sample box, rejected into the domain."""
+def resolve_seed(seed):
+    """seed as an int, or default_seed() when it is None."""
+    return default_seed() if seed is None else int(seed)
+
+
+def _positions(chart, n, rng, budget, failure):
+    """Yield n positions uniform over the sample box, rejected into the
+    domain; x and y are drawn in that order, and a caller's own draws
+    between two yields interleave with them.  Past budget * n draws it
+    raises DomainError(failure % (n, chart.name))."""
     xa, xb, ya, yb = chart.sample_box
     inside = chart.runtime().in_domain
-    out = []
-    attempts = 0
-    while len(out) < n:
+    found = attempts = 0
+    while found < n:
         attempts += 1
-        if attempts > 200 * max(n, 1):
-            raise DomainError(
-                "cannot sample %d points inside chart %r" % (n, chart.name))
+        if attempts > budget * max(n, 1):
+            raise DomainError(failure % (n, chart.name))
         x = rng.uniform(xa, xb)
         y = rng.uniform(ya, yb)
         if inside(x, y):
-            out.append((float(x), float(y)))
-    return out
+            found += 1
+            yield float(x), float(y)
+
+
+def sample_points(chart, n, rng):
+    """n positions uniform over the sample box, rejected into the domain."""
+    return list(_positions(chart, n, rng, 200,
+                           "cannot sample %d points inside chart %r"))
 
 
 def sample_states(chart, n, rng):
     """n initial states: positions in the domain, unit Euclidean velocities."""
-    inside = chart.runtime().in_domain
-    xa, xb, ya, yb = chart.sample_box
     out = []
-    attempts = 0
-    while len(out) < n:
-        attempts += 1
-        if attempts > 500 * max(n, 1):
-            raise DomainError(
-                "cannot sample %d states on chart %r" % (n, chart.name))
-        x = rng.uniform(xa, xb)
-        y = rng.uniform(ya, yb)
-        if not inside(x, y):
-            continue
+    for x, y in _positions(chart, n, rng, 500,
+                           "cannot sample %d states on chart %r"):
         theta = rng.uniform(0.0, 2.0 * math.pi)
-        out.append(GeodesicState(float(x), float(y), math.cos(theta),
-                                 math.sin(theta)))
+        out.append(GeodesicState(x, y, math.cos(theta), math.sin(theta)))
     return out

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -23,9 +23,8 @@ from .integrals import (FiberIntegral, check_conservation, clairaut_integral,
                         energy_integral, liouville_integral,
                         liouville_integral_printed,
                         metric_from_quadratic_integral)
-from .metric import (ChartMap, Domain, MetricChart, Signature, VectorField,
-                     restrict_domain)
-from .sampling import default_seed
+from .metric import ChartMap, Domain, MetricChart, Signature, VectorField
+from .sampling import resolve_seed
 
 __all__ = [
     "ZooError", "ZooBundle", "ZooEntry", "TruncationBundle", "ShiftBundle",
@@ -169,7 +168,7 @@ def sample_rescaling_identity(n=1000, seed=None):
     at least 0.05 in magnitude, so the residual is measured away from the
     family's own degeneracies.  Returns (max residual, worst tuple).
     """
-    rng = np.random.default_rng(default_seed() if seed is None else seed)
+    rng = np.random.default_rng(resolve_seed(seed))
     worst, worst_tuple = 0.0, None
     used = 0
     while used < n:
@@ -318,7 +317,8 @@ def clairaut_truncation(chart, k, l=1.0):
     c = clairaut_integral(chart, k)
     gkk = (chart.g11 * (k.vx * k.vx) + 2.0 * (chart.g12 * (k.vx * k.vy))
            + chart.g22 * (k.vy * k.vy))
-    dom = restrict_domain(chart.domain, l * l - gkk)
+    dom = replace(chart.domain,
+                  constraints=chart.domain.constraints + (l * l - gkk,))
     base = MetricChart(
         "%s|K<%g" % (chart.name, abs(l)), chart.g11, chart.g12, chart.g22,
         dom, chart.signature, chart.sample_box,
@@ -426,7 +426,7 @@ def shift_relation_residual(bundle, x, n):
 def sample_shift_relation(bundle, n, seed=None):
     """Worst n-period relation residual over n random draws of a point x
     in [-2, 2) and a period count in [-2, 4)."""
-    rng = np.random.default_rng(default_seed() if seed is None else seed)
+    rng = np.random.default_rng(resolve_seed(seed))
     worst = 0.0
     for _ in range(n):
         x = float(rng.uniform(-2.0, 2.0))

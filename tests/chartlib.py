@@ -3,7 +3,7 @@
 import math
 
 from geoproj import expr
-from geoproj.metric import Domain, MetricChart, Signature
+from geoproj.metric import ChartMap, Domain, MetricChart, Signature, pullback
 
 
 def flat_chart():
@@ -44,3 +44,10 @@ def lumpy_chart():
         name="lumpy", g11=E, g12=F, g22=G,
         domain=Domain(), signature=Signature.RIEMANNIAN,
         sample_box=(-1.0, 1.0, -1.0, 1.0)).validate()
+
+
+def unit_shift_pullback(chart):
+    """chart pulled back along the unit shift (x, y) -> (x, y + 1)."""
+    up = ChartMap("up", expr.X, expr.Y + 1.0,
+                  inverse=ChartMap("down", expr.X, expr.Y - 1.0))
+    return pullback(chart, up)

@@ -346,3 +346,47 @@ def liouville_search_reference(h1, h2, period):
         residual=res, degenerate=degenerate,
         candidates={kk: {"residual": v[0], "k": v[1], "c": v[2]}
                     for kk, v in best.items()})
+
+
+# The two sampling loops as they stood before sample_points and
+# sample_states shared one draw loop, kept verbatim: the samplers must
+# draw the same points in the same order and leave the generator in the
+# same state.
+
+def sample_points_reference(chart, n, rng):
+    """n positions uniform over the sample box, rejected into the domain."""
+    xa, xb, ya, yb = chart.sample_box
+    inside = chart.runtime().in_domain
+    out = []
+    attempts = 0
+    while len(out) < n:
+        attempts += 1
+        if attempts > 200 * max(n, 1):
+            raise metric.DomainError(
+                "cannot sample %d points inside chart %r" % (n, chart.name))
+        x = rng.uniform(xa, xb)
+        y = rng.uniform(ya, yb)
+        if inside(x, y):
+            out.append((float(x), float(y)))
+    return out
+
+
+def sample_states_reference(chart, n, rng):
+    """n initial states: positions in the domain, unit Euclidean velocities."""
+    inside = chart.runtime().in_domain
+    xa, xb, ya, yb = chart.sample_box
+    out = []
+    attempts = 0
+    while len(out) < n:
+        attempts += 1
+        if attempts > 500 * max(n, 1):
+            raise metric.DomainError(
+                "cannot sample %d states on chart %r" % (n, chart.name))
+        x = rng.uniform(xa, xb)
+        y = rng.uniform(ya, yb)
+        if not inside(x, y):
+            continue
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        out.append(flow.GeodesicState(float(x), float(y), math.cos(theta),
+                                      math.sin(theta)))
+    return out

@@ -110,6 +110,9 @@ def test_geodesic_csv_columns(capsys, tmp_path):
     clairauts = [float(r[6]) for r in rows[1:]]
     assert max(energies) - min(energies) < 1e-8
     assert max(clairauts) - min(clairauts) < 1e-8
+    # the energy column holds the values energy_drift reads
+    assert summary["energy_drift"] == max(abs(e - energies[0])
+                                          for e in energies)
 
 
 def test_geodesic_from_chart_file(capsys, tmp_path):
@@ -135,6 +138,50 @@ def _chart_file_data(change):
                        "constraint": None},
             "sample_box": [-2.0, 2.0, -2.0, 2.0], "periods": [None, None]}
     return change(data)
+
+
+def _strict_json(text):
+    """json.loads that rejects the non-standard NaN and Infinity tokens."""
+    def refuse(token):
+        raise ValueError("not JSON: %s" % token)
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_chart_whose_box_is_wider_than_its_domain_is_inconclusive(
+        capsys, tmp_path):
+    # one column of the 5 x 5 validation grid lies in the domain, so the
+    # file loads, but no point of the pair integral's 6 x 6 grid does
+    path = tmp_path / "strip.json"
+    path.write_text(json.dumps(_chart_file_data(lambda d: {
+        **d, "name": "strip", "domain": {"x_min": 0.8, "x_max": 0.85},
+        "sample_box": [0.0, 1.0, 0.0, 1.0]})))
+    rc, out, err = run_cli(capsys, "check", "projective",
+                           "--chart", str(path), "--chart-b", "flat")
+    assert rc == 1 and err == ""
+    report = _strict_json(out)
+    assert report["verdict"] == "inconclusive"
+    assert report["max_drift"] is None and report["max_overlap"] is None
+
+
+def test_non_finite_report_values_print_as_null(capsys, tmp_path):
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(_chart_file_data(lambda d: {
+        **d, "name": "far", "domain": {"x_min": 10.0, "x_max": 20.0},
+        "sample_box": [11.0, 19.0, -2.0, 2.0]})))
+    rc, out, _ = run_cli(capsys, "check", "projective",
+                         "--chart", "flat", "--chart-b", str(path))
+    assert rc == 1
+    report = _strict_json(out)
+    assert report["verdict"] == "inconclusive"
+    assert report["max_drift"] is None
+
+
+def test_finite_replaces_every_non_finite_float():
+    data = {"a": [1.5, -math.inf, (math.nan, 2)], "b": {"c": math.inf},
+            "d": 0.1, "e": "inf", "f": None, "g": 3}
+    assert cli._finite(data) == {"a": [1.5, None, [None, 2]],
+                                 "b": {"c": None}, "d": 0.1, "e": "inf",
+                                 "f": None, "g": 3}
 
 
 def _nested_g11(levels):
@@ -164,10 +211,13 @@ def _nested_g11(levels):
     (lambda d: {**d, "periods": [-2.0 * math.pi, None]}, "'periods'"),
     (lambda d: {**d, "periods": [None, "nan"]}, "'periods'"),
     (lambda d: {**d, "periods": ["inf", None]}, "'periods'"),
+    (lambda d: {**d, "domain": {**d["domain"],
+                                "constraint": ["(- 4.0 x)", 1.0]}},
+     "'constraint'"),
 ], ids=["top-list", "domain-list", "periods-number", "sample-box-null",
         "coefficient-number", "radius-nan", "radius-negative", "radius-inf",
         "nest-201", "nest-601", "nest-1201", "period-zero",
-        "period-negative", "period-nan", "period-inf"])
+        "period-negative", "period-nan", "period-inf", "constraint-number"])
 def test_malformed_chart_file_is_a_usage_error(capsys, tmp_path, change,
                                                field):
     path = tmp_path / "chart.json"

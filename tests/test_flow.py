@@ -13,6 +13,7 @@ from geoproj import expr, flow, metric, sampling, zoo
 from geoproj.flow import (GeodesicState, Termination, detect_closure,
                           find_conjugate_points, integrate_by_arclength,
                           integrate_geodesic, trace_to_csv)
+from geoproj.integrals import energy_integral
 from chartlib import flat_chart, lumpy_chart, null_plane_chart, sphere_chart
 from oracles import jacobi_conjugate_times
 
@@ -797,7 +798,8 @@ def test_trace_csv_format():
     m = sphere_chart()
     tr = integrate_geodesic(m, GeodesicState(math.pi / 2, 0.0, 0.0, 1.0), 1.0)
     buf = io.StringIO()
-    trace_to_csv(m, tr, buf, extra_columns=[("twice_y", lambda s: 2.0 * s.y)])
+    trace_to_csv(tr, buf, [("energy", energy_integral(m).along(tr)),
+                           ("twice_y", 2.0 * tr.ys[:, 1])])
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "t,x,y,vx,vy,energy,twice_y"
     first = [float(v) for v in lines[1].split(",")]

@@ -37,9 +37,22 @@ def test_clairaut_on_sphere():
     c = clairaut_integral(m, k)
     # C(v) = sin(r)^2 * vy
     s = GeodesicState(1.1, 0.2, 0.4, 0.7)
-    assert c.value_at_state(s) == pytest.approx(math.sin(1.1) ** 2 * 0.7, rel=1e-12)
+    assert c.value((s.x, s.y), (s.vx, s.vy)) == pytest.approx(
+        math.sin(1.1) ** 2 * 0.7, rel=1e-12)
     rep = check_conservation(m, c, n_samples=12, seed=9)
     assert rep.passed, rep.max_drift
+
+
+def test_along_is_the_value_at_every_trace_row():
+    m = sphere_chart()
+    c = clairaut_integral(m, VectorField("rot", expr.const(0.0),
+                                         expr.const(1.0)))
+    i = energy_integral(m) + c.squared_linear() + c
+    tr = flow.integrate_geodesic(m, GeodesicState(1.1, 0.2, 0.4, 0.7), 2.0)
+    got = i.along(tr)
+    assert got.shape == (len(tr.ts),)
+    want = [i.value((x, y), (vx, vy)) for x, y, vx, vy in tr.ys.tolist()]
+    assert [float.hex(v) for v in got.tolist()] == [float.hex(v) for v in want]
 
 
 def test_clairaut_rejects_non_killing_field():

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from geoproj import expr, flow, metric
+from geoproj import expr, flow, metric, zoo
 from geoproj.metric import (CausalClass, ChartMap, Domain, MetricChart,
                             Signature, VectorField)
-from chartlib import lumpy_chart, null_plane_chart, sphere_chart
+from chartlib import (lumpy_chart, null_plane_chart, sphere_chart,
+                      unit_shift_pullback)
 from oracles import (fd_christoffel, fd_gaussian_curvature, fd_map_jacobian,
                      metric_pairing)
 
@@ -196,7 +197,7 @@ def test_killing_residual_detects():
 
 
 def test_domain_constraint_and_contains():
-    dom = Domain(x_min=0.0, x_max=2.0, constraint=1.0 - expr.Y * expr.Y)
+    dom = Domain(x_min=0.0, x_max=2.0, constraints=(1.0 - expr.Y * expr.Y,))
     inside = MetricChart(
         name="cut", g11=expr.const(1.0), g12=expr.const(0.0),
         g22=expr.const(1.0), domain=dom, signature=Signature.RIEMANNIAN,
@@ -204,11 +205,52 @@ def test_domain_constraint_and_contains():
     assert inside(1.0, 0.5)
     assert not inside(1.0, 1.5)
     assert not inside(-0.1, 0.0)
-    f = dom.combined_field()
+    fs = dom.factors()
+
+    def f(x, y):
+        return min(g(x, y) for g in fs)
+
     assert f(1.0, 0.5) > 0.0
     assert f(1.0, 1.5) < 0.0
     assert f(-0.1, 0.0) < 0.0
     assert f(2.4, 3.0) < 0.0
+
+
+@pytest.mark.parametrize("x", [1e-300, 1e-17, 1e-16, 1e-15,
+                               math.nextafter(math.pi, 0.0)])
+def test_pulled_domain_keeps_the_bounds_sign_exact(x):
+    sphere, _ = zoo.tannery_chart()
+    pulled = unit_shift_pullback(sphere)
+    for y in (-1.0, 0.3):
+        assert sphere.runtime().in_domain(x, y + 1.0)
+        assert pulled.runtime().in_domain(x, y)
+
+
+def test_pulled_constraints_round_trip_through_a_chart_file():
+    sphere, rot = zoo.tannery_chart()
+    base = zoo.clairaut_truncation(sphere, rot, l=1.0).base
+    pulled = unit_shift_pullback(base)
+    assert len(pulled.domain.constraints) == 3
+    data = json.loads(json.dumps(metric.chart_to_dict(pulled)))
+    assert isinstance(data["domain"]["constraint"], list)
+    back = metric.chart_from_dict(data)
+    assert len(back.domain.constraints) == 3
+    inside_a = pulled.runtime().in_domain
+    inside_b = back.runtime().in_domain
+    xs = np.linspace(-0.5, math.pi + 0.5, 41)
+    ys = np.linspace(-1.0, 1.0, 9)
+    answers = [inside_a(x, y) for x in xs for y in ys]
+    assert answers == [inside_b(x, y) for x in xs for y in ys]
+    assert any(answers) and not all(answers)
+
+
+def test_one_constraint_is_written_as_one_text():
+    sphere, rot = zoo.tannery_chart()
+    base = zoo.clairaut_truncation(sphere, rot, l=1.0).base
+    text = metric.chart_to_dict(base)["domain"]["constraint"]
+    assert isinstance(text, str)
+    back = metric.chart_from_dict(metric.chart_to_dict(base))
+    assert [expr.to_prefix(c) for c in back.domain.constraints] == [text]
 
 
 def test_chart_serialization_round_trip():
