@@ -58,14 +58,19 @@ class EquivalenceReport:
 
     def to_json_dict(self):
         return {
-            "schema": 1,
+            "schema": 2,
             "g": self.g,
             "gbar": self.gbar,
             "verdict": self.verdict,
             "max_drift": self.max_drift,
             "max_overlap": self.max_overlap,
             "n_traces": min(self.n_conserved, self.n_overlap),
+            "n_conserved": self.n_conserved,
+            "n_overlap": self.n_overlap,
+            "drift_tol": self.drift_tol,
+            "overlap_tol": self.overlap_tol,
             "seed": self.seed,
+            "reason": self.reason,
         }
 
 
@@ -264,6 +269,21 @@ def liouville_swap_map(k, kind="swap"):
     raise ValueError("kind must be 'swap' or 'anti-swap'")
 
 
+def _profile_loop(field, var):
+    """One compiled function from a list of arguments to the list of the
+    field's values, each argument taken as the coordinate var and the other
+    coordinate as 0.0.  The loop body is the lines compile_fields writes,
+    so every value is bit for bit the one compile_fields gives, and a
+    point costs no Python call of its own."""
+    lines, (value,) = expr.emit([field])
+    src = ("def _profile(args):\n    %s = 0.0\n    out = []\n"
+           "    for %s in args:\n%s        out.append(%s)\n    return out\n"
+           % ("y" if var == "x" else "x", var,
+              "".join("        %s\n" % line for line in lines), value))
+    return expr.compile_function(src, "_profile",
+                                 "<geoproj.projective profile>")
+
+
 def liouville_isometry_search(h1, h2, period):
     """Search for a swap or anti-swap isometry of the separable metric.
 
@@ -274,10 +294,15 @@ def liouville_isometry_search(h1, h2, period):
     smallest accepted k.  Constant profile pairs are flagged degenerate:
     every offset works and the returned k is not meaningful.
 
+    Each profile is compiled into one loop over a list of arguments
+    (_profile_loop), so a block of sample points costs one Python call.
     The scan takes the offsets in blocks of 32 and evaluates each profile
     once per distinct argument in a block (the shifted sample points fall
     on a fine grid, so most repeat); the block size bounds the scan's
-    temporary memory.
+    temporary memory.  The periodicity term does not depend on the
+    orientation, so the scan computes it once for both.  A golden-section
+    probe is one offset, whose 256 arguments do not repeat: they go to
+    the loop as they are.
     """
     period = float(period)
     if not (0.0 < period < math.inf):
@@ -285,46 +310,49 @@ def liouville_isometry_search(h1, h2, period):
     grid, block = 512, 32
     xs = np.linspace(0.0, period, 256, endpoint=False)
 
-    h1c = expr.compile_fields([h1])
-    h2c = expr.compile_fields([h2])
+    h1_loop = _profile_loop(h1, "x")
+    h2_loop = _profile_loop(h2, "y")
 
-    def distinct(fn, arr):
+    def values(loop, arr):
+        if len(arr) == 1:
+            return np.array(loop(arr[0].tolist()))[None]
         # keyed on the bit pattern, so 0.0 and -0.0 stay apart
         keys, inv = np.unique(arr.ravel().view(np.int64),
                               return_inverse=True)
-        vals = np.array([fn(t) for t in keys.view(np.float64).tolist()])
+        vals = np.array(loop(keys.view(np.float64).tolist()))
         return vals[inv].reshape(arr.shape)
 
-    def h1_at(arr):
-        return distinct(lambda t: h1c(t, 0.0)[0], arr)
-
-    def h2_at(arr):
-        return distinct(lambda t: h2c(0.0, t)[0], arr)
-
-    h1v = h1_at(xs)
-    h2v = h2_at(xs)
+    h1v = values(h1_loop, xs)
+    h2v = values(h2_loop, xs)
     degenerate = (float(np.var(h1v)) < 1e-18
                   and float(np.var(h2v)) < 1e-18)
 
-    def residuals(ks, orient):
-        """Combined residual and constant c at each offset of ks: the
-        mean-square failure of h2(o(x, k)) = h1(x) + c plus that of the
-        2k-periodicity of h1 the swap condition forces."""
+    def swap_terms(ks, orient):
+        """Mean-square failure of h2(o(x, k)) = h1(x) + c and the constant
+        c at each offset of ks."""
         k = ks[:, None]
-        diff = h2_at(xs + k if orient > 0 else -xs - k) - h1v
+        diff = values(h2_loop, xs + k if orient > 0 else -xs - k) - h1v
         c = np.mean(diff, axis=1)
-        r = np.mean((diff - c[:, None]) ** 2, axis=1)
-        return r + np.mean((h1_at(xs + 2.0 * k) - h1v) ** 2, axis=1), c
+        return np.mean((diff - c[:, None]) ** 2, axis=1), c
+
+    def period_term(ks):
+        """Mean-square failure of the 2k-periodicity of h1 the swap
+        condition forces, at each offset of ks."""
+        return np.mean((values(h1_loop, xs + 2.0 * ks[:, None]) - h1v) ** 2,
+                       axis=1)
 
     def total(k, orient):
-        r, c = residuals(np.array([k]), orient)
-        return float(r[0]), float(c[0])
+        ks = np.array([k])
+        r, c = swap_terms(ks, orient)
+        return float(r[0] + period_term(ks)[0]), float(c[0])
 
     ks = np.linspace(0.0, period, grid, endpoint=False)
+    blocks = [ks[j:j + block] for j in range(0, grid, block)]
+    periodic = [period_term(b) for b in blocks]
     best = {}
     for kind, orient in (("swap", +1), ("anti-swap", -1)):
-        vals = np.concatenate([residuals(ks[j:j + block], orient)[0]
-                               for j in range(0, grid, block)])
+        vals = np.concatenate([swap_terms(b, orient)[0] + p
+                               for b, p in zip(blocks, periodic)])
         i = int(np.argmin(vals))
         lo = float(ks[max(i - 1, 0)])
         hi = float(ks[min(i + 1, grid - 1)])

@@ -126,11 +126,25 @@ def band_chart(f=None, a=1.0, l=0.0):
 
 def rescaling_matrices(a, l, z):
     """Coefficient matrix G and rank-one square Q of the strip family at f=z."""
-    d = 1.0 + l * z
-    if abs(d) < 1e-12:
+    _check_denominator(l, z)
+    g, q = _rescaling_stacks(*np.array([[a, l, z]], dtype=float).T)
+    return g[0], q[0]
+
+
+def _check_denominator(l, z):
+    if abs(1.0 + l * z) < 1e-12:
         raise ZooError("1 + l*z vanishes at z=%g" % z)
-    g = a * np.array([[l / (d * d), 1.0 / d], [1.0 / d, z / d]])
-    q = (a * a / (d * d)) * np.array([[1.0, z], [z, z * z]])
+
+
+def _rescaling_stacks(a, l, z):
+    """G and Q of rescaling_matrices at each entry of the arrays a, l, z,
+    stacked into two (n, 2, 2) arrays."""
+    d = 1.0 + l * z
+    inv = 1.0 / d
+    g = a[:, None, None] * np.stack(
+        [l / (d * d), inv, inv, z / d], axis=-1).reshape(-1, 2, 2)
+    q = (a * a / (d * d))[:, None, None] * np.stack(
+        [np.ones_like(z), z, z, z * z], axis=-1).reshape(-1, 2, 2)
     return g, q
 
 
@@ -145,20 +159,44 @@ def rescaling_identity_residual(a, l, z, mu, beta):
     """
     if a == 0.0 or beta == 0.0:
         raise ZooError("a and beta must be nonzero")
-    b = a * beta ** -3.0
+    _check_denominator(l, z)
+    _check_denominator(l + mu * a, z)
+    return float(_rescaling_residuals(
+        np.array([[a, l, z, mu, beta]], dtype=float))[0])
+
+
+def _rescaling_residuals(tuples):
+    """Closure-rule residuals of the rows (a, l, z, mu, beta) of tuples."""
+    a, l, z, mu, beta = tuples.T
+    # Python's power, as for the cube root in _closure_residuals
+    b = a * np.array([t ** -3.0 for t in beta.tolist()])
     m = l + mu * a
-    g1, q1 = rescaling_matrices(a, l, z)
-    g2, _ = rescaling_matrices(b, m, z)
-    return _closure_residual(beta * (g1 + mu * q1), g1, g2)
+    g1, q1 = _rescaling_stacks(a, l, z)
+    g2, _ = _rescaling_stacks(b, m, z)
+    lhs = beta[:, None, None] * (g1 + mu[:, None, None] * q1)
+    return _closure_residuals(lhs, g1, g2)
 
 
-def _closure_residual(lhs, g1, g2):
+def _closure_residuals(lhs, g1, g2):
     """Relative gap between lhs and (det g1 / det g2)^(2/3) g2, the right
-    side of both closure rules, with the real cube root."""
-    w = expr._cbrt(np.linalg.det(g1) / np.linalg.det(g2)) ** 2
-    rhs = w * g2
-    scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1e-30)
-    return float(np.max(np.abs(lhs - rhs)) / scale)
+    side of both closure rules, with the real cube root; each argument is
+    a stack of 2x2 matrices, and so is the answer a stack of gaps.
+
+    The cube root and its square are taken one element at a time in
+    Python: np.cbrt and np.power round differently from it on some
+    inputs, and the residuals are kept bit for bit.
+    """
+    ratio = np.linalg.det(g1) / np.linalg.det(g2)
+    w = np.array([expr._cbrt(v) ** 2 for v in ratio.tolist()])
+    rhs = w[:, None, None] * g2
+    scale = np.maximum(np.maximum(np.abs(lhs).max(axis=(1, 2)),
+                                  np.abs(rhs).max(axis=(1, 2))), 1e-30)
+    return np.abs(lhs - rhs).max(axis=(1, 2)) / scale
+
+
+# the sampler draws and scores its tuples this many at a time
+_RESCALING_BLOCK = 2048
+_RESCALING_HIGH = np.array([3.0, 2.0, 2.0, 2.0, 3.0])     # a, l, z, mu, beta
 
 
 def sample_rescaling_identity(n=1000, seed=None):
@@ -166,26 +204,32 @@ def sample_rescaling_identity(n=1000, seed=None):
 
     Tuples keep |a|, |beta| >= 0.05 and both denominators 1 + l z, 1 + m z
     at least 0.05 in magnitude, so the residual is measured away from the
-    family's own degeneracies.  Returns (max residual, worst tuple).
+    family's own degeneracies.  Returns (max residual, worst tuple), the
+    first worst tuple drawn if several tie.
+
+    The tuples are drawn in blocks of _RESCALING_BLOCK rows, five draws
+    (a, l, z, mu, beta) per row in that order, so the generator yields the
+    same tuples as one draw at a time would.  The admissible ones of a
+    block are scored together on stacked arrays, with numpy's elementwise
+    arithmetic and one stacked determinant; beta^-3 and the cube root stay
+    Python's power per element, because numpy's rounds differently on
+    some inputs (see _closure_residuals).
     """
     rng = np.random.default_rng(resolve_seed(seed))
     worst, worst_tuple = 0.0, None
     used = 0
     while used < n:
-        a = rng.uniform(-3.0, 3.0)
-        l = rng.uniform(-2.0, 2.0)
-        z = rng.uniform(-2.0, 2.0)
-        mu = rng.uniform(-2.0, 2.0)
-        beta = rng.uniform(-3.0, 3.0)
-        if abs(a) < 0.05 or abs(beta) < 0.05:
-            continue
-        m = l + mu * a
-        if abs(1.0 + l * z) < 0.05 or abs(1.0 + m * z) < 0.05:
-            continue
-        r = rescaling_identity_residual(a, l, z, mu, beta)
-        used += 1
-        if r > worst:
-            worst, worst_tuple = r, (a, l, z, mu, beta)
+        block = rng.uniform(-_RESCALING_HIGH, _RESCALING_HIGH,
+                            size=(_RESCALING_BLOCK, 5))
+        a, l, z, mu, beta = block.T
+        kept = block[(np.abs(a) >= 0.05) & (np.abs(beta) >= 0.05)
+                     & (np.abs(1.0 + l * z) >= 0.05)
+                     & (np.abs(1.0 + (l + mu * a) * z) >= 0.05)][:n - used]
+        used += len(kept)
+        r = _rescaling_residuals(kept)
+        i = int(np.argmax(r))
+        if r[i] > worst:
+            worst, worst_tuple = float(r[i]), tuple(kept[i].tolist())
     return worst, worst_tuple
 
 
@@ -420,7 +464,8 @@ def shift_relation_residual(bundle, x, n):
     row = g1[1]
     q = np.outer(row, row)
     mu = eps * (1.0 - a ** (3.0 * n)) / (1.0 - a ** 3)
-    return _closure_residual(a ** float(-n) * (g1 + mu * q), g1, g2)
+    lhs = a ** float(-n) * (g1 + mu * q)
+    return float(_closure_residuals(lhs[None], g1[None], g2[None])[0])
 
 
 def sample_shift_relation(bundle, n, seed=None):

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from geoproj import expr, flow, metric, projective, sampling
+from geoproj import expr, flow, metric, projective, sampling, zoo
 
 
 def fd_derivative(fn, x, y, name, h=None):
@@ -390,3 +390,58 @@ def sample_states_reference(chart, n, rng):
         out.append(flow.GeodesicState(float(x), float(y), math.cos(theta),
                                       math.sin(theta)))
     return out
+
+
+# The strip closure rule one tuple at a time, as it stood before the
+# sampler scored its tuples in blocks, kept verbatim: the blocked sampler
+# must draw the same tuples and find the same worst residual, bit for bit.
+
+def rescaling_matrices_reference(a, l, z):
+    """Coefficient matrix G and rank-one square Q of the strip family at f=z."""
+    d = 1.0 + l * z
+    if abs(d) < 1e-12:
+        raise zoo.ZooError("1 + l*z vanishes at z=%g" % z)
+    g = a * np.array([[l / (d * d), 1.0 / d], [1.0 / d, z / d]])
+    q = (a * a / (d * d)) * np.array([[1.0, z], [z, z * z]])
+    return g, q
+
+
+def rescaling_identity_residual_reference(a, l, z, mu, beta):
+    """Relative residual of the strip family's closure rule."""
+    if a == 0.0 or beta == 0.0:
+        raise zoo.ZooError("a and beta must be nonzero")
+    b = a * beta ** -3.0
+    m = l + mu * a
+    g1, q1 = rescaling_matrices_reference(a, l, z)
+    g2, _ = rescaling_matrices_reference(b, m, z)
+    return _closure_residual_reference(beta * (g1 + mu * q1), g1, g2)
+
+
+def _closure_residual_reference(lhs, g1, g2):
+    w = expr._cbrt(np.linalg.det(g1) / np.linalg.det(g2)) ** 2
+    rhs = w * g2
+    scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1e-30)
+    return float(np.max(np.abs(lhs - rhs)) / scale)
+
+
+def sample_rescaling_identity_reference(n, seed):
+    """Worst residual of the closure rule over n random admissible tuples."""
+    rng = np.random.default_rng(seed)
+    worst, worst_tuple = 0.0, None
+    used = 0
+    while used < n:
+        a = rng.uniform(-3.0, 3.0)
+        l = rng.uniform(-2.0, 2.0)
+        z = rng.uniform(-2.0, 2.0)
+        mu = rng.uniform(-2.0, 2.0)
+        beta = rng.uniform(-3.0, 3.0)
+        if abs(a) < 0.05 or abs(beta) < 0.05:
+            continue
+        m = l + mu * a
+        if abs(1.0 + l * z) < 0.05 or abs(1.0 + m * z) < 0.05:
+            continue
+        r = rescaling_identity_residual_reference(a, l, z, mu, beta)
+        used += 1
+        if r > worst:
+            worst, worst_tuple = r, (a, l, z, mu, beta)
+    return worst, worst_tuple

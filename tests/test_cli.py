@@ -163,6 +163,22 @@ def test_chart_whose_box_is_wider_than_its_domain_is_inconclusive(
     assert report["max_drift"] is None and report["max_overlap"] is None
 
 
+def test_inconclusive_report_says_why(capsys, tmp_path):
+    path = tmp_path / "strip.json"
+    path.write_text(json.dumps(_chart_file_data(lambda d: {
+        **d, "name": "strip", "domain": {"x_min": 0.8, "x_max": 0.85},
+        "sample_box": [0.0, 1.0, 0.0, 1.0]})))
+    rc, out, _ = run_cli(capsys, "check", "projective",
+                         "--chart", str(path), "--chart-b", "flat")
+    assert rc == 1
+    report = _strict_json(out)
+    assert report["schema"] == 2
+    assert report["reason"] == "sample box of chart 'strip' misses its domain"
+    assert (report["n_traces"], report["n_conserved"],
+            report["n_overlap"]) == (0, 0, 0)
+    assert report["drift_tol"] == 1e-6 and report["overlap_tol"] == 1e-4
+
+
 def test_non_finite_report_values_print_as_null(capsys, tmp_path):
     path = tmp_path / "far.json"
     path.write_text(json.dumps(_chart_file_data(lambda d: {

@@ -181,8 +181,9 @@ def test_equivalence_report_json_shape():
                                           t_max=0.5, seed=9)
     d = report.to_json_dict()
     assert set(d) == {"schema", "g", "gbar", "verdict", "max_drift",
-                      "max_overlap", "n_traces", "seed"}
-    assert d["schema"] == 1 and d["seed"] == 9
+                      "max_overlap", "n_traces", "n_conserved", "n_overlap",
+                      "drift_tol", "overlap_tol", "seed", "reason"}
+    assert d["schema"] == 2 and d["seed"] == 9
 
 
 def test_isometry_rotation_passes_shear_fails():
@@ -262,6 +263,14 @@ def _anti_swap_h1(t):
     return 2.0 + expr.sin(4.0 * math.pi * t) + 0.3 * expr.sin(8.0 * math.pi * t)
 
 
+def _smooth_bump(t):
+    # a periodic bump built from smooth steps, as projective_shift builds
+    # its ramp: the fractional part is shared and each step has two cutoffs
+    u = t - expr.floor_of(t)
+    return (expr.smoothstep((u - 0.1) / 0.3)
+            * expr.smoothstep((0.9 - u) / 0.3))
+
+
 # profile pairs (h1, h2, period) the blocked scan must search exactly as the
 # one-offset-at-a-time reference does; the first two are the benchmark's
 SEARCH_PAIRS = {
@@ -278,7 +287,17 @@ SEARCH_PAIRS = {
                     4.0 + expr.sin(math.pi * Y + 0.7) ** 2, 1.0),
     "non-periodic": (1.0 + X ** 2, 2.0 + Y, 1.0),
     "anti-swap": (_anti_swap_h1(X), _anti_swap_h1(-Y - 0.25) + 1.0, 0.5),
+    "smooth-bump": (1.0 + _smooth_bump(X), 3.0 + _smooth_bump(Y - 0.5), 1.0),
 }
+
+
+def test_smooth_bump_profiles_compile_to_several_statements():
+    # so the reference comparison covers a loop body of many lines
+    h1, h2, _ = SEARCH_PAIRS["smooth-bump"]
+    for field in (h1, h2):
+        lines, _ = expr.emit([field])
+        assert len(lines) >= 8
+        assert sum("exp(-(r :=" in line for line in lines) == 4
 
 
 @pytest.mark.parametrize("name", sorted(SEARCH_PAIRS))

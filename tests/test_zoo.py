@@ -17,7 +17,9 @@ from geoproj.metric import (CausalClass, ChartMap, Domain, MetricChart,
                             gaussian_curvature_limit, killing_residual,
                             metric_eval, pullback)
 
-from oracles import fd_gaussian_curvature
+from oracles import (fd_gaussian_curvature,
+                     rescaling_identity_residual_reference,
+                     sample_rescaling_identity_reference)
 
 
 def test_clifton_pohl_curvature_profile():
@@ -101,6 +103,27 @@ def test_rescaling_identity_samples():
     assert worst < 1e-12, "worst tuple %r" % (tup,)
     # one tuple checked by hand: beta=2 sends a=8 to b=1
     assert zoo.rescaling_identity_residual(8.0, 0.5, 0.7, 0.25, 2.0) < 1e-13
+
+
+# n = 3 blocks of tuples spans at least four blocks, since some are rejected
+@pytest.mark.parametrize("n", [1, 200, 300, 1000, 3 * zoo._RESCALING_BLOCK])
+@pytest.mark.parametrize("seed", [3, 99, 4242, 12345])
+def test_rescaling_sampler_matches_the_reference_bit_for_bit(seed, n):
+    worst, tup = zoo.sample_rescaling_identity(n, seed=seed)
+    want_worst, want_tup = sample_rescaling_identity_reference(n, seed)
+    assert type(worst) is float
+    assert float.hex(worst) == float.hex(want_worst)
+    assert all(type(v) is float for v in tup)
+    assert [float.hex(v) for v in tup] == [float.hex(v) for v in want_tup]
+
+
+def test_rescaling_residual_matches_the_reference_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for a, l, z, mu, beta in rng.uniform(-3.0, 3.0, size=(200, 5)).tolist():
+        got = zoo.rescaling_identity_residual(a, l, z, mu, beta)
+        want = rescaling_identity_residual_reference(a, l, z, mu, beta)
+        assert type(got) is float
+        assert float.hex(got) == float.hex(want), (a, l, z, mu, beta)
 
 
 def test_rescaling_identity_rejects_degenerate_input():
