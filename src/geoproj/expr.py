@@ -30,7 +30,7 @@ __all__ = [
     "sqrt", "cbrt", "absval", "sign", "floor_of", "expinv", "smoothstep",
     "mod_field", "pow23",
     "evaluate", "substitute",
-    "compile_fields", "to_prefix", "parse_prefix",
+    "compile_fields", "to_prefix", "parse_prefix", "prefix_parser",
 ]
 
 
@@ -425,8 +425,6 @@ def _mul(a, b):
 
 
 def _div(a, b):
-    if a is b:
-        return _ONE
     if _is_const(b):
         if b.value == 0.0:
             raise ExpressionError("division by constant zero")
@@ -434,6 +432,8 @@ def _div(a, b):
             return a
         if _is_const(a):
             return _folded(operator.truediv, a.value, b.value)
+    if a is b:
+        return _ONE
     if _is_const(a, 0.0):
         return _ZERO
     return Div(a, b)
@@ -763,15 +763,118 @@ def _constant(node, what):
     return node.value
 
 
+def _apart(fold, node):
+    """fold, except that a - a and a / a of one non-constant node stay
+    operations.  The parser's memo makes a text's two copies of a
+    subexpression one node; folded, a / a would read 1 where a is 0."""
+    return lambda a, b: (node(a, b) if a is b and not isinstance(a, Const)
+                         else fold(a, b))
+
+
 # the forms parse_prefix reads with a fixed number of arguments, besides
 # the variadic +, * and eip: head -> (argument count, constructor)
 _FORMS = {
-    "-": (2, _sub), "/": (2, _div), "neg": (1, _neg),
+    "-": (2, _apart(_sub, Sub)), "/": (2, _apart(_div, Div)),
+    "neg": (1, _neg),
     "sq": (1, lambda a: _mul(a, a)), "smoothstep": (1, smoothstep),
     "pow": (2, lambda a, p: _pow(a, _constant(p, "'pow' exponent"))),
     "mod": (2, lambda a, p: mod_field(a, _constant(p, "'mod' period"))),
 }
 _FORMS.update((kind, (1, _unary_ctor(kind))) for kind in _UNARY_EVAL)
+
+
+def _atom(tok):
+    if tok in _ATOMS:
+        return _ATOMS[tok]
+    try:
+        value = float(tok)
+    except ValueError:
+        raise ExpressionError("unknown token %r" % (tok,)) from None
+    return _folded(float, value)
+
+
+def _form(head, args):
+    """The node of the form (head *args)."""
+    if head in ("+", "*", "eip"):
+        if len(args) < 2:
+            raise ExpressionError("'%s' needs at least two arguments" % head)
+        if head == "eip":
+            return ExpInvPoly(args[0], [_constant(c, "'eip' coefficient")
+                                        for c in args[1:]])
+        return functools.reduce(_FOLD[head], args)
+    if head not in _FORMS:
+        raise ExpressionError("unknown operator %r" % (head,))
+    n, build = _FORMS[head]
+    if len(args) != n:
+        raise ExpressionError("'%s' takes %d argument(s), got %d"
+                              % (head, n, len(args)))
+    return build(*args)
+
+
+def prefix_parser():
+    """A parse_prefix that reads every text it is given through one memo,
+    so a subexpression repeated within or across the texts is one node.
+
+    A form returns the node it already built for the same head and the
+    same argument nodes, and an atom the node of the same token (so -0.0
+    and 0.0 stay apart).  Parse the texts of one bundle, such as a chart's
+    coefficients, with one parser: emit computes a shared node once.
+    """
+    atoms, forms = {}, {}
+
+    def parse(text):
+        tokens = text.replace("(", " ( ").replace(")", " ) ").split()[::-1]
+        if not tokens:
+            raise ExpressionError("empty expression")
+
+        def peek():     # the next token is the last of the reversed list
+            if not tokens:
+                raise ExpressionError("unexpected end of expression")
+            return tokens[-1]
+
+        def take():
+            peek()
+            return tokens.pop()
+
+        def parse_one(depth):
+            tok = take()
+            if tok == ")":
+                raise ExpressionError("unexpected ')'")
+            if tok != "(":
+                node = atoms.get(tok)
+                if node is None:
+                    node = atoms[tok] = _atom(tok)
+                return node
+            if depth == _PARSE_DEPTH:
+                raise ExpressionError("expression nests more than %d forms"
+                                      % _PARSE_DEPTH)
+            head = take()
+            args = []
+            while peek() != ")":
+                args.append(parse_one(depth + 1))
+            take()
+            key = (head, *args)     # nodes compare by identity
+            node = forms.get(key)
+            if node is None:
+                node = forms[key] = _form(head, args)
+            return node
+
+        result = parse_one(0)
+        if tokens:
+            raise ExpressionError("trailing tokens after expression: %r"
+                                  % (tokens[::-1],))
+        # the levels of the tree, breadth first: nodes holds those at depth
+        nodes, depth = [result], 0
+        while nodes:
+            if depth > _PARSE_DEPTH:
+                raise ExpressionError("expression tree is more than %d "
+                                      "levels deep" % _PARSE_DEPTH)
+            nodes = list({id(c): c for n in nodes
+                          for c in n.children()}.values())
+            depth += 1
+        return result
+
+    return parse
 
 
 def parse_prefix(text):
@@ -781,68 +884,9 @@ def parse_prefix(text):
     (/ a b), (neg a), (pow a p), the unary functions, and (eip a c0 c1 ...).
     Convenience macros: (smoothstep a), (mod a period), (sq a).  Text
     nested, or a tree, deeper than _PARSE_DEPTH raises ExpressionError.
+
+    to_prefix writes a shared subtree once per use; parsing the text back
+    makes the repeats one node again (see prefix_parser), so the field
+    computes each of them once, as the tree that was written did.
     """
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()[::-1]
-    if not tokens:
-        raise ExpressionError("empty expression")
-
-    def peek():     # the next token is the last of the reversed list
-        if not tokens:
-            raise ExpressionError("unexpected end of expression")
-        return tokens[-1]
-
-    def take():
-        peek()
-        return tokens.pop()
-
-    def atom(tok):
-        if tok in _ATOMS:
-            return _ATOMS[tok]
-        try:
-            value = float(tok)
-        except ValueError:
-            raise ExpressionError("unknown token %r" % (tok,)) from None
-        return _folded(float, value)
-
-    def parse_one(forms):
-        tok = take()
-        if tok == ")":
-            raise ExpressionError("unexpected ')'")
-        if tok != "(":
-            return atom(tok)
-        if forms == _PARSE_DEPTH:
-            raise ExpressionError("expression nests more than %d forms"
-                                  % _PARSE_DEPTH)
-        head = take()
-        args = []
-        while peek() != ")":
-            args.append(parse_one(forms + 1))
-        take()
-        if head in ("+", "*", "eip"):
-            if len(args) < 2:
-                raise ExpressionError(
-                    "'%s' needs at least two arguments" % head)
-            if head == "eip":
-                return ExpInvPoly(args[0], [_constant(c, "'eip' coefficient")
-                                            for c in args[1:]])
-            return functools.reduce(_FOLD[head], args)
-        if head not in _FORMS:
-            raise ExpressionError("unknown operator %r" % (head,))
-        n, build = _FORMS[head]
-        if len(args) != n:
-            raise ExpressionError("'%s' takes %d argument(s), got %d"
-                                  % (head, n, len(args)))
-        return build(*args)
-
-    result = parse_one(0)
-    if tokens:
-        raise ExpressionError("trailing tokens after expression: %r" % (tokens[::-1],))
-    # the levels of the tree, breadth first: nodes holds those at depth
-    nodes, depth = [result], 0
-    while nodes:
-        if depth > _PARSE_DEPTH:
-            raise ExpressionError("expression tree is more than %d levels "
-                                  "deep" % _PARSE_DEPTH)
-        nodes = list({id(c): c for n in nodes for c in n.children()}.values())
-        depth += 1
-    return result
+    return prefix_parser()(text)

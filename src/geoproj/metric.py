@@ -514,10 +514,14 @@ def chart_from_dict(data):
             raise DomainError("chart field %r must be a number, got %r"
                               % (key, value)) from None
 
+    # one parser for every text, so a subexpression the texts repeat
+    # becomes one node again, computed once in the chart's bundles
+    parse = expr.prefix_parser()
+
     def field(value, key):
         need(isinstance(value, str), key, "expression text")
         try:
-            return expr.parse_prefix(value)
+            return parse(value)
         except expr.ExpressionError as err:
             raise DomainError("chart field %r: %s" % (key, err)) from None
 

@@ -299,10 +299,13 @@ def liouville_isometry_search(h1, h2, period):
     The scan takes the offsets in blocks of 32 and evaluates each profile
     once per distinct argument in a block (the shifted sample points fall
     on a fine grid, so most repeat); the block size bounds the scan's
-    temporary memory.  The periodicity term does not depend on the
-    orientation, so the scan computes it once for both.  A golden-section
-    probe is one offset, whose 256 arguments do not repeat: they go to
-    the loop as they are.
+    temporary memory.  The anti-swap's arguments -xs - k are -(xs + k) bit
+    for bit, since negation is exact and rounding to nearest symmetric, so
+    one dedupe of xs + k serves both orientations: h2 is evaluated at its
+    distinct elements and at their negatives.  The periodicity term does
+    not depend on the orientation, so the scan computes it once for both.
+    A golden-section probe is one offset, whose 256 arguments do not
+    repeat: they go to the loop as they are.
     """
     period = float(period)
     if not (0.0 < period < math.inf):
@@ -313,46 +316,51 @@ def liouville_isometry_search(h1, h2, period):
     h1_loop = _profile_loop(h1, "x")
     h2_loop = _profile_loop(h2, "y")
 
-    def values(loop, arr):
-        if len(arr) == 1:
-            return np.array(loop(arr[0].tolist()))[None]
-        # keyed on the bit pattern, so 0.0 and -0.0 stay apart
+    def at(loop, args):
+        return np.array(loop(args.tolist()))
+
+    def dedupe(arr):
+        """The distinct elements of arr and the indices that rebuild arr
+        from them, keyed on the bit pattern so 0.0 and -0.0 stay apart."""
         keys, inv = np.unique(arr.ravel().view(np.int64),
                               return_inverse=True)
-        vals = np.array(loop(keys.view(np.float64).tolist()))
-        return vals[inv].reshape(arr.shape)
+        return keys.view(np.float64), inv.reshape(arr.shape)
 
-    h1v = values(h1_loop, xs)
-    h2v = values(h2_loop, xs)
+    h1v = at(h1_loop, xs)
+    h2v = at(h2_loop, xs)
     degenerate = (float(np.var(h1v)) < 1e-18
                   and float(np.var(h2v)) < 1e-18)
 
-    def swap_terms(ks, orient):
+    def swap_term(h2_vals):
         """Mean-square failure of h2(o(x, k)) = h1(x) + c and the constant
-        c at each offset of ks."""
-        k = ks[:, None]
-        diff = values(h2_loop, xs + k if orient > 0 else -xs - k) - h1v
+        c, per row of h2_vals (one row per offset)."""
+        diff = h2_vals - h1v
         c = np.mean(diff, axis=1)
         return np.mean((diff - c[:, None]) ** 2, axis=1), c
 
-    def period_term(ks):
+    def period_term(h1_vals):
         """Mean-square failure of the 2k-periodicity of h1 the swap
-        condition forces, at each offset of ks."""
-        return np.mean((values(h1_loop, xs + 2.0 * ks[:, None]) - h1v) ** 2,
-                       axis=1)
+        condition forces, per row of h1_vals = h1(xs + 2k)."""
+        return np.mean((h1_vals - h1v) ** 2, axis=1)
 
     def total(k, orient):
-        ks = np.array([k])
-        r, c = swap_terms(ks, orient)
-        return float(r[0] + period_term(ks)[0]), float(c[0])
+        r, c = swap_term(at(h2_loop, xs + k if orient > 0 else -xs - k)[None])
+        p = period_term(at(h1_loop, xs + 2.0 * k)[None])
+        return float(r[0] + p[0]), float(c[0])
+
+    def scan(ks):
+        """The swap and the anti-swap totals at each offset of ks."""
+        keys, inv = dedupe(xs + ks[:, None])
+        twice, twice_inv = dedupe(xs + 2.0 * ks[:, None])
+        p = period_term(at(h1_loop, twice)[twice_inv])
+        return [swap_term(at(h2_loop, args)[inv])[0] + p
+                for args in (keys, -keys)]
 
     ks = np.linspace(0.0, period, grid, endpoint=False)
-    blocks = [ks[j:j + block] for j in range(0, grid, block)]
-    periodic = [period_term(b) for b in blocks]
+    scanned = [scan(ks[j:j + block]) for j in range(0, grid, block)]
     best = {}
-    for kind, orient in (("swap", +1), ("anti-swap", -1)):
-        vals = np.concatenate([swap_terms(b, orient)[0] + p
-                               for b, p in zip(blocks, periodic)])
+    for o, (kind, orient) in enumerate((("swap", +1), ("anti-swap", -1))):
+        vals = np.concatenate([s[o] for s in scanned])
         i = int(np.argmin(vals))
         lo = float(ks[max(i - 1, 0)])
         hi = float(ks[min(i + 1, grid - 1)])

@@ -129,6 +129,32 @@ def test_geodesic_from_chart_file(capsys, tmp_path):
     assert json.loads(out)["chart"] == "band[a=2,l=0.3]"
 
 
+def test_geodesic_on_a_written_chart_prints_the_same_columns(capsys,
+                                                            tmp_path):
+    # the chart file writes each shared subexpression once per use; read
+    # back, the trace must be the catalogue chart's, byte for byte
+    rc, out, _ = run_cli(capsys, "zoo", "show", "projective-shift")
+    assert rc == 0
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps(json.loads(out)["chart"]))
+    start = ["--x0", "-1.0", "--y0", "0.5", "--vx0", "1.0", "--vy0", "0.1",
+             "--tmax", "1.0"]
+    runs = []
+    for source in (["--chart-file", str(path)],
+                   ["--chart", "projective-shift"]):
+        csv_path = tmp_path / ("trace%d.csv" % len(runs))
+        rc, out, _ = run_cli(capsys, "geodesic", *source, *start,
+                             "--csv", str(csv_path))
+        assert rc == 0
+        rows = csv_path.read_text().splitlines()
+        runs.append((out, [",".join(r.split(",")[:6]) for r in rows]))
+    (out_file, rows_file), (out_chart, rows_chart) = runs
+    assert rows_file[0] == "t,x,y,vx,vy,energy"
+    assert len(rows_file) > 10
+    assert rows_file == rows_chart
+    assert out_file == out_chart
+
+
 def _chart_file_data(change):
     """The flat chart's file data, with change applied to a copy."""
     data = {"schema": 1, "name": "flat", "signature": "riemannian",

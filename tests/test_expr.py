@@ -151,6 +151,50 @@ def test_parse_macros_and_errors():
             expr.parse_prefix(bad)
 
 
+def _distinct_nodes(field):
+    seen = {}
+    todo = [field]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            todo.extend(node.children())
+    return len(seen)
+
+
+def test_parse_makes_a_repeated_subexpression_one_node():
+    f = expr.parse_prefix("(+ (sin x) (sin x))")
+    assert f.a is f.b
+    lines, _ = expr.emit([f])
+    assert lines == ["v0 = sin(x)"]
+    # an atom is one node per token, so 0.0 and -0.0 stay two constants
+    g = expr.parse_prefix("(+ (eip x 0.0 1.0) (eip x -0.0 1.0))")
+    assert g.a is not g.b
+    assert [math.copysign(1.0, h.coeffs[0]) for h in (g.a, g.b)] \
+        == [1.0, -1.0]
+    # texts parsed by one parser share nodes across texts too
+    parse = expr.prefix_parser()
+    assert parse("(* 2.0 (cos y))").b is parse("(+ 1.0 (cos y))").b
+
+
+def test_parse_keeps_a_difference_or_quotient_of_one_repeat():
+    # a / a of one node is not folded to 1.0: the text computes it, and
+    # fails where a is 0, as two separate copies of a did
+    q = expr.parse_prefix("(/ (sin x) (sin x))")
+    assert isinstance(q, expr.Div) and q.a is q.b
+    with pytest.raises(expr.EvaluationError):
+        expr.evaluate(q, (0.0, 0.0))
+    assert isinstance(expr.parse_prefix("(- (sin x) (sin x))"), expr.Sub)
+    # constants still fold, and a zero divisor is still refused
+    assert expr.parse_prefix("(- 1.5 1.5)").value == 0.0
+    assert expr.parse_prefix("(/ 1.5 1.5)").value == 1.0
+    with pytest.raises(expr.ExpressionError, match="division by constant"):
+        expr.parse_prefix("(/ 0.0 0.0)")
+    zero = expr.const(0.0)
+    with pytest.raises(expr.ExpressionError, match="division by constant"):
+        zero / zero
+
+
 def test_compile_many_shares_subexpressions():
     s = 1.0 / (expr.X * expr.X + expr.Y * expr.Y)
     fields = [s * 2.0, s * expr.X, s * s]
@@ -268,6 +312,8 @@ def test_to_prefix_refuses_text_past_the_node_cap():
     assert expr._PREFIX_NODES == 100_000
     text = expr.to_prefix(expr.parse_prefix(_nest("(sq %s)", 15)))
     assert text.count("x") == 2 ** 15
+    # read back, the 2^16 - 1 written nodes are the 16 distinct ones again
+    assert _distinct_nodes(expr.parse_prefix(text)) == 16
     with pytest.raises(expr.ExpressionError, match="more than 100000"):
         expr.to_prefix(expr.parse_prefix(_nest("(sq %s)", 16)))
     # 30 deep the text would write x 2^30 times; the cap walks 31 nodes

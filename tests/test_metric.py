@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from geoproj import expr, flow, metric, zoo
+from geoproj import expr, flow, metric, sampling, zoo
 from geoproj.metric import (CausalClass, ChartMap, Domain, MetricChart,
                             Signature, VectorField)
 from chartlib import (lumpy_chart, null_plane_chart, sphere_chart,
@@ -269,6 +269,50 @@ def test_chart_serialization_round_trip():
     back2 = metric.chart_from_dict(json.loads(json.dumps(metric.chart_to_dict(s))))
     assert back2.domain.x_max == pytest.approx(math.pi)
     assert back2.periods[1] == pytest.approx(2.0 * math.pi)
+
+
+def test_chart_file_shares_nodes_across_its_texts():
+    data = metric.chart_to_dict(sphere_chart())
+    data["coefficients"] = {"g11": "(+ 2.0 (sin (* x y)))",
+                            "g12": "(* 0.5 (sin (* x y)))",
+                            "g22": "(- 3.0 (sin (* x y)))"}
+    data["domain"]["constraint"] = "(+ 4.0 (sin (* x y)))"
+    back = metric.chart_from_dict(data)
+    shared = back.g11.b
+    assert back.g12.b is shared and back.g22.b is shared
+    assert back.domain.constraints[0].b is shared
+    lines, _ = expr.emit([back.g11, back.g12, back.g22])
+    assert lines == ["v0 = sin((x * y))"]
+
+
+def _geodesic_step_source(chart):
+    names, bundle, body, outs = flow._SYSTEMS["geodesic"]
+    return flow._step_source(names, chart.runtime().source(bundle)
+                             + list(body), outs)
+
+
+@pytest.mark.parametrize("name", sorted(zoo.catalogue()))
+def test_chart_read_back_computes_what_the_chart_computes(name):
+    # the text writes a shared subtree once per use; read back, each is
+    # one node again, so the compiled code is no larger and the traces
+    # are the same bits
+    chart = zoo.build_bundle(name).chart
+    back = metric.chart_from_dict(json.loads(json.dumps(
+        metric.chart_to_dict(chart))))
+
+    def bundle(c):
+        lines, outs = expr.emit([c.g11, c.g12, c.g22])
+        return len(lines), sum(map(len, lines + outs))
+
+    assert bundle(back) <= bundle(chart)
+    assert len(_geodesic_step_source(back)) \
+        <= len(_geodesic_step_source(chart))
+    state = sampling.sample_states(chart, 1, np.random.default_rng(3))[0]
+    want = flow.integrate_geodesic(chart, state, 1.0)
+    got = flow.integrate_geodesic(back, state, 1.0)
+    assert got.termination == want.termination
+    assert got.ts.tobytes() == want.ts.tobytes()
+    assert got.ys.tobytes() == want.ys.tobytes()
 
 
 @pytest.mark.parametrize("period", [0.0, -2.0 * math.pi, math.nan,

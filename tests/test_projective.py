@@ -288,6 +288,12 @@ SEARCH_PAIRS = {
     "non-periodic": (1.0 + X ** 2, 2.0 + Y, 1.0),
     "anti-swap": (_anti_swap_h1(X), _anti_swap_h1(-Y - 0.25) + 1.0, 0.5),
     "smooth-bump": (1.0 + _smooth_bump(X), 3.0 + _smooth_bump(Y - 0.5), 1.0),
+    # periods that are not powers of two, so the shifted grid points xs + k
+    # are rounded sums: one pair is found (the swap at k = 0.15), one not
+    "period-0.3": (2.0 + expr.sin(2.0 * math.pi / 0.3 * X),
+                   5.0 - expr.sin(2.0 * math.pi / 0.3 * Y), 0.3),
+    "period-2pi/3": (2.0 + expr.sin(3.0 * X),
+                     2.0 + expr.cos(6.0 * Y), 2.0 * math.pi / 3.0),
 }
 
 
@@ -318,6 +324,15 @@ def test_liouville_search_matches_the_reference_bit_for_bit(name):
             assert type(value) is float, (kind, key)
             assert float.hex(value) \
                 == float.hex(float(want.candidates[kind][key])), (kind, key)
+
+
+def test_liouville_search_on_periods_not_a_power_of_two():
+    found = liouville_isometry_search(*SEARCH_PAIRS["period-0.3"])
+    assert found.found and found.kind == "swap"
+    assert abs(found.k - 0.15) < 1e-6 and abs(found.c - 3.0) < 1e-6
+    missed = liouville_isometry_search(*SEARCH_PAIRS["period-2pi/3"])
+    assert not missed.found
+    assert min(c["residual"] for c in missed.candidates.values()) > 1e-3
 
 
 def test_liouville_search_finds_an_anti_swap():
