@@ -40,25 +40,36 @@ def _finite(data):
     return data
 
 
+def _write(path, write):
+    """Call write(fh) on the file at path, opened for writing; a file that
+    cannot be written is a usage error."""
+    try:
+        with open(path, "w") as fh:
+            write(fh)
+    except OSError as err:
+        raise UsageError("cannot write %s: %s" % (path, err.strerror))
+
+
 def _emit(data, path=None):
     text = json.dumps(_finite(data), sort_keys=True, indent=2,
                       allow_nan=False) + "\n"
-    sys.stdout.write(text)
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        _write(path, lambda fh: fh.write(text))
+    sys.stdout.write(text)
 
 
 def _positive(args, flag, default):
     """The value of a numeric flag, or default when the flag is not given.
 
-    An explicit zero or negative value is a usage error, not the default.
+    An explicit value that is not positive and finite is a usage error,
+    not the default.
     """
     value = getattr(args, flag)
     if value is None:
         return default
-    if not value > 0:
-        raise UsageError("--%s must be positive, got %s" % (flag, value))
+    if not 0 < value < math.inf:
+        raise UsageError("--%s must be positive and finite, got %s"
+                         % (flag, value))
     return value
 
 
@@ -120,11 +131,14 @@ def _resolve_chart(ref, kwargs=None):
     if ref.endswith(".json") or os.path.sep in ref:
         if not os.path.exists(ref):
             raise UsageError("chart file not found: %s" % ref)
-        with open(ref) as fh:
-            try:
+        try:
+            with open(ref) as fh:
                 return chart_from_dict(json.load(fh)), None
-            except (ValueError, KeyError, DomainError) as err:
-                raise UsageError("bad chart file %s: %s" % (ref, err))
+        except OSError as err:
+            raise UsageError("cannot read chart file %s: %s"
+                             % (ref, err.strerror))
+        except (ValueError, KeyError, DomainError) as err:
+            raise UsageError("bad chart file %s: %s" % (ref, err))
     bundle = _build(ref, kwargs or {})
     return bundle.chart, bundle
 
@@ -180,8 +194,7 @@ def cmd_geodesic(args):
             columns += [(name, integral.along(trace))
                         for name, integral in bundle.integrals.items()
                         if name != "energy"]
-        with open(args.csv, "w") as fh:
-            trace_to_csv(trace, fh, columns)
+        _write(args.csv, lambda fh: trace_to_csv(trace, fh, columns))
 
     end = trace.final_state()
     _emit({

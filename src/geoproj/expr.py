@@ -14,6 +14,11 @@ Fields round-trip through a prefix serialization, e.g.::
     (* 2.0 (/ 1.0 (+ (* x x) (* y y))))
 
 which is also the chart-file syntax accepted by the command line tools.
+Each node kind reads as one prefix form (form()), which to_prefix writes and
+substitute builds again through the parser's constructors: a pullback, like
+parsed text, keeps (- a a) and (/ a a) of one node as operations.  Walks
+keep their own stack (_postorder); only differentiation and the parser's
+own descent recurse, which is why parsing stops at _PARSE_DEPTH.
 """
 
 from __future__ import annotations
@@ -136,10 +141,15 @@ class ScalarField:
         """Return a Python expression string over already-emitted child names."""
         raise NotImplementedError
 
+    def form(self):
+        """(head, args) of the node's prefix form (head *args): its children,
+        then any constant operands as new Const nodes; an atom's are ()."""
+        raise NotImplementedError
+
     def __repr__(self):
         try:
             return "<field %s>" % to_prefix(self)
-        except (ExpressionError, RecursionError):
+        except ExpressionError:
             return "<field too large to write out>"
 
 
@@ -162,6 +172,9 @@ class Const(ScalarField):
     def _emit(self, names):
         return repr(self.value)
 
+    def form(self):
+        return repr(self.value), ()
+
 
 class Var(ScalarField):
     __slots__ = ("name",)
@@ -178,6 +191,9 @@ class Var(ScalarField):
     def _emit(self, names):
         return self.name
 
+    def form(self):
+        return self.name, ()
+
 
 class _Binary(ScalarField):
     __slots__ = ("a", "b")
@@ -193,6 +209,9 @@ class _Binary(ScalarField):
 
     def _emit(self, names):
         return "(%s %s %s)" % (names[id(self.a)], self.op, names[id(self.b)])
+
+    def form(self):
+        return self.op, (self.a, self.b)
 
 
 class Add(_Binary):
@@ -244,6 +263,9 @@ class Neg(ScalarField):
     def _emit(self, names):
         return "(-%s)" % (names[id(self.a)],)
 
+    def form(self):
+        return "neg", (self.a,)
+
 
 class Pow(ScalarField):
     """base ** p with a real constant exponent p."""
@@ -268,6 +290,9 @@ class Pow(ScalarField):
             return "(%s ** %d)" % (an, int(self.p))
         return "_pow(%s, %r)" % (an, self.p)
 
+    def form(self):
+        return "pow", (self.a, Const(self.p))
+
 
 class Unary(ScalarField):
     __slots__ = ("kind", "a")
@@ -287,6 +312,9 @@ class Unary(ScalarField):
 
     def _emit(self, names):
         return "%s(%s)" % (self.kind, names[id(self.a)])
+
+    def form(self):
+        return self.kind, (self.a,)
 
 
 class ExpInvPoly(ScalarField):
@@ -334,6 +362,9 @@ class ExpInvPoly(ScalarField):
             horner = "(%s * r + %r)" % (horner, c)
         return "(0.0 if %s <= %r else exp(-(r := 1.0 / %s)) * %s)" % (
             u, _EIP_CUTOFF, u, horner)
+
+    def form(self):
+        return "eip", (self.a, *map(Const, self.coeffs))
 
 
 _UNARY_EVAL = {
@@ -460,9 +491,6 @@ def _pow(a, p):
     return Pow(a, p)
 
 
-# folding constructor of each binary operator
-_FOLD = {"+": _add, "-": _sub, "*": _mul, "/": _div}
-
 _ZERO = Const(0.0)
 _ONE = Const(1.0)
 
@@ -529,43 +557,58 @@ def evaluate(field, point):
     return v
 
 
+def _postorder(fields):
+    """(order, uses): every distinct node of the fields' trees once, after
+    its children, in the order a left-to-right recursive walk finishes them
+    (the walk keeps its own stack, so deep trees are fine), and the edges
+    into each node by id, each field counting as one more."""
+    uses = {}
+    order = []
+    for f in fields:
+        if id(f) in uses:
+            uses[id(f)] += 1
+            continue
+        uses[id(f)] = 1
+        stack = [(f, iter(f.children()))]
+        while stack:
+            node, todo = stack[-1]
+            for child in todo:
+                key = id(child)
+                if key in uses:
+                    uses[key] += 1
+                    continue
+                uses[key] = 1
+                kids = child.children()
+                if kids:
+                    stack.append((child, iter(kids)))
+                    break
+                order.append(child)
+            else:
+                stack.pop()
+                order.append(node)
+    return order, uses
+
+
 def substitute(field, ex, ey):
     """Replace x by ex and y by ey throughout, returning a new tree.
 
     field may also be a sequence of fields, which comes back as a list.  They
     are substituted through one memo, so a subtree they share stays one node
-    and is compiled and differentiated once.
+    and is compiled and differentiated once.  Each node is built again by
+    the parser's constructor of its form, with the same folds: a - a and
+    a / a of one non-constant node stay operations.
     """
-    ex = _wrap(ex)
-    ey = _wrap(ey)
-    memo = {}
-
-    def walk(node):
-        got = memo.get(id(node))
-        if got is not None:
-            return got
-        if isinstance(node, Var):
-            out = ex if node.name == "x" else ey
-        elif isinstance(node, Const):
-            out = node
-        elif isinstance(node, _Binary):
-            out = _FOLD[node.op](walk(node.a), walk(node.b))
-        elif isinstance(node, Neg):
-            out = _neg(walk(node.a))
-        elif isinstance(node, Pow):
-            out = _pow(walk(node.a), node.p)
-        elif isinstance(node, Unary):
-            out = _unary_ctor(node.kind)(walk(node.a))
-        elif isinstance(node, ExpInvPoly):
-            out = ExpInvPoly(walk(node.a), node.coeffs)
-        else:
-            raise ExpressionError("cannot substitute into %r" % (node,))
-        memo[id(node)] = out
-        return out
-
+    leaves = {"x": _wrap(ex), "y": _wrap(ey)}
+    fields = [field] if isinstance(field, ScalarField) else list(field)
+    out = {}
+    for node in _postorder(fields)[0]:
+        head, args = node.form()
+        # a Const operand made by form() is no key of out: it stands for itself
+        out[id(node)] = (_form(head, [out.get(id(a), a) for a in args])
+                         if args else leaves.get(head, node))
     if isinstance(field, ScalarField):
-        return walk(field)
-    return [walk(f) for f in field]
+        return out[id(field)]
+    return [out[id(f)] for f in fields]
 
 
 # -- compilation --------------------------------------------------------------
@@ -595,36 +638,10 @@ def emit(fields, targets=None):
     the same operands either way, so the values do not depend on which
     nodes are inlined.
     """
-    # Every node once, each after its children, in the order a left-to-right
-    # recursive walk finishes them; the walk keeps its own stack, so deep
-    # trees are fine.  uses counts the edges into each node, and the fields.
-    uses = {}
-    order = []
-    cutoffs = set()     # ExpInvPoly nodes and their arguments
-    for f in fields:
-        if id(f) in uses:
-            uses[id(f)] += 1
-            continue
-        uses[id(f)] = 1
-        stack = [(f, iter(f.children()))]
-        while stack:
-            node, todo = stack[-1]
-            for child in todo:
-                key = id(child)
-                if key in uses:
-                    uses[key] += 1
-                    continue
-                uses[key] = 1
-                kids = child.children()
-                if kids:
-                    stack.append((child, iter(kids)))
-                    break
-                order.append(child)
-            else:
-                stack.pop()
-                order.append(node)
-                if isinstance(node, ExpInvPoly):
-                    cutoffs.update((id(node), id(node.a)))
+    order, uses = _postorder(fields)
+    # ExpInvPoly nodes and their arguments
+    cutoffs = {id(m) for node in order if isinstance(node, ExpInvPoly)
+               for m in (node, node.a)}
     named = {}
     if targets is not None:
         for f, t in zip(fields, targets):
@@ -690,70 +707,36 @@ def compile_fields(fields):
 _PREFIX_NODES = 100_000
 
 
-def _written_nodes(field):
-    """The nodes of field's tree with every shared subtree written out once
-    per use, from one walk over the distinct nodes."""
-    sizes = {}
-
-    def size(node):
-        n = sizes.get(id(node))
-        if n is None:
-            n = sizes[id(node)] = 1 + sum(map(size, node.children()))
-        return n
-
-    return size(field)
-
-
 def to_prefix(field):
     """field as prefix text; ExpressionError if the text would write out
-    more than _PREFIX_NODES nodes."""
-    if _written_nodes(field) > _PREFIX_NODES:
-        raise ExpressionError("expression writes out more than %d nodes"
-                              % _PREFIX_NODES)
-    out = []
-
-    def walk(node):
-        if isinstance(node, Const):
-            out.append(repr(node.value))
-        elif isinstance(node, Var):
-            out.append(node.name)
-        elif isinstance(node, _Binary):
-            out.append("(" + node.op)
-            walk(node.a)
-            walk(node.b)
-            out.append(")")
-        elif isinstance(node, Neg):
-            out.append("(neg")
-            walk(node.a)
-            out.append(")")
-        elif isinstance(node, Pow):
-            out.append("(pow")
-            walk(node.a)
-            out.append(repr(node.p))
-            out.append(")")
-        elif isinstance(node, Unary):
-            out.append("(" + node.kind)
-            walk(node.a)
-            out.append(")")
-        elif isinstance(node, ExpInvPoly):
-            out.append("(eip")
-            walk(node.a)
-            out.extend(repr(c) for c in node.coeffs)
-            out.append(")")
+    more than _PREFIX_NODES nodes, found once that many are written."""
+    out = []        # one token per node written, a form's ")" on its last
+    todo = [iter((field,))]     # the arguments left to write, per open form
+    while todo:
+        for node in todo[-1]:
+            head, args = node.form()
+            if args:
+                out.append("(" + head)
+                todo.append(iter(args))
+                break
+            out.append(head)
         else:
-            raise ExpressionError("cannot serialize %r" % (node,))
-
-    walk(field)
-    text = " ".join(out)
-    return text.replace("( ", "(").replace(" )", ")")
+            todo.pop()
+            if len(out) > _PREFIX_NODES:
+                raise ExpressionError("expression writes out more than %d "
+                                      "nodes" % _PREFIX_NODES)
+            if todo:
+                out[-1] += ")"
+    return " ".join(out)
 
 
 _ATOMS = {"x": X, "y": Y, "pi": Const(math.pi), "e": Const(math.e)}
 
 # The deepest expression parse_prefix accepts, in nested forms and in levels
-# of the tree it builds.  Differentiation and serialization recurse; under
-# CPython's default recursion limit a chart whose coefficient is 450 levels
-# deep still has a curvature, at 600 not.  The catalogue's deepest has 18.
+# of the tree it builds.  Only differentiation and the parser's own descent
+# recurse (every other walk keeps its own stack): under CPython's default
+# recursion limit a chart whose coefficient is 450 levels deep still has a
+# curvature, at 600 not.  The catalogue's deepest has 18.
 _PARSE_DEPTH = 200
 
 
@@ -763,18 +746,20 @@ def _constant(node, what):
     return node.value
 
 
-def _apart(fold, node):
-    """fold, except that a - a and a / a of one non-constant node stay
-    operations.  The parser's memo makes a text's two copies of a
-    subexpression one node; folded, a / a would read 1 where a is 0."""
-    return lambda a, b: (node(a, b) if a is b and not isinstance(a, Const)
-                         else fold(a, b))
-
-
-# the forms parse_prefix reads with a fixed number of arguments, besides
-# the variadic +, * and eip: head -> (argument count, constructor)
+# the forms parse_prefix reads, and substitute builds each node with: head
+# -> (argument count, constructor), count None for two or more arguments as
+# one list.  - and / keep a - a and a / a of one non-constant node as
+# operations: the parser's memo makes a text's two copies of a subexpression
+# one node, and folded, a / a would read 1 where a is 0.
 _FORMS = {
-    "-": (2, _apart(_sub, Sub)), "/": (2, _apart(_div, Div)),
+    "+": (None, functools.partial(functools.reduce, _add)),
+    "*": (None, functools.partial(functools.reduce, _mul)),
+    "eip": (None, lambda args: ExpInvPoly(
+        args[0], [_constant(c, "'eip' coefficient") for c in args[1:]])),
+    "-": (2, lambda a, b: Sub(a, b) if a is b and not isinstance(a, Const)
+          else _sub(a, b)),
+    "/": (2, lambda a, b: Div(a, b) if a is b and not isinstance(a, Const)
+          else _div(a, b)),
     "neg": (1, _neg),
     "sq": (1, lambda a: _mul(a, a)), "smoothstep": (1, smoothstep),
     "pow": (2, lambda a, p: _pow(a, _constant(p, "'pow' exponent"))),
@@ -795,16 +780,13 @@ def _atom(tok):
 
 def _form(head, args):
     """The node of the form (head *args)."""
-    if head in ("+", "*", "eip"):
-        if len(args) < 2:
-            raise ExpressionError("'%s' needs at least two arguments" % head)
-        if head == "eip":
-            return ExpInvPoly(args[0], [_constant(c, "'eip' coefficient")
-                                        for c in args[1:]])
-        return functools.reduce(_FOLD[head], args)
     if head not in _FORMS:
         raise ExpressionError("unknown operator %r" % (head,))
     n, build = _FORMS[head]
+    if n is None:
+        if len(args) < 2:
+            raise ExpressionError("'%s' needs at least two arguments" % head)
+        return build(args)
     if len(args) != n:
         raise ExpressionError("'%s' takes %d argument(s), got %d"
                               % (head, n, len(args)))
@@ -863,15 +845,16 @@ def prefix_parser():
         if tokens:
             raise ExpressionError("trailing tokens after expression: %r"
                                   % (tokens[::-1],))
-        # the levels of the tree, breadth first: nodes holds those at depth
-        nodes, depth = [result], 0
-        while nodes:
-            if depth > _PARSE_DEPTH:
-                raise ExpressionError("expression tree is more than %d "
-                                      "levels deep" % _PARSE_DEPTH)
-            nodes = list({id(c): c for n in nodes
-                          for c in n.children()}.values())
-            depth += 1
+        levels = {}     # node id -> levels of the tree below the node
+        for node in _postorder([result])[0]:
+            level = 0
+            for child in node.children():
+                if levels[id(child)] >= level:
+                    level = levels[id(child)] + 1
+            levels[id(node)] = level
+        if levels[id(result)] > _PARSE_DEPTH:
+            raise ExpressionError("expression tree is more than %d levels "
+                                  "deep" % _PARSE_DEPTH)
         return result
 
     return parse

@@ -599,40 +599,39 @@ class ClosureReport:
     trace: Optional[GeodesicTrace] = dc_field(default=None, repr=False)
 
 
-def _run(chart, system, trace_type, state, y0, t_end, observer=None):
-    """Step the system from y0 at state.t to t_end inside the chart."""
+def _run(chart, system, trace_type, state, y0, span, observer=None):
+    """Step the system from y0 at state.t to state.t + span inside the
+    chart; span is the arclength system's length, the others' t_max."""
+    if not 0.0 < span < math.inf:
+        raise ValueError("%s must be positive"
+                         % ("length" if system == "arclength" else "t_max"))
     rt = chart.runtime()
     if not rt.in_domain(state.x, state.y):
         raise DomainError("initial state (%g, %g) is outside chart %r"
                           % (state.x, state.y, chart.name))
     return trace_type(chart.name, *_adaptive_rk(system, rt, state.t, y0,
-                                                t_end, observer))
+                                                state.t + span, observer))
 
 
 def integrate_geodesic(chart, state, t_max, observer=None):
     """Integrate the geodesic through the state for parameter length t_max."""
-    if t_max <= 0.0:
-        raise ValueError("t_max must be positive")
     return _run(chart, "geodesic", GeodesicTrace, state,
-                (state.x, state.y, state.vx, state.vy), state.t + t_max,
-                observer)
+                (state.x, state.y, state.vx, state.vy), t_max, observer)
 
 
 def integrate_by_arclength(chart, state, length):
     """Integrate the geodesic through the state for the Euclidean arc length
     `length` of its chart image: ts are state.t plus the arc length, whatever
     the state's speed, and the velocity columns are the affine velocity."""
-    if length <= 0.0:
-        raise ValueError("length must be positive")
     return _run(chart, "arclength", GeodesicTrace, state,
-                (state.x, state.y, state.vx, state.vy), state.t + length)
+                (state.x, state.y, state.vx, state.vy), length)
 
 
-def _jacobi_run(chart, state, t_end):
+def _jacobi_run(chart, state, t_max):
     """The geodesic through state jointly with the normal part of the
     Jacobi field with J(0) = 0: jn = 0 and jp = 1 at the start."""
     y0 = (state.x, state.y, state.vx, state.vy, 0.0, 1.0)
-    return _run(chart, "jacobi", JacobiTrace, state, y0, t_end)
+    return _run(chart, "jacobi", JacobiTrace, state, y0, t_max)
 
 
 def find_conjugate_points(chart, state, t_max):
@@ -643,11 +642,9 @@ def find_conjugate_points(chart, state, t_max):
     sign changes between accepted steps and refined by bisection on jn's
     interpolant.  Returns (times, jacobi_trace).
     """
-    if t_max <= 0.0:
-        raise ValueError("t_max must be positive")
     if state.vx == 0.0 and state.vy == 0.0:
         raise ValueError("zero initial velocity has no geodesic")
-    jt = _jacobi_run(chart, state, state.t + t_max)
+    jt = _jacobi_run(chart, state, t_max)
 
     w = jt.normal_component()
     times = []

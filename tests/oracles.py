@@ -445,3 +445,98 @@ def sample_rescaling_identity_reference(n, seed):
         if r > worst:
             worst, worst_tuple = r, (a, l, z, mu, beta)
     return worst, worst_tuple
+
+
+# substitute and to_prefix as they stood before both became one walk over
+# each node's prefix form, kept verbatim: recursive, one isinstance ladder
+# each, and substitute folding a - a and a / a of one node to 0 and 1.
+# Wherever that fold does not apply, the new code must write the same text.
+
+_FOLD = {"+": expr._add, "-": expr._sub, "*": expr._mul, "/": expr._div}
+
+
+def substitute_reference(field, ex, ey):
+    ex = expr._wrap(ex)
+    ey = expr._wrap(ey)
+    memo = {}
+
+    def walk(node):
+        got = memo.get(id(node))
+        if got is not None:
+            return got
+        if isinstance(node, expr.Var):
+            out = ex if node.name == "x" else ey
+        elif isinstance(node, expr.Const):
+            out = node
+        elif isinstance(node, expr._Binary):
+            out = _FOLD[node.op](walk(node.a), walk(node.b))
+        elif isinstance(node, expr.Neg):
+            out = expr._neg(walk(node.a))
+        elif isinstance(node, expr.Pow):
+            out = expr._pow(walk(node.a), node.p)
+        elif isinstance(node, expr.Unary):
+            out = expr._unary_ctor(node.kind)(walk(node.a))
+        elif isinstance(node, expr.ExpInvPoly):
+            out = expr.ExpInvPoly(walk(node.a), node.coeffs)
+        else:
+            raise expr.ExpressionError("cannot substitute into %r" % (node,))
+        memo[id(node)] = out
+        return out
+
+    if isinstance(field, expr.ScalarField):
+        return walk(field)
+    return [walk(f) for f in field]
+
+
+def _written_nodes_reference(field):
+    sizes = {}
+
+    def size(node):
+        n = sizes.get(id(node))
+        if n is None:
+            n = sizes[id(node)] = 1 + sum(map(size, node.children()))
+        return n
+
+    return size(field)
+
+
+def to_prefix_reference(field):
+    if _written_nodes_reference(field) > expr._PREFIX_NODES:
+        raise expr.ExpressionError("expression writes out more than %d nodes"
+                                   % expr._PREFIX_NODES)
+    out = []
+
+    def walk(node):
+        if isinstance(node, expr.Const):
+            out.append(repr(node.value))
+        elif isinstance(node, expr.Var):
+            out.append(node.name)
+        elif isinstance(node, expr._Binary):
+            out.append("(" + node.op)
+            walk(node.a)
+            walk(node.b)
+            out.append(")")
+        elif isinstance(node, expr.Neg):
+            out.append("(neg")
+            walk(node.a)
+            out.append(")")
+        elif isinstance(node, expr.Pow):
+            out.append("(pow")
+            walk(node.a)
+            out.append(repr(node.p))
+            out.append(")")
+        elif isinstance(node, expr.Unary):
+            out.append("(" + node.kind)
+            walk(node.a)
+            out.append(")")
+        elif isinstance(node, expr.ExpInvPoly):
+            out.append("(eip")
+            walk(node.a)
+            out.extend(repr(c) for c in node.coeffs)
+            out.append(")")
+        else:
+            raise expr.ExpressionError("cannot serialize %r" % (node,))
+
+    walk(field)
+    text = " ".join(out)
+    return text.replace("( ", "(").replace(" )", ")")

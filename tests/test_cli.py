@@ -271,6 +271,44 @@ def test_malformed_chart_file_is_a_usage_error(capsys, tmp_path, change,
     assert err.startswith("error: bad chart file") and field in err
 
 
+@pytest.mark.parametrize("flag", [None, "--json", "--csv"],
+                         ids=["chart-is-a-directory",
+                              "json-in-a-missing-directory",
+                              "csv-in-a-missing-directory"])
+def test_unreadable_chart_or_unwritable_report_is_a_usage_error(
+        capsys, tmp_path, flag):
+    path = tmp_path / "chart.json"
+    argv = ["geodesic", "--chart-file", str(path), "--x0", "0.5", "--y0",
+            "0.5", "--vx0", "1.0", "--vy0", "0.0", "--tmax", "0.5"]
+    if flag is None:
+        path.mkdir()
+        want = "error: cannot read chart file %s: " % path
+    else:
+        path.write_text(json.dumps(_chart_file_data(lambda d: d)))
+        report = tmp_path / "missing" / "out"
+        argv += [flag, str(report)]
+        want = "error: cannot write %s: " % report
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith(want)
+
+
+@pytest.mark.parametrize("argv", [
+    ["geodesic", "--chart", "flat", "--x0", "0", "--y0", "0", "--vx0", "1",
+     "--vy0", "0", "--tmax", "inf"],
+    ["verify", "liouville-variants", "--tmax", "inf"],
+    ["check", "isometry", "--chart", "projective-shift", "--map", "shift",
+     "--tol", "inf"],
+    ["check", "projective", "--chart", "band", "--chart-b", "flat",
+     "--tmax", "nan"],
+], ids=["geodesic-tmax", "verify-tmax", "check-tol", "check-tmax-nan"])
+def test_non_finite_flags_are_usage_errors(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: --%s must be positive and finite"
+                          % argv[-2].lstrip("-"))
+
+
 @pytest.mark.parametrize("argv", [
     ["zoo", "show", "band", "--a", "nan"],
     ["zoo", "show", "band", "--ell", "inf"],

@@ -195,6 +195,23 @@ def test_parse_keeps_a_difference_or_quotient_of_one_repeat():
         zero / zero
 
 
+def test_substitute_keeps_a_difference_or_quotient_of_one_repeat():
+    # pulled back along the shift x -> x + 1, the quotient still fails
+    # where sin(x + 1) is 0, as the text fails where sin x is 0
+    shift = expr.X + 1.0
+    q = expr.substitute(expr.parse_prefix("(/ (sin x) (sin x))"), shift,
+                        expr.Y)
+    assert isinstance(q, expr.Div) and q.a is q.b
+    with pytest.raises(expr.EvaluationError):
+        expr.evaluate(q, (-1.0, 0.0))
+    assert expr.evaluate(q, (0.5, 0.0)) == 1.0
+    d = expr.substitute(expr.parse_prefix("(- (sin x) (sin x))"), shift,
+                        expr.Y)
+    assert isinstance(d, expr.Sub) and d.a is d.b
+    # a map onto a constant still folds
+    assert expr.substitute(d, 0.5, expr.Y).value == 0.0
+
+
 def test_compile_many_shares_subexpressions():
     s = 1.0 / (expr.X * expr.X + expr.Y * expr.Y)
     fields = [s * 2.0, s * expr.X, s * s]
@@ -316,17 +333,25 @@ def test_to_prefix_refuses_text_past_the_node_cap():
     assert _distinct_nodes(expr.parse_prefix(text)) == 16
     with pytest.raises(expr.ExpressionError, match="more than 100000"):
         expr.to_prefix(expr.parse_prefix(_nest("(sq %s)", 16)))
-    # 30 deep the text would write x 2^30 times; the cap walks 31 nodes
+    # 30 deep the text would write x 2^30 times; writing stops past the cap
     deep = expr.parse_prefix(_nest("(sq %s)", 30))
     with pytest.raises(expr.ExpressionError, match="more than 100000"):
         expr.to_prefix(deep)
     assert repr(deep) == "<field too large to write out>"
     assert deep(-1.0, 0.0) == 1.0
-    # a tree built in code deeper than the serializer recurses
+
+
+def test_a_tree_deeper_than_the_recursion_limit_substitutes_and_writes():
+    # built in code, so no parse cap applies; only differentiation and
+    # the parser's descent recurse
     chain = expr.X
-    for _ in range(3000):
+    for _ in range(5000):
         chain = expr.sin(chain)
-    assert repr(chain) == "<field too large to write out>"
+    text = expr.to_prefix(chain)
+    assert text == "(sin " * 5000 + "x" + ")" * 5000
+    assert repr(chain) == "<field %s>" % text
+    moved = expr.substitute(chain, expr.Y, expr.X)
+    assert expr.to_prefix(moved) == text.replace("x", "y")
 
 
 def test_only_compile_function_executes_source():

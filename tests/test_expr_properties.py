@@ -11,7 +11,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
 from geoproj import expr
-from oracles import eval_tree
+from oracles import eval_tree, substitute_reference, to_prefix_reference
 
 _UNARY = ["sin", "cos", "sinh", "cosh", "exp", "log", "arcsin", "sqrt",
           "cbrt", "abs", "sign", "floor"]
@@ -76,6 +76,33 @@ def test_compiled_evaluation_matches_the_tree_walk(text, x, y):
     compiled = expr.compile_fields([f])
     assert _outcome(lambda: compiled(x, y)[0]) \
         == _outcome(eval_tree, f, x, y)
+
+
+def _holds_a_repeat_kept_apart(field):
+    """Whether field's tree holds a - a or a / a of one node, which the
+    parser and substitute keep and the reference substitute folds."""
+    seen, todo = set(), [field]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if isinstance(node, (expr.Sub, expr.Div)) and node.a is node.b:
+                return True
+            todo.extend(node.children())
+    return False
+
+
+@settings(deadline=None)
+@given(_texts(max_coeffs=3))
+def test_substitute_and_to_prefix_write_as_the_recursive_reference(text):
+    f = _parsed(text)
+    assert expr.to_prefix(f) == to_prefix_reference(f)
+    assume(not _holds_a_repeat_kept_apart(f))
+    # maps to non-constant fields: with no constant to fold, two nodes
+    # are never made one, so no new a - a or a / a arises
+    for ex, ey in ((expr.Y + 1.0, expr.X * 2.0), (expr.X + 1.0, expr.Y)):
+        assert expr.to_prefix(expr.substitute(f, ex, ey)) \
+            == to_prefix_reference(substitute_reference(f, ex, ey))
 
 
 _TOKENS = (["(", "(", ")", ")", "x", "y", "pi", "e", "+", "-", "*", "/",

@@ -411,6 +411,19 @@ def test_arclength_trace_refuses_a_length_not_positive():
                                GeodesicState(math.pi / 2, 0.0, 0.0, 1.0), 0.0)
 
 
+@pytest.mark.parametrize("span", [0.0, -1.0, math.inf, math.nan])
+def test_flows_refuse_a_span_not_positive_and_finite(span):
+    # an infinite or nan span gave a one-point time-limit trace, and no
+    # conjugate points
+    m = sphere_chart()
+    s0 = GeodesicState(math.pi / 2, 0.0, 0.0, 1.0)
+    for run, what in ((integrate_geodesic, "t_max"),
+                      (integrate_by_arclength, "length"),
+                      (find_conjugate_points, "t_max")):
+        with pytest.raises(ValueError, match="^%s must be positive$" % what):
+            run(m, s0, span)
+
+
 def test_rhs_evaluations_per_trace(monkeypatch):
     # two evaluations to start (the initial slope and the step-size guess)
     # and six per attempted step, FSAL supplying the seventh; a trace that

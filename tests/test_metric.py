@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from geoproj import expr, flow, metric, sampling, zoo
+from geoproj import expr, flow, metric, projective, sampling, zoo
 from geoproj.metric import (CausalClass, ChartMap, Domain, MetricChart,
                             Signature, VectorField)
 from chartlib import (lumpy_chart, null_plane_chart, sphere_chart,
                       unit_shift_pullback)
 from oracles import (fd_christoffel, fd_gaussian_curvature, fd_map_jacobian,
-                     metric_pairing)
+                     metric_pairing, substitute_reference, to_prefix_reference)
 
 
 def test_validate_rejects_wrong_signature_tag():
@@ -313,6 +313,40 @@ def test_chart_read_back_computes_what_the_chart_computes(name):
     assert got.termination == want.termination
     assert got.ts.tobytes() == want.ts.tobytes()
     assert got.ys.tobytes() == want.ys.tobytes()
+
+
+def _catalogue_maps():
+    shift = zoo.build_bundle("projective-shift").maps["shift"]
+    swap = projective.liouville_swap_map(0.25, "anti-swap")
+    return [shift, shift.inverse, swap, swap.inverse]
+
+
+@pytest.mark.parametrize("name", sorted(zoo.catalogue()))
+def test_fields_and_pullbacks_write_as_the_recursive_reference(name,
+                                                               monkeypatch):
+    # the coefficients and constraints, and their pullback along each map
+    # (coefficients and domain factors) built with substitute and with the
+    # reference, each written by to_prefix and by the reference: one text
+    chart = zoo.build_bundle(name).chart
+
+    def texts(fields):
+        want = [to_prefix_reference(f) for f in fields]
+        assert [expr.to_prefix(f) for f in fields] == want
+        return want
+
+    texts([chart.g11, chart.g12, chart.g22, *chart.domain.constraints])
+    for cmap in _catalogue_maps():
+        def pulled():
+            return [*metric.pullback_form(cmap, chart.g11, chart.g12,
+                                          chart.g22)[:3],
+                    *expr.substitute(chart.domain.factors(), cmap.fx,
+                                     cmap.fy)]
+
+        got = pulled()
+        with monkeypatch.context() as m:
+            m.setattr(expr, "substitute", substitute_reference)
+            want = pulled()
+        assert texts(got) == texts(want)
 
 
 @pytest.mark.parametrize("period", [0.0, -2.0 * math.pi, math.nan,
