@@ -2,10 +2,12 @@
 
 Subcommands: zoo (catalogue), geodesic (trace runs), check (equivalence,
 affinity, isometry), verify (closed-form identities), accept (the full
-acceptance suite).  Reports are JSON with sorted keys so identical
-invocations at the same seed produce byte-identical output; a number that
-is not finite prints as null.  Exit codes are
-0 for pass, 1 for a failed check, 2 for usage or configuration errors.
+acceptance suite).  --chart takes a catalogue name, a chart file or a saved
+`zoo show` report; a numeric flag not given keeps the library's default,
+and a flag the command does not read is a usage error.  Reports are JSON
+with sorted keys so identical invocations at the same seed produce
+byte-identical output; a number that is not finite prints as null.  Exit
+codes: 0 for pass, 1 for a failed check, 2 for usage or configuration errors.
 """
 
 from __future__ import annotations
@@ -58,19 +60,28 @@ def _emit(data, path=None):
     sys.stdout.write(text)
 
 
-def _positive(args, flag, default):
-    """The value of a numeric flag, or default when the flag is not given.
-
-    An explicit value that is not positive and finite is a usage error,
-    not the default.
-    """
+def _positive(args, flag):
+    """The value of a numeric flag, which must be positive and finite."""
     value = getattr(args, flag)
-    if value is None:
-        return default
     if not 0 < value < math.inf:
         raise UsageError("--%s must be positive and finite, got %s"
                          % (flag, value))
     return value
+
+
+def _given(args, **keywords):
+    """{library keyword: value} for each numeric flag given, by flag name;
+    a flag not given leaves the library's default."""
+    return {key: _positive(args, flag) for flag, key in keywords.items()
+            if getattr(args, flag) is not None}
+
+
+def _unread(args, what, flags):
+    """Refuse each of flags that was given: what does not read it."""
+    for flag in flags:
+        if getattr(args, flag) is not None:
+            raise UsageError("%s does not use --%s"
+                             % (what, flag.replace("_", "-")))
 
 
 def _seed(args):
@@ -82,13 +93,6 @@ def _seed(args):
                          % os.environ["GEOPROJ_SEED"]) from None
 
 
-def _parse_field(text, flag):
-    try:
-        return expr.parse_prefix(text)
-    except ExpressionError as err:
-        raise UsageError("bad expression for %s: %s" % (flag, err))
-
-
 # flag, bundle keyword, conversion, help
 _PARAM_FLAGS = [
     ("a", "a", float, "family scale parameter"),
@@ -96,21 +100,25 @@ _PARAM_FLAGS = [
     ("eps", "eps", float, "shear gain per period"),
     ("c", "c", float, "profile offset"),
     ("sign", "sign", int, "separable metric signature, +1 or -1"),
-    ("f", "f", "field", "profile f(x), prefix expression"),
-    ("h", "h", "field", "odd profile h(x), prefix expression"),
-    ("h1", "h1", "field", "separable h1(x), prefix expression"),
-    ("h2", "h2", "field", "separable h2(y), prefix expression"),
+    ("f", "f", expr.parse_prefix, "profile f(x), prefix expression"),
+    ("h", "h", expr.parse_prefix, "odd profile h(x), prefix expression"),
+    ("h1", "h1", expr.parse_prefix, "separable h1(x), prefix expression"),
+    ("h2", "h2", expr.parse_prefix, "separable h2(y), prefix expression"),
 ]
 
 
 def _collect_overrides(args):
     kwargs = {}
     for flag, key, conv, _ in _PARAM_FLAGS:
-        value = getattr(args, flag, None)
-        if value is None:
+        text = getattr(args, flag)
+        if text is None:
             continue
-        kwargs[key] = (_parse_field(value, "--" + flag)
-                       if conv == "field" else conv(value))
+        try:
+            kwargs[key] = conv(text)
+        except ExpressionError as err:
+            raise UsageError("bad expression for --%s: %s" % (flag, err))
+        except ValueError as err:
+            raise UsageError("bad value for --%s: %s" % (flag, err))
     return kwargs
 
 
@@ -126,20 +134,26 @@ def _build(name, kwargs):
         raise UsageError("cannot build %r: %s" % (name, err))
 
 
-def _resolve_chart(ref, kwargs=None):
-    """A catalogue name or a path to a serialized chart file."""
+def _resolve_chart(ref, args=None):
+    """A catalogue name, built with the parameter flags in args, or a path
+    to a chart file or to a saved `zoo show` report."""
     if ref.endswith(".json") or os.path.sep in ref:
+        if args is not None:
+            _unread(args, "chart file " + ref, [f for f, *_ in _PARAM_FLAGS])
         if not os.path.exists(ref):
             raise UsageError("chart file not found: %s" % ref)
         try:
             with open(ref) as fh:
-                return chart_from_dict(json.load(fh)), None
+                data = json.load(fh)
+            if isinstance(data, dict) and "chart" in data:
+                data = data["chart"]
+            return chart_from_dict(data), None
         except OSError as err:
             raise UsageError("cannot read chart file %s: %s"
                              % (ref, err.strerror))
         except (ValueError, KeyError, DomainError) as err:
             raise UsageError("bad chart file %s: %s" % (ref, err))
-    bundle = _build(ref, kwargs or {})
+    bundle = _build(ref, {} if args is None else _collect_overrides(args))
     return bundle.chart, bundle
 
 
@@ -173,17 +187,13 @@ def cmd_zoo(args):
 
 
 def cmd_geodesic(args):
-    if args.chart_file:
-        chart, bundle = _resolve_chart(args.chart_file)
-    elif args.chart:
-        chart, bundle = _resolve_chart(args.chart, _collect_overrides(args))
-    else:
-        raise UsageError("give either --chart or --chart-file")
+    if not args.chart:
+        raise UsageError("give --chart, a catalogue name or a chart file")
+    chart, bundle = _resolve_chart(args.chart, args)
 
     state = GeodesicState(args.x0, args.y0, args.vx0, args.vy0)
     try:
-        trace = integrate_geodesic(chart, state,
-                                   _positive(args, "tmax", 1.0))
+        trace = integrate_geodesic(chart, state, _positive(args, "tmax"))
     except DomainError as err:
         raise UsageError("bad initial condition: %s" % err)
 
@@ -210,47 +220,45 @@ def cmd_geodesic(args):
 
 
 def cmd_check(args):
-    chart, bundle = _resolve_chart(args.chart, _collect_overrides(args))
+    if args.kind != "projective":
+        _unread(args, "check " + args.kind, ("chart_b", "samples", "tmax"))
+    chart, bundle = _resolve_chart(args.chart, args)
 
     if args.map:
+        _unread(args, "check --map", ("chart_b",))
         if bundle is None or args.map not in bundle.maps:
             have = [] if bundle is None else sorted(bundle.maps)
             raise UsageError("chart %r has no map %r; available: %s"
                              % (args.chart, args.map, ", ".join(have) or "none"))
         cmap = bundle.maps[args.map]
         if args.kind != "projective":
-            check, tol = ((check_isometry, 1e-8) if args.kind == "isometry"
-                          else (check_affinity, 1e-6))
+            check = (check_isometry if args.kind == "isometry"
+                     else check_affinity)
             rep = check(chart, cmap, seed=_seed(args),
-                        tol=_positive(args, "tol", tol))
+                        **_given(args, tol="tol"))
             _emit(rep.to_json_dict(), args.json)
             return 0 if rep.passed else 1
         other = pullback(chart, cmap, name="%s*%s" % (args.map, chart.name))
     elif args.chart_b:
-        if args.kind != "projective":
-            raise UsageError("%s takes --map, not --chart-b" % args.kind)
         other, _ = _resolve_chart(args.chart_b)
     else:
         raise UsageError("give --chart-b (projective) or --map")
 
     rep = check_projective_equivalence(
-        chart, other, n_traces=_positive(args, "samples", 20),
-        drift_tol=_positive(args, "tol", 1e-6),
-        t_max=_positive(args, "tmax", 1.0), seed=_seed(args))
+        chart, other, seed=_seed(args),
+        **_given(args, samples="n_traces", tol="drift_tol", tmax="t_max"))
     _emit(rep.to_json_dict(), args.json)
     return 0 if rep.verdict == EQUIVALENT else 1
 
 
 def cmd_verify(args):
     ident = zoo.IDENTITIES[args.identity]
-    for flag in ("samples", "seed", "tmax"):
-        if getattr(args, flag) is not None and flag not in ident.reads:
-            raise UsageError("verify %s does not use --%s"
-                             % (args.identity, flag))
-    given = {"samples": lambda: _positive(args, "samples", ident.samples),
-             "seed": lambda: _seed(args),
-             "tmax": lambda: _positive(args, "tmax", 1.0)}
-    fields, residual = ident.run(**{k: given[k]() for k in ident.reads})
+    _unread(args, "verify " + args.identity,
+            [f for f in ("samples", "seed", "tmax") if f not in ident.reads])
+    kwargs = _given(args, samples="samples", tmax="tmax")
+    if "seed" in ident.reads:
+        kwargs["seed"] = _seed(args)
+    fields, residual = ident.run(**kwargs)
     out = dict(fields, schema=1, identity=args.identity, tol=ident.tol)
     out["pass"] = residual <= ident.tol
     _emit(out, args.json)
@@ -273,9 +281,10 @@ def _add_param_flags(p):
         p.add_argument("--" + flag, help=text)
 
 
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=None,
-                   help="RNG seed (default: GEOPROJ_SEED or 12345)")
+def _add_common(p, seed=True):
+    if seed:
+        p.add_argument("--seed", type=int, default=None,
+                       help="RNG seed (default: GEOPROJ_SEED or 12345)")
     p.add_argument("--json", metavar="PATH", default=None,
                    help="also write the JSON report to this file")
 
@@ -294,20 +303,19 @@ def _build_parser():
     zshow = zsub.add_parser("show", help="serialize one chart as JSON")
     zshow.add_argument("name")
     _add_param_flags(zshow)
-    _add_common(zshow)
+    _add_common(zshow, seed=False)
     zshow.set_defaults(func=cmd_zoo)
 
     p = sub.add_parser("geodesic", help="integrate one geodesic")
-    p.add_argument("--chart", help="catalogue chart name")
-    p.add_argument("--chart-file", help="serialized chart JSON file")
+    p.add_argument("--chart", help="catalogue name or chart file")
     _add_param_flags(p)
     p.add_argument("--x0", type=float, required=True)
     p.add_argument("--y0", type=float, required=True)
     p.add_argument("--vx0", type=float, required=True)
     p.add_argument("--vy0", type=float, required=True)
-    p.add_argument("--tmax", type=float)
+    p.add_argument("--tmax", type=float, default=1.0)
     p.add_argument("--csv", metavar="PATH", help="write the trace as CSV")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.set_defaults(func=cmd_geodesic)
 
     p = sub.add_parser("check", help="compare two metrics or grade a map")

@@ -553,11 +553,11 @@ class Identity:
 
     run returns (report fields, residual); the identity holds when the
     residual is at most tol.  The names of run's parameters, out of
-    samples, seed and tmax, are the parameters the check reads.
+    samples, seed and tmax, are the parameters the check reads; run's own
+    defaults stand for samples and tmax when they are not given.
     """
 
     tol: float
-    samples: int    # default sample count
     run: Callable
 
     @property
@@ -565,22 +565,22 @@ class Identity:
         return tuple(inspect.signature(self.run).parameters)
 
 
-def _rescaling(samples, seed):
+def _rescaling(seed, samples=1000):
     worst, _ = sample_rescaling_identity(samples, seed=seed)
     return {"samples": samples, "seed": seed, "worst_residual": worst}, worst
 
 
-def _shift_relation(samples, seed):
+def _shift_relation(seed, samples=100):
     worst = sample_shift_relation(projective_shift(), samples, seed=seed)
     return {"samples": samples, "seed": seed, "worst_residual": worst}, worst
 
 
-def _tannery_reparam(samples):
+def _tannery_reparam(samples=101):
     worst = tannery_reparam_residual(samples)
     return {"samples": samples, "worst_residual": worst}, worst
 
 
-def _liouville_variants(samples, seed, tmax):
+def _liouville_variants(seed, samples=20, tmax=1.0):
     # the separation integral against its commonly misprinted variant on
     # the default separable chart; only the standard form has to conserve
     chart, sep = liouville_chart()
@@ -592,10 +592,10 @@ def _liouville_variants(samples, seed, tmax):
 
 
 IDENTITIES = {
-    "rescaling": Identity(1e-10, 1000, _rescaling),
-    "shift-relation": Identity(1e-8, 100, _shift_relation),
-    "tannery-reparam": Identity(1e-10, 101, _tannery_reparam),
-    "liouville-variants": Identity(1e-6, 20, _liouville_variants),
+    "rescaling": Identity(1e-10, _rescaling),
+    "shift-relation": Identity(1e-8, _shift_relation),
+    "tannery-reparam": Identity(1e-10, _tannery_reparam),
+    "liouville-variants": Identity(1e-6, _liouville_variants),
 }
 
 

@@ -122,11 +122,23 @@ def test_geodesic_from_chart_file(capsys, tmp_path):
     path = tmp_path / "chart.json"
     path.write_text(json.dumps(json.loads(out)["chart"]))
 
-    rc, out, _ = run_cli(capsys, "geodesic", "--chart-file", str(path),
+    rc, out, _ = run_cli(capsys, "geodesic", "--chart", str(path),
                          "--x0", "0.5", "--y0", "0.5", "--vx0", "0.3",
                          "--vy0", "1.0", "--tmax", "0.5")
     assert rc == 0
     assert json.loads(out)["chart"] == "band[a=2,l=0.3]"
+
+
+def test_saved_zoo_show_report_feeds_back_as_a_chart(capsys, tmp_path):
+    # the whole report, as `zoo show --json` writes it, not its "chart"
+    path = tmp_path / "band.json"
+    rc, _, _ = run_cli(capsys, "zoo", "show", "band", "--json", str(path))
+    assert rc == 0
+    start = ["--x0", "0.5", "--y0", "0.5", "--vx0", "0.3", "--vy0", "1"]
+    rc, out, err = run_cli(capsys, "geodesic", "--chart", str(path), *start)
+    assert rc == 0 and err == ""
+    assert json.loads(out)["chart"] == "band[a=2,l=0.3]"
+    assert out == run_cli(capsys, "geodesic", "--chart", "band", *start)[1]
 
 
 def test_geodesic_on_a_written_chart_prints_the_same_columns(capsys,
@@ -140,7 +152,7 @@ def test_geodesic_on_a_written_chart_prints_the_same_columns(capsys,
     start = ["--x0", "-1.0", "--y0", "0.5", "--vx0", "1.0", "--vy0", "0.1",
              "--tmax", "1.0"]
     runs = []
-    for source in (["--chart-file", str(path)],
+    for source in (["--chart", str(path)],
                    ["--chart", "projective-shift"]):
         csv_path = tmp_path / ("trace%d.csv" % len(runs))
         rc, out, _ = run_cli(capsys, "geodesic", *source, *start,
@@ -264,7 +276,7 @@ def test_malformed_chart_file_is_a_usage_error(capsys, tmp_path, change,
                                                field):
     path = tmp_path / "chart.json"
     path.write_text(json.dumps(_chart_file_data(change)))
-    rc, _, err = run_cli(capsys, "geodesic", "--chart-file", str(path),
+    rc, _, err = run_cli(capsys, "geodesic", "--chart", str(path),
                          "--x0", "0.5", "--y0", "0.5", "--vx0", "1.0",
                          "--vy0", "0.0", "--tmax", "0.5")
     assert rc == 2
@@ -278,7 +290,7 @@ def test_malformed_chart_file_is_a_usage_error(capsys, tmp_path, change,
 def test_unreadable_chart_or_unwritable_report_is_a_usage_error(
         capsys, tmp_path, flag):
     path = tmp_path / "chart.json"
-    argv = ["geodesic", "--chart-file", str(path), "--x0", "0.5", "--y0",
+    argv = ["geodesic", "--chart", str(path), "--x0", "0.5", "--y0",
             "0.5", "--vx0", "1.0", "--vy0", "0.0", "--tmax", "0.5"]
     if flag is None:
         path.mkdir()
@@ -323,6 +335,19 @@ def test_non_finite_catalogue_parameter_is_a_usage_error(capsys, argv):
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 2 and out == ""
     assert err.startswith("error: cannot build") and "not finite" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["zoo", "show", "band", "--a", "abc"], "--a"),
+    (["zoo", "show", "liouville", "--sign", "2.5"], "--sign"),
+    (["geodesic", "--chart", "band", "--ell", "x", "--x0", "0.5", "--y0",
+      "0.5", "--vx0", "0.3", "--vy0", "1"], "--ell"),
+], ids=["band-a", "liouville-sign", "geodesic-band-ell"])
+def test_non_numeric_catalogue_parameter_is_a_usage_error(capsys, argv,
+                                                          flag):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: bad value for %s: " % flag)
 
 
 def test_geodesic_requires_a_chart(capsys):
@@ -378,6 +403,50 @@ def test_check_rejects_mismatched_flags(capsys):
                          "--map", "warp")
     assert rc == 2
     assert "no map" in err
+
+
+_FLAT_FILE = "{tmp}/flat.json"
+_START = ["--x0", "0.5", "--y0", "0.5", "--vx0", "0.3", "--vy0", "1"]
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["check", "isometry", "--chart", "projective-shift", "--map", "shift",
+      "--samples", "3"], "check isometry does not use --samples"),
+    (["check", "isometry", "--chart", "projective-shift", "--map", "shift",
+      "--tmax", "0.1"], "check isometry does not use --tmax"),
+    (["check", "affine", "--chart", "projective-shift", "--map", "shift",
+      "--samples", "3", "--tmax", "0.1"],
+     "check affine does not use --samples"),
+    (["check", "affine", "--chart", "projective-shift", "--map", "shift",
+      "--chart-b", "flat"], "check affine does not use --chart-b"),
+    (["check", "projective", "--chart", "projective-shift", "--map", "shift",
+      "--chart-b", "flat"], "check --map does not use --chart-b"),
+    (["geodesic", "--chart", _FLAT_FILE, "--a", "5", "--ell", "0.2"]
+     + _START, "chart file %s does not use --a" % _FLAT_FILE),
+    (["check", "projective", "--chart", _FLAT_FILE, "--ell", "0.3",
+      "--chart-b", "flat"], "chart file %s does not use --ell" % _FLAT_FILE),
+    (["geodesic", "--chart", "band", "--chart-file", _FLAT_FILE] + _START,
+     None),
+    (["zoo", "show", "band", "--seed", "3"], None),
+    (["geodesic", "--chart", "band", "--seed", "3"] + _START, None),
+], ids=["isometry-samples", "isometry-tmax", "affine-samples-tmax",
+        "affine-chart-b", "map-and-chart-b", "geodesic-file-params",
+        "check-file-param", "chart-file-flag", "zoo-show-seed",
+        "geodesic-seed"])
+def test_a_flag_the_command_does_not_read_is_refused(capsys, tmp_path, argv,
+                                                     want):
+    # want None: the flag is gone, and argparse exits with its usage code
+    (tmp_path / "flat.json").write_text(
+        json.dumps(_chart_file_data(lambda d: d)))
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    if want is None:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        return
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err == "error: %s\n" % want.format(tmp=tmp_path)
 
 
 def test_verify_identities_pass(capsys):
