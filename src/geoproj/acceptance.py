@@ -312,18 +312,15 @@ def criterion_8(seed):
             8, False,
             "boundary kernel residual %.2e exceeds 1e-10" % worst_kernel)
 
-    rng = np.random.default_rng(seed)
-    for _ in range(50):
-        p = sampling.sample_points(tb.base, 1, rng)[0]
+    for s in sampling.sample_states(tb.base, 50, np.random.default_rng(seed)):
+        p = (s.x, s.y)
         if tb.partner.det_at(p) <= 0.0:
             return _result(
                 8, False, "partner degenerates at %r inside the region" % (p,))
-        ang = rng.uniform(0.0, 2.0 * math.pi)
-        v = (math.cos(ang), math.sin(ang))
-        norm = metric_eval(tb.base, p, v)
+        norm = metric_eval(tb.base, p, (s.vx, s.vy))
         if norm <= 0.0:
             continue
-        v = (v[0] / math.sqrt(norm), v[1] / math.sqrt(norm))
+        v = (s.vx / math.sqrt(norm), s.vy / math.sqrt(norm))
         if tb.integral.value(p, v) <= 0.0:
             return _result(
                 8, False,

@@ -30,7 +30,7 @@ import operator
 
 __all__ = [
     "ScalarField", "Const", "Var", "X", "Y",
-    "ExpressionError", "EvaluationError",
+    "ExpressionError", "EvaluationError", "EVAL_ERRORS",
     "const", "sin", "cos", "sinh", "cosh", "exp", "log", "arcsin",
     "sqrt", "cbrt", "absval", "sign", "floor_of", "expinv", "smoothstep",
     "mod_field", "pow23",
@@ -41,6 +41,10 @@ __all__ = [
 
 class ExpressionError(ValueError):
     """Raised for malformed expression constructions or parses."""
+
+
+# what evaluating an expression, or folding a constant, raises off its domain
+EVAL_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 
 
 class EvaluationError(ArithmeticError):
@@ -408,7 +412,7 @@ def _folded(fn, *values):
     value Const refuses (inf, nan), raises ExpressionError."""
     try:
         v = fn(*values)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+    except EVAL_ERRORS as exc:
         raise ExpressionError("constant folding fails: %s" % exc) from None
     return Const(v)
 
@@ -550,7 +554,7 @@ def evaluate(field, point):
     x, y = point
     try:
         v = field(x, y)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+    except EVAL_ERRORS as exc:
         raise EvaluationError(str(exc), point=(x, y)) from exc
     if not math.isfinite(v):
         raise EvaluationError("field evaluated to %r" % (v,), point=(x, y))

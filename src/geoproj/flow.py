@@ -6,7 +6,8 @@ interpolant per accepted step.  On top of it sit the geodesic system, the
 geodesic by the Euclidean arc length of its chart image (for comparing
 unparametrised curves), the geodesic jointly with the scalar Jacobi
 equation of its normal Jacobi field (for conjugate points) and closure
-detection for periodic orbits.
+detection for periodic orbits.  Every trace is a GeodesicTrace, started
+from a GeodesicState and, for the Jacobi field, jn = 0 and jp = 1.
 
 The systems have four or six components, too few for numpy to pay off: a
 numpy call costs more than the arithmetic it does on four floats.  So the
@@ -94,14 +95,13 @@ from typing import Optional
 
 import numpy as np
 
-from .expr import compile_function
+from .expr import EVAL_ERRORS, compile_function
 from .metric import DomainError, degeneracy_ratio
 
 __all__ = [
     "Termination", "DROP_REASONS", "GeodesicState", "GeodesicTrace",
-    "JacobiTrace", "ClosureReport", "integrate_geodesic",
-    "integrate_by_arclength", "find_conjugate_points", "detect_closure",
-    "golden_min", "trace_to_csv",
+    "ClosureReport", "integrate_geodesic", "integrate_by_arclength",
+    "find_conjugate_points", "detect_closure", "golden_min", "trace_to_csv",
 ]
 
 
@@ -178,7 +178,7 @@ _MID = tuple(sum(p * w for p, w in zip(row, (0.5, 0.25, 0.125, 0.0625)))
 # the stages the interpolant weighs (all but stage 2), kept per accepted step
 _DENSE = tuple(s for s, row in enumerate(_P) if any(row))
 
-_RHS_ERRORS = (ValueError, ZeroDivisionError, OverflowError, FloatingPointError)
+_RHS_ERRORS = EVAL_ERRORS + (FloatingPointError,)
 
 # An accepted step below _STALL times the trace's largest accepted step ends
 # the trace as a singularity, unless the degeneracy ratio of the metric has
@@ -288,8 +288,9 @@ def _rms(v):
 
 # The right-hand sides as source: per system, the names of the state's
 # components, the names of the chart's bundle it reads (metric._Runtime.source
-# sets them), the lines that combine them, and one expression per component
-# of the derivative.  Their names must differ from the generated step's own:
+# sets them), the lines that combine them, one expression per component of
+# the derivative and the start values of the components after x, y, vx, vy.
+# Their names must differ from the generated step's own:
 # h, s, k1, s<j>, z<j>, k<i>_<j>, a_s<j>, a_z<j>, e<j>, err, atol, rtol, the
 # bundle's v<i> and r, and the compile namespace's (isfinite, pack, sqrt, ...);
 # the state is s, so x and y are the chart's own coordinates.
@@ -300,24 +301,24 @@ _SYSTEMS = {
         ("x", "y", "vx", "vy"),
         ("a", "b", "c", "d", "e", "f"),
         (),
-        ("vx", "vy") + _ACCELERATION),
+        ("vx", "vy") + _ACCELERATION, ()),
     # a Jacobi field with J(0) = 0 on a surface is J = alpha gamma' + jn N,
     # N parallel and transverse to gamma'; only jn decides conjugacy, and
-    #   jn'' = -K g(gamma', gamma') jn,  jp = jn'
+    #   jn'' = -K g(gamma', gamma') jn,  jp = jn',  jn(0) = 0, jp(0) = 1
     # for every causal character of the geodesic (do Carmo, Riemannian
     # Geometry ch. 5; O'Neill, Semi-Riemannian Geometry ch. 10)
     "jacobi": (
         ("x", "y", "vx", "vy", "jn", "jp"),
         ("E", "F", "G", "a", "b", "c", "d", "e", "f", "kq"),
         ("ev = E * vx * vx + 2.0 * F * vx * vy + G * vy * vy",),
-        ("vx", "vy") + _ACCELERATION + ("jp", "-kq * ev * jn")),
+        ("vx", "vy") + _ACCELERATION + ("jp", "-kq * ev * jn"), (0.0, 1.0)),
     # the geodesic divided by its chart speed |(vx, vy)|: the parameter is
     # the chart image's Euclidean arc length; vx, vy stay the affine velocity
     "arclength": (
         ("x", "y", "vx", "vy"),
         ("a", "b", "c", "d", "e", "f"),
         ("w = 1.0 / sqrt(vx * vx + vy * vy)",),
-        ("vx * w", "vy * w") + tuple("w * " + a for a in _ACCELERATION)),
+        ("vx * w", "vy * w") + tuple("w * " + a for a in _ACCELERATION), ()),
 }
 
 
@@ -396,7 +397,7 @@ def _binder(rt, system):
     built on the runtime's first trace of the system, kept in rt.compiled."""
     fn = rt.compiled.get(system)
     if fn is None:
-        names, bundle, body, outs = _SYSTEMS[system]
+        names, bundle, body, outs, _ = _SYSTEMS[system]
         src = _step_source(names, rt.source(bundle) + list(body), outs)
         fn = rt.compiled[system] = rt.compile(
             src, "bind", "<geoproj.flow dp5 %s>" % system,
@@ -541,6 +542,10 @@ def _adaptive_rk(system, rt, t0, y0, t_max, observer=None):
 
 @dataclass
 class GeodesicTrace:
+    """One trace: ys holds a row per time in ts, the columns x, y, vx, vy,
+    then for the jacobi system jn, the Jacobi field's component along a
+    parallel field transverse to gamma', and its derivative jp."""
+
     chart_name: str
     ts: np.ndarray
     ys: np.ndarray
@@ -551,11 +556,8 @@ class GeodesicTrace:
     n_rhs: int
 
     def final_state(self):
-        return self.state_at_index(len(self.ts) - 1)
-
-    def state_at_index(self, i):
-        x, y, vx, vy = self.ys[i][:4]
-        return GeodesicState(x, y, vx, vy, t=float(self.ts[i]))
+        x, y, vx, vy = self.ys[-1][:4]
+        return GeodesicState(x, y, vx, vy, t=float(self.ts[-1]))
 
     @property
     def length(self):
@@ -578,30 +580,19 @@ class GeodesicTrace:
         return None
 
 
-class JacobiTrace(GeodesicTrace):
-    """A geodesic trace whose ys carry the normal part of a Jacobi field
-    too: columns x, y, vx, vy, jn, jp, with jn the component of J along a
-    parallel field transverse to gamma' and jp its derivative."""
-
-    def normal_component(self, t=None):
-        """jn at the sample times (or at one t): the conjugate detector."""
-        if t is None:
-            return self.ys[:, 4]
-        return self.dense(t, 4)
-
-
 @dataclass
 class ClosureReport:
     closed: bool
     period: Optional[float]
     min_distance: float
     tol: float
-    trace: Optional[GeodesicTrace] = dc_field(default=None, repr=False)
+    trace: GeodesicTrace = dc_field(repr=False)
 
 
-def _run(chart, system, trace_type, state, y0, span, observer=None):
-    """Step the system from y0 at state.t to state.t + span inside the
-    chart; span is the arclength system's length, the others' t_max."""
+def _run(chart, system, state, span, observer=None):
+    """Step the system from the state at state.t to state.t + span inside
+    the chart, its further components starting at their _SYSTEMS values;
+    span is the arclength system's length, the others' t_max."""
     if not 0.0 < span < math.inf:
         raise ValueError("%s must be positive"
                          % ("length" if system == "arclength" else "t_max"))
@@ -609,29 +600,21 @@ def _run(chart, system, trace_type, state, y0, span, observer=None):
     if not rt.in_domain(state.x, state.y):
         raise DomainError("initial state (%g, %g) is outside chart %r"
                           % (state.x, state.y, chart.name))
-    return trace_type(chart.name, *_adaptive_rk(system, rt, state.t, y0,
-                                                state.t + span, observer))
+    y0 = (state.x, state.y, state.vx, state.vy) + _SYSTEMS[system][4]
+    return GeodesicTrace(chart.name, *_adaptive_rk(system, rt, state.t, y0,
+                                                   state.t + span, observer))
 
 
 def integrate_geodesic(chart, state, t_max, observer=None):
     """Integrate the geodesic through the state for parameter length t_max."""
-    return _run(chart, "geodesic", GeodesicTrace, state,
-                (state.x, state.y, state.vx, state.vy), t_max, observer)
+    return _run(chart, "geodesic", state, t_max, observer)
 
 
 def integrate_by_arclength(chart, state, length):
     """Integrate the geodesic through the state for the Euclidean arc length
     `length` of its chart image: ts are state.t plus the arc length, whatever
     the state's speed, and the velocity columns are the affine velocity."""
-    return _run(chart, "arclength", GeodesicTrace, state,
-                (state.x, state.y, state.vx, state.vy), length)
-
-
-def _jacobi_run(chart, state, t_max):
-    """The geodesic through state jointly with the normal part of the
-    Jacobi field with J(0) = 0: jn = 0 and jp = 1 at the start."""
-    y0 = (state.x, state.y, state.vx, state.vy, 0.0, 1.0)
-    return _run(chart, "jacobi", JacobiTrace, state, y0, t_max)
+    return _run(chart, "arclength", state, length)
 
 
 def find_conjugate_points(chart, state, t_max):
@@ -640,13 +623,13 @@ def find_conjugate_points(chart, state, t_max):
     Integrates the normal part jn of the Jacobi field with J(0) = 0 (see
     _SYSTEMS); conjugate points are the zeros of jn for t > 0, bracketed by
     sign changes between accepted steps and refined by bisection on jn's
-    interpolant.  Returns (times, jacobi_trace).
+    interpolant.  Returns (times, trace), the jacobi system's trace.
     """
     if state.vx == 0.0 and state.vy == 0.0:
         raise ValueError("zero initial velocity has no geodesic")
-    jt = _jacobi_run(chart, state, t_max)
+    jt = _run(chart, "jacobi", state, t_max)
 
-    w = jt.normal_component()
+    w = jt.ys[:, 4]
     times = []
     for i in range(1, len(jt.ts) - 1):
         a, b = jt.ts[i], jt.ts[i + 1]
@@ -658,7 +641,7 @@ def find_conjugate_points(chart, state, t_max):
             lo, hi, wlo = float(a), float(b), wa
             while hi - lo > 1e-8:
                 mid = 0.5 * (lo + hi)
-                wm = jt.normal_component(mid)
+                wm = jt.dense(mid, 4)
                 if wm == 0.0:
                     lo = hi = mid
                     break
@@ -703,12 +686,17 @@ def detect_closure(chart, state, t_max, tol=1e-6):
     raw velocity) returns within tol of the start; positions are compared
     modulo the chart's coordinate periods.  Returns a ClosureReport carrying
     the trace (terminated at the detected period when closure happens); the
-    trace does not refer back to the report.
+    trace does not refer back to the report.  A tol outside (0, inf) or a
+    zero velocity raises ValueError.
 
     The return distance is watched on a grid finer than the accepted steps,
     through the dense output: on stretches the integrator resolves exactly
     the steps grow so large that every step endpoint would miss the dip.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
+    if state.vx == 0.0 and state.vy == 0.0:
+        raise ValueError("zero initial velocity has no geodesic")
     px, py = chart.periods
     x0, y0 = state.x, state.y
     v0 = np.array([state.vx, state.vy])
@@ -762,8 +750,8 @@ def detect_closure(chart, state, t_max, tol=1e-6):
 
     trace = integrate_geodesic(chart, state, t_max, observer=observer)
     if closure:
-        return ClosureReport(True, *closure, tol, trace=trace)
-    return ClosureReport(False, None, float(best), tol, trace=trace)
+        return ClosureReport(True, *closure, tol, trace)
+    return ClosureReport(False, None, float(best), tol, trace)
 
 
 def trace_to_csv(trace, fileobj, columns=()):

@@ -169,7 +169,7 @@ class _Runtime:
             if cons_fn is not None:
                 try:
                     values = cons_fn(x, y)
-                except (ValueError, ZeroDivisionError, OverflowError):
+                except expr.EVAL_ERRORS:
                     return False
                 for c in values:
                     if not (c > 0.0 and math.isfinite(c)):

@@ -29,8 +29,7 @@ from .sampling import resolve_seed
 __all__ = [
     "ZooError", "ZooBundle", "ZooEntry", "TruncationBundle", "ShiftBundle",
     "clifton_pohl", "band_chart", "punctured_plane_family",
-    "rescaling_matrices", "rescaling_identity_residual",
-    "sample_rescaling_identity",
+    "rescaling_identity_residual", "sample_rescaling_identity",
     "tannery_chart", "tannery_deformed", "tannery_reparam_x",
     "tannery_reparam_residual",
     "clairaut_truncation", "projective_shift",
@@ -124,21 +123,15 @@ def band_chart(f=None, a=1.0, l=0.0):
     return chart, VectorField("translation", expr.const(0.0), expr.const(1.0))
 
 
-def rescaling_matrices(a, l, z):
-    """Coefficient matrix G and rank-one square Q of the strip family at f=z."""
-    _check_denominator(l, z)
-    g, q = _rescaling_stacks(*np.array([[a, l, z]], dtype=float).T)
-    return g[0], q[0]
-
-
 def _check_denominator(l, z):
     if abs(1.0 + l * z) < 1e-12:
         raise ZooError("1 + l*z vanishes at z=%g" % z)
 
 
 def _rescaling_stacks(a, l, z):
-    """G and Q of rescaling_matrices at each entry of the arrays a, l, z,
-    stacked into two (n, 2, 2) arrays."""
+    """The strip family's coefficient matrix G and rank-one square Q at
+    f = z, at each entry of the arrays a, l, z, stacked into two (n, 2, 2)
+    arrays."""
     d = 1.0 + l * z
     inv = 1.0 / d
     g = a[:, None, None] * np.stack(

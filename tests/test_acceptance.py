@@ -5,7 +5,9 @@ reads as a pass/fail table; the cache below makes sure a criterion runs
 exactly once however the tests are ordered.
 """
 
+import itertools
 import time
+import types
 
 from geoproj import acceptance, expr, sampling, zoo
 from geoproj.expr import X, Y
@@ -92,6 +94,27 @@ def test_criterion_09_separable_symmetry_search(capsys):
 
 def test_criterion_10_integrator_hygiene(capsys):
     _check(10, capsys)
+
+
+def test_run_all_turns_a_crash_into_a_failure_and_runs_on(monkeypatch):
+    ran = []
+
+    def boom(seed):
+        raise ValueError("boom")
+
+    def fine(seed):
+        ran.append(seed)
+        return acceptance._result(2, True, "fine")
+
+    monkeypatch.setattr(acceptance, "CRITERIA", [(1, boom), (2, fine)])
+    # a clock that advances 1 s per reading
+    monkeypatch.setattr(acceptance, "time", types.SimpleNamespace(
+        perf_counter=itertools.count(0.0).__next__))
+    results = acceptance.run_all(7)
+    assert [(r.cid, r.passed, r.details) for r in results] == [
+        (1, False, "raised ValueError: boom"), (2, True, "fine")]
+    assert ran == [7]
+    assert [r.elapsed for r in results] == [1.0, 1.0]
 
 
 def test_result_json_shape():

@@ -21,10 +21,9 @@ from oracles import jacobi_conjugate_times
 def _energy_along(chart, trace):
     coeffs = chart.runtime().coeffs
     out = []
-    for i in range(len(trace.ts)):
-        s = trace.state_at_index(i)
-        E, F, G = coeffs(s.x, s.y)
-        out.append(E * s.vx ** 2 + 2 * F * s.vx * s.vy + G * s.vy ** 2)
+    for x, y, vx, vy in trace.ys[:, :4]:
+        E, F, G = coeffs(x, y)
+        out.append(E * vx ** 2 + 2 * F * vx * vy + G * vy ** 2)
     return np.array(out)
 
 
@@ -570,7 +569,7 @@ def test_system_names_do_not_collide_with_the_generated_step():
     namespace = set(expr._COMPILE_NS) | _COMPILE_EXTRAS
     charts = [zoo.build_bundle(name).chart
               for name in sorted(zoo.catalogue())]
-    for system, (names, bundle, body, outs) in flow._SYSTEMS.items():
+    for system, (names, bundle, body, outs, _) in flow._SYSTEMS.items():
         own = set(names) | _bound_names(body)
         for chart in charts:
             source = chart.runtime().source(bundle)
@@ -644,7 +643,7 @@ def test_initial_state_outside_domain_raises():
 def test_jacobi_field_on_equator_matches_sine():
     m = sphere_chart()
     s0 = GeodesicState(math.pi / 2, 0.0, 0.0, 1.0)
-    jt = flow._jacobi_run(m, s0, 3.0)
+    jt = flow.find_conjugate_points(m, s0, 3.0)[1]
     for t in np.linspace(0.2, 3.0, 11):
         v = jt.dense(t)
         assert v[4] == pytest.approx(math.sin(t), abs=1e-9)
@@ -654,7 +653,7 @@ def test_jacobi_field_on_equator_matches_sine():
 def test_jacobi_equation_residual_finite_difference():
     m = lumpy_chart()
     s0 = GeodesicState(0.0, 0.3, 0.7, 0.2)
-    jt = flow._jacobi_run(m, s0, 2.0)
+    jt = flow.find_conjugate_points(m, s0, 2.0)[1]
     delta = 1e-3
     for t in np.linspace(0.3, 1.7, 6):
         lo = jt.dense(t - delta)
@@ -703,8 +702,7 @@ def test_bisection_reads_jn_bit_for_bit():
         np.linspace(float(jt.ts[0]), float(jt.ts[-1]), 400), jt.ts]))
     for t in ts:
         t = float(t)
-        assert jt.normal_component(t).hex() == float(jt.dense(t)[4]).hex()
-    assert np.array_equal(jt.normal_component(), jt.ys[:, 4])
+        assert jt.dense(t, 4).hex() == float(jt.dense(t)[4]).hex()
 
 
 def test_conjugate_point_on_sphere_at_pi():
@@ -777,6 +775,24 @@ def test_closure_watch_grid_does_not_depend_on_the_start_time():
             tol=1e-6)
         assert rep.closed, (t0, rep.min_distance)
         assert rep.period == pytest.approx(2 * math.pi, abs=1e-7)
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_closure_refuses_a_tolerance_outside_zero_to_infinity(tol):
+    # each of these reported a closure search it could not run: -1, 0 and
+    # nan never close, and inf could not measure a distance
+    chart, _ = zoo.tannery_chart()
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        detect_closure(chart, GeodesicState(math.pi / 2, 0.3, 0.0, 1.0),
+                       10.0, tol=tol)
+
+
+def test_closure_refuses_a_zero_velocity_like_the_conjugate_scan():
+    chart, _ = zoo.tannery_chart()
+    s0 = GeodesicState(math.pi / 2, 0.3, 0.0, 0.0)
+    for search in (detect_closure, find_conjugate_points):
+        with pytest.raises(ValueError, match="zero initial velocity"):
+            search(chart, s0, 10.0)
 
 
 def test_golden_min_stops_where_rounding_stops_the_bracket():

@@ -286,7 +286,7 @@ def test_chart_file_shares_nodes_across_its_texts():
 
 
 def _geodesic_step_source(chart):
-    names, bundle, body, outs = flow._SYSTEMS["geodesic"]
+    names, bundle, body, outs, _ = flow._SYSTEMS["geodesic"]
     return flow._step_source(names, chart.runtime().source(bundle)
                              + list(body), outs)
 

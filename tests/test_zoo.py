@@ -131,7 +131,7 @@ def test_rescaling_identity_rejects_degenerate_input():
         zoo.rescaling_identity_residual(1.0, 0.0, 0.5, 1.0, 0.0)
     with pytest.raises(zoo.ZooError):
         # 1 + l z = 0 exactly
-        zoo.rescaling_matrices(1.0, 2.0, -0.5)
+        zoo.rescaling_identity_residual(1.0, 2.0, -0.5, 1.0, 1.0)
 
 
 def test_punctured_family_parameter_gate():
