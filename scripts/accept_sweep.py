@@ -19,7 +19,7 @@ SEEDS = range(1, 61)
 
 def main(path="ACCEPT_SWEEP.json"):
     failures = []
-    counts = {str(cid): 0 for cid, _ in acceptance.CRITERIA}
+    counts = {str(row[0]): 0 for row in acceptance.CRITERIA}
     for seed in SEEDS:
         for res in acceptance.run_all(seed):
             if not res.passed:

@@ -1,9 +1,11 @@
 """End-to-end acceptance checks for the whole package.
 
 Each criterion exercises one advertised behaviour at fixed tolerances and
-returns a CriterionResult; run_all executes all ten in order and never lets
-one crash take down the rest.  The test suite and the command line both
-print one PASS/FAIL line per criterion from these results.
+returns (passed, details).  CRITERIA holds each criterion's id,
+description, check and time budget; run_criterion runs one row and builds
+its CriterionResult, and run_all runs all ten in order, never letting one
+crash take down the rest.  The test suite and the command line both print
+one PASS/FAIL line per criterion from these results.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .projective import (EQUIVALENT, NOT_EQUIVALENT, check_affinity,
                          check_isometry, check_projective_equivalence,
                          liouville_isometry_search, liouville_swap_map)
 
-__all__ = ["CriterionResult", "run_all", "CRITERIA"]
+__all__ = ["CriterionResult", "run_all", "run_criterion", "CRITERIA"]
 
 
 @dataclass
@@ -51,10 +53,6 @@ class CriterionResult:
                 "details": self.details}
 
 
-def _result(cid, passed, details):
-    return CriterionResult(cid, _DESC[cid], passed, details)
-
-
 _BAND_MEMBERS = [(2.0, 0.3), (-1.0, 0.4), (1.0, -0.5)]
 _FAMILY_MEMBERS = [(1.0, 0.0), (1.0, 0.5), (2.0, -1.0)]
 
@@ -72,19 +70,16 @@ def criterion_1(seed):
             seed=seed + i)
         pair_elapsed = time.perf_counter() - t0
         if report.verdict != EQUIVALENT:
-            return _result(
-                1, False,
+            return False, (
                 "pair (a=%g,l=%g) verdict %s, drift %.3g, overlap %.3g"
                 % (a, l, report.verdict, report.max_drift, report.max_overlap))
         if pair_elapsed > 10.0:
-            return _result(
-                1, False, "pair (a=%g,l=%g) took %.1fs, budget 10s"
-                % (a, l, pair_elapsed))
+            return False, ("pair (a=%g,l=%g) took %.1fs, budget 10s"
+                           % (a, l, pair_elapsed))
         worst_drift = max(worst_drift, report.max_drift)
         worst_overlap = max(worst_overlap, report.max_overlap)
-    return _result(
-        1, True, "3 pairs equivalent, worst drift %.2e, worst overlap %.2e"
-        % (worst_drift, worst_overlap))
+    return True, ("3 pairs equivalent, worst drift %.2e, worst overlap %.2e"
+                  % (worst_drift, worst_overlap))
 
 
 def criterion_2(seed):
@@ -98,9 +93,8 @@ def criterion_2(seed):
     report = check_projective_equivalence(
         base, spoiled, n_traces=20, drift_tol=1e-6, t_max=1.0, seed=seed)
     ok = report.verdict == NOT_EQUIVALENT and report.max_drift >= 1e-2
-    return _result(
-        2, ok, "verdict %s, drift %.3g (needs >= 1e-2)"
-        % (report.verdict, report.max_drift))
+    return ok, ("verdict %s, drift %.3g (needs >= 1e-2)"
+                % (report.verdict, report.max_drift))
 
 
 def criterion_3(seed):
@@ -117,8 +111,7 @@ def criterion_3(seed):
         err = abs(got_axis - want_axis) / max(1.0, abs(want_axis))
         worst = max(worst, err)
         if worst > 1e-5:
-            return _result(
-                3, False,
+            return False, (
                 "member (a=%g,l=%g): diagonal %.6g (want %.6g), axis %.6g "
                 "(want %.6g)" % (a, l, got_diag, want_diag, got_axis,
                                  want_axis))
@@ -127,12 +120,10 @@ def criterion_3(seed):
     cp_diag = gaussian_curvature(cp, (1.0, 1.0))
     worst = max(worst, abs(cp_axis), abs(cp_diag + 2.0) / 2.0)
     if worst > 1e-5:
-        return _result(
-            3, False,
+        return False, (
             "null-plane chart: axis %.6g (want 0), diagonal %.6g (want -2)"
             % (cp_axis, cp_diag))
-    return _result(
-        3, True,
+    return True, (
         "3 members plus the null-plane chart, worst fingerprint error "
         "%.2e (tol 1e-5)" % worst)
 
@@ -147,18 +138,15 @@ def criterion_4(seed):
         for st in states:
             times, _ = find_conjugate_points(chart, st, 1.2)
             if times:
-                return _result(
-                    4, False,
+                return False, (
                     "member (a=%g,l=%g) produced a conjugate point at "
                     "t=%.6g from (%.3f,%.3f)" % (a, l, times[0], st.x, st.y))
     sphere, _ = zoo.tannery_chart()
     times, _ = find_conjugate_points(
         sphere, GeodesicState(math.pi / 2, 0.3, 0.0, 1.0), 4.0)
     if not times or abs(times[0] - math.pi) > 1e-5:
-        return _result(
-            4, False, "sphere control found %r, wanted pi +- 1e-5" % (times,))
-    return _result(
-        4, True, "60 family segments clean; sphere control at %.8f" % times[0])
+        return False, "sphere control found %r, wanted pi +- 1e-5" % (times,)
+    return True, "60 family segments clean; sphere control at %.8f" % times[0]
 
 
 def criterion_5(seed):
@@ -169,7 +157,7 @@ def criterion_5(seed):
     detail = "worst residual %.2e (tol %g)" % (worst, tol)
     if not ok:
         detail += " at tuple %r" % (tup,)
-    return _result(5, ok, detail)
+    return ok, detail
 
 
 def criterion_6(seed):
@@ -185,8 +173,7 @@ def criterion_6(seed):
     for r in rs:
         for th in ths:
             if deformed.det_at((float(r), float(th))) >= 0.0:
-                return _result(
-                    6, False,
+                return False, (
                     "determinant sign wrong at (%.4f, %.4f)" % (r, th))
 
     rng = np.random.default_rng(seed)
@@ -202,8 +189,7 @@ def criterion_6(seed):
         st = GeodesicState(r, rng.uniform(0.0, 2.0 * math.pi), vx, vy)
         rep = detect_closure(deformed, st, t_max=150.0, tol=1e-5)
         if not rep.closed:
-            return _result(
-                6, False,
+            return False, (
                 "spacelike geodesic from (%.4f,%.4f) v=(%.4f,%.4f) did not "
                 "close within t=150" % (st.x, st.y, st.vx, st.vy))
         n_closed += 1
@@ -217,26 +203,22 @@ def criterion_6(seed):
         vx = math.copysign(math.sqrt(max(vx2, 0.0)), rng.uniform(-1, 1))
         p = (r, rng.uniform(0.0, 2.0 * math.pi))
         if abs(metric_eval(base, p, (vx, vy)) - 1.0) > 1e-10:
-            return _result(6, False, "cone sample lost base normalisation")
+            return False, "cone sample lost base normalisation"
         worst_cone = max(worst_cone, abs(metric_eval(deformed, p, (vx, vy))))
         if classify(deformed, p, (vx, vy)) is not CausalClass.LIGHTLIKE:
-            return _result(
-                6, False,
+            return False, (
                 "constructed cone vector not classified lightlike at "
                 "(%.4f, %.4f)" % p)
     if worst_cone > 1e-8:
-        return _result(
-            6, False, "lightlike cone residual %.2e exceeds 1e-8" % worst_cone)
+        return False, "lightlike cone residual %.2e exceeds 1e-8" % worst_cone
 
     tol = zoo.IDENTITIES["tannery-reparam"].tol
     worst_reparam = zoo.tannery_reparam_residual(101)
     if worst_reparam > tol:
-        return _result(
-            6, False, "characteristic curve residual %.2e exceeds %g"
-            % (worst_reparam, tol))
+        return False, ("characteristic curve residual %.2e exceeds %g"
+                       % (worst_reparam, tol))
 
-    return _result(
-        6, True,
+    return True, (
         "2500 grid determinants negative; %d spacelike closures; cone "
         "residual %.1e; curve residual %.1e"
         % (n_closed, worst_cone, worst_reparam))
@@ -245,7 +227,6 @@ def criterion_6(seed):
 def criterion_7(seed):
     """Shift metric: nondegeneracy bounds, smooth seams, closure relation,
     and a translation that is projective but neither affine nor isometric."""
-    t0 = time.perf_counter()
     bundle = zoo.projective_shift()
     g = bundle.chart
 
@@ -255,17 +236,16 @@ def criterion_7(seed):
         lam = expr.evaluate(bundle.shear_field, (float(x), 0.0))
         fv = expr.evaluate(f_periodic, (float(x), 0.0))
         if not (lam > lam_lo and 1.0 + lam * fv > 0.0):
-            return _result(7, False, "bounds fail at x=%.4f" % x)
+            return False, "bounds fail at x=%.4f" % x
 
     seam = zoo.shift_seam_residual(bundle)
     if seam > 1e-8:
-        return _result(7, False, "seam residual %.2e exceeds 1e-8" % seam)
+        return False, "seam residual %.2e exceeds 1e-8" % seam
 
     tol = zoo.IDENTITIES["shift-relation"].tol
     worst_rel = zoo.sample_shift_relation(bundle, 100, seed=seed)
     if worst_rel > tol:
-        return _result(
-            7, False,
+        return False, (
             "closure relation residual %.2e exceeds %g" % (worst_rel, tol))
 
     iso = check_isometry(g, bundle.tau, n=30, seed=seed)
@@ -274,8 +254,7 @@ def criterion_7(seed):
     eq = check_projective_equivalence(g, moved, n_traces=15, t_max=0.7,
                                       seed=seed)
     if iso.passed or aff.passed or eq.verdict != EQUIVALENT:
-        return _result(
-            7, False,
+        return False, (
             "translation grading wrong: isometry=%s affinity=%s "
             "projective=%s" % (iso.passed, aff.passed, eq.verdict))
 
@@ -285,13 +264,8 @@ def criterion_7(seed):
     except zoo.ZooError:
         gate = True
     if not gate:
-        return _result(7, False, "out-of-range eps was accepted")
-
-    elapsed = time.perf_counter() - t0
-    if elapsed > 30.0:
-        return _result(7, False, "criterion took %.1fs, budget 30s" % elapsed)
-    return _result(
-        7, True,
+        return False, "out-of-range eps was accepted"
+    return True, (
         "bounds hold; seams %.1e; relation %.1e; translation projective "
         "only; eps gate closed" % (seam, worst_rel))
 
@@ -308,34 +282,30 @@ def criterion_8(seed):
             worst_kernel = max(worst_kernel, abs(
                 tb.integral.value((math.pi / 2, th), (0.0, vy))))
     if worst_kernel > 1e-10:
-        return _result(
-            8, False,
+        return False, (
             "boundary kernel residual %.2e exceeds 1e-10" % worst_kernel)
 
     for s in sampling.sample_states(tb.base, 50, np.random.default_rng(seed)):
         p = (s.x, s.y)
         if tb.partner.det_at(p) <= 0.0:
-            return _result(
-                8, False, "partner degenerates at %r inside the region" % (p,))
+            return False, (
+                "partner degenerates at %r inside the region" % (p,))
         norm = metric_eval(tb.base, p, (s.vx, s.vy))
         if norm <= 0.0:
             continue
         v = (s.vx / math.sqrt(norm), s.vy / math.sqrt(norm))
         if tb.integral.value(p, v) <= 0.0:
-            return _result(
-                8, False,
+            return False, (
                 "defining form not positive at %r inside the region" % (p,))
 
     pair = darboux_integral(tb.base, tb.partner)
     report = check_conservation(tb.base, pair, n_samples=20, t_max=0.8,
                                 seed=seed, tol=1e-6)
     if not report.passed or report.n_used < 10:
-        return _result(
-            8, False,
+        return False, (
             "pair integral drift %.3g over %d usable traces (tol 1e-6)"
             % (report.max_drift, report.n_used))
-    return _result(
-        8, True,
+    return True, (
         "kernel %.1e; form positive on 50 interior samples; drift %.2e "
         "over %d traces" % (worst_kernel, report.max_drift, report.n_used))
 
@@ -348,30 +318,26 @@ def criterion_9(seed):
     swap = found.candidates["swap"]
     if not found.found or abs(swap["k"] - 0.25) > 1e-6 \
             or abs(swap["c"] - 3.0) > 1e-6:
-        return _result(
-            9, False, "search returned k=%.8g c=%.8g residual=%.2e"
-            % (swap["k"], swap["c"], swap["residual"]))
+        return False, ("search returned k=%.8g c=%.8g residual=%.2e"
+                       % (swap["k"], swap["c"], swap["residual"]))
 
     chart, sep = zoo.liouville_chart()
     phi = liouville_swap_map(swap["k"], "swap")
     iso = check_isometry(chart, phi, n=30, seed=seed)
     if not iso.passed:
-        return _result(
-            9, False, "found map fails the isometry check (residual %.2e)"
-            % iso.max_residual)
+        return False, ("found map fails the isometry check (residual %.2e)"
+                       % iso.max_residual)
 
     pulled = integral_pullback(sep, phi, name="swapped-separable")
     p, v = (0.3, 0.6), (0.7, -0.4)
     moved = abs(sep.value(p, v) - pulled.value(p, v))
     if moved <= 1e-3:
-        return _result(
-            9, False, "pulled integral coincides with the original (diff %.2e)"
-            % moved)
+        return False, (
+            "pulled integral coincides with the original (diff %.2e)" % moved)
     cons = check_conservation(chart, pulled, n_samples=10, t_max=0.8,
                               seed=seed, tol=1e-6)
     if not cons.passed:
-        return _result(
-            9, False,
+        return False, (
             "pulled integral drifts %.3g (tol 1e-6)" % cons.max_drift)
 
     neg = liouville_isometry_search(
@@ -379,12 +345,11 @@ def criterion_9(seed):
         2.0 + expr.sin(4.0 * math.pi * expr.Y), period=1.0)
     if neg.found or any(c["residual"] < 1e-3
                         for c in neg.candidates.values()):
-        return _result(
-            9, False, "mismatched pair was accepted (residuals %r)"
+        return False, (
+            "mismatched pair was accepted (residuals %r)"
             % {k: v["residual"] for k, v in neg.candidates.items()})
 
-    return _result(
-        9, True,
+    return True, (
         "swap k=%.8f c=%.8f; isometry %.1e; integral moved %.2g and "
         "conserved %.1e; negative pair rejected"
         % (swap["k"], swap["c"], iso.max_residual, moved, cons.max_drift))
@@ -392,7 +357,6 @@ def criterion_9(seed):
 
 def criterion_10(seed):
     """Energy conservation and flow reversibility across the catalogue."""
-    t0 = time.perf_counter()
     lines = []
     for name, entry in zoo.catalogue().items():
         bundle = entry.build()
@@ -401,8 +365,7 @@ def criterion_10(seed):
                                  n_samples=50, t_max=0.5, seed=seed,
                                  tol=1e-7)
         if not rep.passed or rep.n_used < 25:
-            return _result(
-                10, False,
+            return False, (
                 "%s: energy drift %.3g over %d usable traces (tol 1e-7)"
                 % (name, rep.max_drift, rep.n_used))
 
@@ -426,50 +389,53 @@ def criterion_10(seed):
             worst_rev = max(worst_rev, err)
             used += 1
         if used < 6 or worst_rev > 1e-6:
-            return _result(
-                10, False,
+            return False, (
                 "%s: reversibility %.3g over %d round trips (tol 1e-6)"
                 % (name, worst_rev, used))
         lines.append("%s %.1e/%.1e" % (name, rep.max_drift, worst_rev))
-
-    elapsed = time.perf_counter() - t0
-    if elapsed > 300.0:
-        return _result(
-            10, False, "criterion took %.0fs, budget 300s" % elapsed)
-    return _result(10, True, "drift/reversal per chart: " + ", ".join(lines))
+    return True, "drift/reversal per chart: " + ", ".join(lines)
 
 
-_DESC = {
-    1: "strip family members share geodesics with the normal form",
-    2: "spoiled strip partner is rejected",
-    3: "punctured-family curvature fingerprints",
-    4: "no conjugate points in the families; sphere control at pi",
-    5: "strip closure identity on 1000 random tuples",
-    6: "deformed rotation surface: band, closures, cone, curve",
-    7: "shift metric: bounds, seams, relation, projective-only shift",
-    8: "truncation partner: boundary kernel, conserved pair integral",
-    9: "separable symmetry search: positive and negative instances",
-    10: "energy conservation and reversibility across the catalogue",
-}
-
+# id, description, check, time budget in seconds (None: no budget)
 CRITERIA = [
-    (1, criterion_1), (2, criterion_2), (3, criterion_3), (4, criterion_4),
-    (5, criterion_5), (6, criterion_6), (7, criterion_7), (8, criterion_8),
-    (9, criterion_9), (10, criterion_10),
+    (1, "strip family members share geodesics with the normal form",
+     criterion_1, None),
+    (2, "spoiled strip partner is rejected", criterion_2, None),
+    (3, "punctured-family curvature fingerprints", criterion_3, None),
+    (4, "no conjugate points in the families; sphere control at pi",
+     criterion_4, None),
+    (5, "strip closure identity on 1000 random tuples", criterion_5, None),
+    (6, "deformed rotation surface: band, closures, cone, curve",
+     criterion_6, None),
+    (7, "shift metric: bounds, seams, relation, projective-only shift",
+     criterion_7, 30),
+    (8, "truncation partner: boundary kernel, conserved pair integral",
+     criterion_8, None),
+    (9, "separable symmetry search: positive and negative instances",
+     criterion_9, None),
+    (10, "energy conservation and reversibility across the catalogue",
+     criterion_10, 300),
 ]
+
+
+def run_criterion(row, seed):
+    """Run one CRITERIA row at seed and time it.  A crash is a failure that
+    names the error; a passing check over its budget fails on the time,
+    a failing one keeps its own details."""
+    cid, description, check, budget = row
+    t0 = time.perf_counter()
+    try:
+        passed, details = check(seed)
+    except Exception as err:
+        passed, details = False, "raised %s: %s" % (type(err).__name__, err)
+    elapsed = time.perf_counter() - t0
+    if passed and budget is not None and elapsed > budget:
+        passed, details = False, "criterion took %.1fs, budget %gs" % (
+            elapsed, budget)
+    return CriterionResult(cid, description, passed, details, elapsed)
 
 
 def run_all(seed=None):
     """Run the ten acceptance criteria; a crash is a failure, not an abort."""
     seed = sampling.resolve_seed(seed)
-    results = []
-    for cid, fn in CRITERIA:
-        t0 = time.perf_counter()
-        try:
-            res = fn(seed)
-        except Exception as err:
-            res = _result(cid, False,
-                          "raised %s: %s" % (type(err).__name__, err))
-        res.elapsed = time.perf_counter() - t0
-        results.append(res)
-    return results
+    return [run_criterion(row, seed) for row in CRITERIA]

@@ -85,12 +85,11 @@ def _unread(args, what, flags):
 
 
 def _seed(args):
-    """The --seed flag, else the GEOPROJ_SEED variable, else 12345."""
+    """The --seed flag, else 12345; a negative seed is a usage error."""
     try:
         return sampling.resolve_seed(args.seed)
-    except ValueError:
-        raise UsageError("GEOPROJ_SEED must be an integer, got %r"
-                         % os.environ["GEOPROJ_SEED"]) from None
+    except ValueError as err:
+        raise UsageError("--%s" % err) from None
 
 
 # flag, bundle keyword, conversion, help
@@ -284,7 +283,7 @@ def _add_param_flags(p):
 def _add_common(p, seed=True):
     if seed:
         p.add_argument("--seed", type=int, default=None,
-                       help="RNG seed (default: GEOPROJ_SEED or 12345)")
+                       help="RNG seed, non-negative (default: 12345)")
     p.add_argument("--json", metavar="PATH", default=None,
                    help="also write the JSON report to this file")
 

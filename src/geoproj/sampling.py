@@ -3,22 +3,20 @@
 from __future__ import annotations
 
 import math
-import os
 
 from .flow import GeodesicState
 from .metric import DomainError
 
-__all__ = ["default_seed", "resolve_seed", "sample_states", "sample_points"]
-
-
-def default_seed():
-    """Seed used when callers pass none: the GEOPROJ_SEED variable or 12345."""
-    return int(os.environ.get("GEOPROJ_SEED", "12345"))
+__all__ = ["resolve_seed", "sample_states", "sample_points"]
 
 
 def resolve_seed(seed):
-    """seed as an int, or default_seed() when it is None."""
-    return default_seed() if seed is None else int(seed)
+    """seed as an int, or 12345 when it is None; a negative seed raises
+    ValueError."""
+    seed = 12345 if seed is None else int(seed)
+    if seed < 0:
+        raise ValueError("seed must be non-negative, got %d" % seed)
+    return seed
 
 
 def _positions(chart, n, rng, budget, failure):

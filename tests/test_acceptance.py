@@ -6,22 +6,19 @@ exactly once however the tests are ordered.
 """
 
 import itertools
-import time
 import types
 
 from geoproj import acceptance, expr, sampling, zoo
 from geoproj.expr import X, Y
 
-_FUNCS = dict(acceptance.CRITERIA)
+_ROWS = {row[0]: row for row in acceptance.CRITERIA}
+_SEED = sampling.resolve_seed(None)
 _cache = {}
 
 
 def _run(cid):
     if cid not in _cache:
-        t0 = time.perf_counter()
-        res = _FUNCS[cid](sampling.default_seed())
-        res.elapsed = time.perf_counter() - t0
-        _cache[cid] = res
+        _cache[cid] = acceptance.run_criterion(_ROWS[cid], _SEED)
     return _cache[cid]
 
 
@@ -33,8 +30,10 @@ def _check(cid, capsys):
 
 
 def test_criteria_registry_is_complete():
-    assert [cid for cid, _ in acceptance.CRITERIA] == list(range(1, 11))
-    assert set(acceptance._DESC) == set(range(1, 11))
+    assert list(_ROWS) == list(range(1, 11))
+    assert all(row[1] and callable(row[2]) for row in acceptance.CRITERIA)
+    budgets = {cid: row[3] for cid, row in _ROWS.items() if row[3]}
+    assert budgets == {7: 30, 10: 300}
 
 
 def test_criterion_01_band_pairs_equivalent(capsys):
@@ -78,7 +77,7 @@ def test_criterion_07_compiles_the_periodic_profile_once(monkeypatch):
         return original(fields)
 
     monkeypatch.setattr(expr, "compile_fields", counting)
-    res = acceptance.criterion_7(sampling.default_seed())
+    res = acceptance.run_criterion(_ROWS[7], _SEED)
     assert res.passed, res.details
     assert compiled.count(profile) == 1
     assert len(compiled) < 40
@@ -104,9 +103,10 @@ def test_run_all_turns_a_crash_into_a_failure_and_runs_on(monkeypatch):
 
     def fine(seed):
         ran.append(seed)
-        return acceptance._result(2, True, "fine")
+        return True, "fine"
 
-    monkeypatch.setattr(acceptance, "CRITERIA", [(1, boom), (2, fine)])
+    monkeypatch.setattr(acceptance, "CRITERIA", [
+        (1, "first", boom, None), (2, "second", fine, None)])
     # a clock that advances 1 s per reading
     monkeypatch.setattr(acceptance, "time", types.SimpleNamespace(
         perf_counter=itertools.count(0.0).__next__))
@@ -115,6 +115,24 @@ def test_run_all_turns_a_crash_into_a_failure_and_runs_on(monkeypatch):
         (1, False, "raised ValueError: boom"), (2, True, "fine")]
     assert ran == [7]
     assert [r.elapsed for r in results] == [1.0, 1.0]
+
+
+def test_run_criterion_fails_a_passing_check_over_its_budget(monkeypatch):
+    def boom(seed):
+        raise ValueError("boom")
+
+    def run(check):
+        res = acceptance.run_criterion((7, "shift", check, 30), 1)
+        return res.passed, res.details, res.elapsed
+
+    # each check reads as taking 31 s against a 30 s budget
+    monkeypatch.setattr(acceptance, "time", types.SimpleNamespace(
+        perf_counter=itertools.count(0.0, 31.0).__next__))
+    assert run(lambda seed: (True, "fine")) == (
+        False, "criterion took 31.0s, budget 30s", 31.0)
+    assert run(lambda seed: (False, "seam residual too large")) == (
+        False, "seam residual too large", 31.0)
+    assert run(boom) == (False, "raised ValueError: boom", 31.0)
 
 
 def test_result_json_shape():

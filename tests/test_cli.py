@@ -83,13 +83,13 @@ def test_zoo_show_of_a_field_too_large_to_write_is_a_usage_error(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("verify", "rescaling"), ("accept",),
-    ("check", "isometry", "--chart", "projective-shift", "--map", "shift")])
-def test_bad_seed_variable_is_a_usage_error(capsys, monkeypatch, argv):
-    monkeypatch.setenv("GEOPROJ_SEED", "abc")
-    rc, _, err = run_cli(capsys, *argv)
-    assert rc == 2
-    assert "GEOPROJ_SEED" in err and "'abc'" in err
+    ("verify", "rescaling", "--seed", "-1"), ("accept", "--seed", "-2"),
+    ("check", "isometry", "--chart", "projective-shift", "--map", "shift",
+     "--seed", "-3")])
+def test_negative_seed_is_a_usage_error(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert "--seed must be non-negative, got %s" % argv[-1] in err
 
 
 def test_geodesic_csv_columns(capsys, tmp_path):
@@ -521,11 +521,16 @@ def test_accept_json_leaves_out_wall_clock_time(capsys, monkeypatch,
     assert "elapsed" not in json.loads(reports[0])["criteria"][0]
 
 
-def test_console_script_is_installed():
+def test_console_script_entry_runs_the_cli_module():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml")) as fh:
+        assert 'geoproj = "geoproj.cli:main"' in fh.read()
+    path = os.pathsep.join(filter(None, [os.path.join(root, "src"),
+                                         os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "geoproj.cli",
-                           "zoo", "list"],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0
+                           "zoo", "list"], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
     assert "punctured-family" in proc.stdout
 
 

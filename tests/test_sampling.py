@@ -51,8 +51,10 @@ def test_samplers_name_a_chart_whose_box_misses_its_domain(sample, text):
 
 
 def test_resolve_seed(monkeypatch):
+    # the environment plays no part: a seed comes only from the call
     monkeypatch.setenv("GEOPROJ_SEED", "77")
-    assert sampling.resolve_seed(None) == 77
-    assert sampling.resolve_seed(5) == 5
-    monkeypatch.delenv("GEOPROJ_SEED")
     assert sampling.resolve_seed(None) == 12345
+    assert sampling.resolve_seed(5) == 5
+    assert sampling.resolve_seed(0) == 0
+    with pytest.raises(ValueError, match="non-negative, got -1"):
+        sampling.resolve_seed(-1)
