@@ -270,18 +270,46 @@ def liouville_swap_map(k, kind="swap"):
 
 
 def _profile_loop(field, var):
-    """One compiled function from a list of arguments to the list of the
-    field's values, each argument taken as the coordinate var and the other
-    coordinate as 0.0.  The loop body is the lines compile_fields writes,
-    so every value is bit for bit the one compile_fields gives, and a
-    point costs no Python call of its own."""
+    """One compiled function (args, out) that appends to the list out the
+    field's value at each argument of the list args, taken as the
+    coordinate var with the other coordinate 0.0.  The loop body is the
+    lines compile_fields writes, so every value is bit for bit the one
+    compile_fields gives, and a point costs no Python call of its own.  If
+    an argument raises, out holds the values before it."""
     lines, (value,) = expr.emit([field])
-    src = ("def _profile(args):\n    %s = 0.0\n    out = []\n"
-           "    for %s in args:\n%s        out.append(%s)\n    return out\n"
+    src = ("def _profile(args, out):\n    %s = 0.0\n"
+           "    for %s in args:\n%s        out.append(%s)\n"
            % ("y" if var == "x" else "x", var,
               "".join("        %s\n" % line for line in lines), value))
     return expr.compile_function(src, "_profile",
                                  "<geoproj.projective profile>")
+
+
+def _profile_values(field, name, var):
+    """The function from an array of arguments to the array of the
+    field's values that _profile_loop compiles.  Where a value raises or
+    is not finite, it raises expr.EvaluationError naming the profile and
+    the argument."""
+    loop = _profile_loop(field, var)
+
+    def fail(arg, why):
+        return expr.EvaluationError(
+            "profile %s at %s = %r: %s" % (name, var, arg, why),
+            point=(arg, 0.0) if var == "x" else (0.0, arg))
+
+    def values(args):
+        args, out = args.tolist(), []
+        try:
+            loop(args, out)
+        except expr.EVAL_ERRORS as exc:
+            raise fail(args[len(out)], str(exc)) from exc
+        vals = np.array(out)
+        finite = np.isfinite(vals)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise fail(args[i], "evaluated to %r" % out[i])
+        return vals
+    return values
 
 
 def liouville_isometry_search(h1, h2, period):
@@ -292,42 +320,40 @@ def liouville_isometry_search(h1, h2, period):
     residual (profile match after the swap plus the forced 2k-periodicity
     of h1, both sampled at 256 points) drops below 1e-8.  Reports the
     smallest accepted k.  Constant profile pairs are flagged degenerate:
-    every offset works and the returned k is not meaningful.
+    every offset works and the returned k is not meaningful.  A profile
+    that raises or gives a value that is not finite at a sample point
+    raises expr.EvaluationError naming the profile and the point.
 
     Each profile is compiled into one loop over a list of arguments
-    (_profile_loop), so a block of sample points costs one Python call.
-    The scan takes the offsets in blocks of 32 and evaluates each profile
-    once per distinct argument in a block (the shifted sample points fall
-    on a fine grid, so most repeat); the block size bounds the scan's
-    temporary memory.  The anti-swap's arguments -xs - k are -(xs + k) bit
-    for bit, since negation is exact and rounding to nearest symmetric, so
-    one dedupe of xs + k serves both orientations: h2 is evaluated at its
-    distinct elements and at their negatives.  The periodicity term does
-    not depend on the orientation, so the scan computes it once for both.
-    A golden-section probe is one offset, whose 256 arguments do not
-    repeat: they go to the loop as they are.
+    (_profile_loop), so a list of sample points costs one Python call.
+    The sample points xs and the offsets ks lie on one grid, points[n] =
+    n * period / 512, as xs[i] = points[2i] and ks[j] = points[j].  The
+    scan reads xs[i] + ks[j] as points[2i + j] and xs[i] + 2 ks[j] as
+    points[2i + 2j], so it evaluates h2 once per grid point and its
+    negative (the anti-swap's argument -xs - k) and h1 once per even grid
+    point, and builds the residual rows by indexing.  On a power-of-two
+    period each sum is the grid point bit for bit; on other periods the
+    two can differ in the last bit, which can only change which of two
+    offsets with residuals equal to rounding is refined.  The scan takes
+    the offsets in blocks of 32, which bounds its temporary memory, and
+    computes the periodicity term, which does not depend on the
+    orientation, once for both.  A golden-section probe is one offset off
+    the grid: its 256 arguments go to the loop as they are.
     """
     period = float(period)
     if not (0.0 < period < math.inf):
         raise ValueError("period must be positive and finite")
-    grid, block = 512, 32
-    xs = np.linspace(0.0, period, 256, endpoint=False)
+    n_x, n_k, block = 256, 512, 32
+    points = np.arange(2 * (n_x - 1 + n_k - 1) + 1) * (period / n_k)
+    xs, ks = points[:2 * n_x:2], points[:n_k]
 
-    h1_loop = _profile_loop(h1, "x")
-    h2_loop = _profile_loop(h2, "y")
-
-    def at(loop, args):
-        return np.array(loop(args.tolist()))
-
-    def dedupe(arr):
-        """The distinct elements of arr and the indices that rebuild arr
-        from them, keyed on the bit pattern so 0.0 and -0.0 stay apart."""
-        keys, inv = np.unique(arr.ravel().view(np.int64),
-                              return_inverse=True)
-        return keys.view(np.float64), inv.reshape(arr.shape)
-
-    h1v = at(h1_loop, xs)
-    h2v = at(h2_loop, xs)
+    h1_at = _profile_values(h1, "h1", "x")
+    h2_at = _profile_values(h2, "h2", "y")
+    h2_grid = h2_at(points[:2 * (n_x - 1) + n_k])
+    h2_grid_neg = h2_at(-points[:2 * (n_x - 1) + n_k])
+    h1_even = h1_at(points[::2])
+    h1v = h1_even[:n_x]
+    h2v = h2_grid[:2 * n_x:2]
     degenerate = (float(np.var(h1v)) < 1e-18
                   and float(np.var(h2v)) < 1e-18)
 
@@ -344,28 +370,29 @@ def liouville_isometry_search(h1, h2, period):
         return np.mean((h1_vals - h1v) ** 2, axis=1)
 
     def total(k, orient):
-        r, c = swap_term(at(h2_loop, xs + k if orient > 0 else -xs - k)[None])
-        p = period_term(at(h1_loop, xs + 2.0 * k)[None])
+        r, c = swap_term(h2_at(xs + k if orient > 0 else -xs - k)[None])
+        p = period_term(h1_at(xs + 2.0 * k)[None])
         return float(r[0] + p[0]), float(c[0])
 
-    def scan(ks):
-        """The swap and the anti-swap totals at each offset of ks."""
-        keys, inv = dedupe(xs + ks[:, None])
-        twice, twice_inv = dedupe(xs + 2.0 * ks[:, None])
-        p = period_term(at(h1_loop, twice)[twice_inv])
-        return [swap_term(at(h2_loop, args)[inv])[0] + p
-                for args in (keys, -keys)]
+    cols = np.arange(n_x)
 
-    ks = np.linspace(0.0, period, grid, endpoint=False)
-    scanned = [scan(ks[j:j + block]) for j in range(0, grid, block)]
+    def scan(j):
+        """The swap and the anti-swap totals at the offsets ks[j]."""
+        shifted = 2 * cols + j
+        p = period_term(h1_even[cols + j])
+        return [swap_term(vals[shifted])[0] + p
+                for vals in (h2_grid, h2_grid_neg)]
+
+    scanned = [scan(np.arange(j, j + block)[:, None])
+               for j in range(0, n_k, block)]
     best = {}
     for o, (kind, orient) in enumerate((("swap", +1), ("anti-swap", -1))):
         vals = np.concatenate([s[o] for s in scanned])
         i = int(np.argmin(vals))
         lo = float(ks[max(i - 1, 0)])
-        hi = float(ks[min(i + 1, grid - 1)])
+        hi = float(ks[min(i + 1, n_k - 1)])
         if hi <= lo:
-            hi = lo + period / grid
+            hi = lo + period / n_k
         k_ref, _ = golden_min(lambda k: total(k, orient)[0], lo, hi,
                               1e-13)
         if abs(k_ref) < 1e-12 or abs(k_ref - period) < 1e-12:

@@ -295,7 +295,8 @@ def liouville_search_reference(h1, h2, period):
     """The separable symmetry search of projective.liouville_isometry_search
     one offset at a time, as it was before the scan went to blocks: each
     residual calls the compiled profiles once per sample point, repeated
-    arguments included.  Kept to pin the blocked scan bit for bit.
+    arguments included, at the rounded sums xs + k and xs + 2k.  Kept to
+    pin the grid scan bit for bit where its grid points are those sums.
     """
     period = float(period)
     if period <= 0.0:

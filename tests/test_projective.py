@@ -271,7 +271,7 @@ def _smooth_bump(t):
             * expr.smoothstep((0.9 - u) / 0.3))
 
 
-# profile pairs (h1, h2, period) the blocked scan must search exactly as the
+# profile pairs (h1, h2, period) the grid scan must search exactly as the
 # one-offset-at-a-time reference does; the first two are the benchmark's
 SEARCH_PAIRS = {
     "quarter-shift": (2.0 + expr.sin(4.0 * math.pi * X),
@@ -342,6 +342,82 @@ def test_liouville_search_finds_an_anti_swap():
     assert abs(result.k - 0.25) < 1e-6
     assert abs(result.c - 1.0) < 1e-6
     assert result.candidates["swap"]["residual"] > 1e-3
+
+
+@pytest.mark.parametrize("period, expect_equal",
+                         [(2.0 ** e, True) for e in range(-3, 4)]
+                         + [(0.3, False)])
+def test_shifted_sample_points_are_grid_points_on_power_of_two_periods_only(
+        period, expect_equal):
+    # xs + ks[j] is grid point 2i + j and xs + 2 ks[j] is 2i + 2j bit for
+    # bit on power-of-two periods only
+    xs = np.linspace(0.0, period, 256, endpoint=False)[:, None]
+    ks = np.linspace(0.0, period, 512, endpoint=False)
+    points = np.arange(1533) * (period / 512)
+    i, j = np.arange(256)[:, None], np.arange(512)
+    same = [np.array_equal((xs + ks).view(np.int64),
+                           points[2 * i + j].view(np.int64)),
+            np.array_equal((xs + 2.0 * ks).view(np.int64),
+                           points[2 * i + 2 * j].view(np.int64))]
+    assert all(same) if expect_equal else not all(same)
+
+
+@pytest.mark.parametrize("name", ["quarter-shift", "mismatched"])
+def test_liouville_scan_evaluates_each_grid_point_once(monkeypatch, name):
+    # the evaluations before the first golden-section refinement are the
+    # scan's: h2 at 1022 grid points and their negatives, h1 at 767
+    counts = {"scan": 0, "refining": False}
+    make_loop, golden = projective._profile_loop, projective.golden_min
+
+    def counting_loop(field, var):
+        loop = make_loop(field, var)
+
+        def counted(args, out):
+            if not counts["refining"]:
+                counts["scan"] += len(args)
+            return loop(args, out)
+        return counted
+
+    def flagged_golden(*args, **kwargs):
+        counts["refining"] = True
+        return golden(*args, **kwargs)
+
+    monkeypatch.setattr(projective, "_profile_loop", counting_loop)
+    monkeypatch.setattr(projective, "golden_min", flagged_golden)
+    liouville_isometry_search(*SEARCH_PAIRS[name])
+    assert counts["refining"]
+    assert 0 < counts["scan"] <= 2 * 1022 + 767
+
+
+_BUMP = 2.0 + expr.sin(2.0 * math.pi * X)
+_HUGE = 1e200 * _BUMP
+
+
+@pytest.mark.parametrize("h1, h2, name, arg, cause", [
+    (1.0 / expr.sin(2.0 * math.pi * X), 2.0 + Y, "h1", 0.0,
+     ZeroDivisionError),
+    (expr.log(X), 2.0 + Y, "h1", 0.0, ValueError),
+    # the first even grid point past log(max float) / 1000
+    (expr.exp(1000.0 * X), 2.0 + Y, "h1", 364 / 512, OverflowError),
+    # a product overflows to inf without raising (a ** 2 would raise)
+    (_HUGE * _HUGE, 2.0 + Y, "h1", 0.0, None),
+    # the anti-swap's arguments are the negative grid points
+    (_BUMP, expr.sqrt(Y), "h2", -1.0 / 512, ValueError),
+], ids=["division-by-zero", "log-domain", "exp-overflow", "inf-product",
+        "h2-negative-argument"])
+def test_liouville_search_names_a_profile_it_cannot_evaluate(
+        h1, h2, name, arg, cause):
+    with pytest.raises(expr.EvaluationError) as info:
+        liouville_isometry_search(h1, h2, period=1.0)
+    err = info.value
+    var = "x" if name == "h1" else "y"
+    assert err.point == ((arg, 0.0) if name == "h1" else (0.0, arg))
+    assert str(err).startswith("profile %s at %s = %r: " % (name, var, arg))
+    if cause is None:
+        assert str(err).endswith("evaluated to inf")
+        assert err.__cause__ is None
+    else:
+        assert type(err.__cause__) is cause
 
 
 @pytest.mark.parametrize("period", [0.0, -1.0, math.nan, math.inf])
