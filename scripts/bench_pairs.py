@@ -18,8 +18,9 @@ per end-to-end metric, each side's median and quartiles (inclusive method),
 the change's median over the parent's and the number of pairs in which the
 change read better (ties count for neither, and the better direction is
 the one BENCHMARK.json names), and the failed and attempted op totals.
-With --trace 1 it gives each side's median op count and, for each of
-TRACED_PER_OP, the median of its value per op.
+With --trace 1 it gives each side's median op count, for each of
+TRACED_PER_OP the median of its value per op, and for each of
+TRACED_VALUES the median of its value.
 """
 
 import argparse
@@ -34,7 +35,10 @@ import numpy
 
 SECONDS = 36
 TRACED_PER_OP = ("projective.liouville_search.s", "expr.compile.calls",
-                 "expr.compile.s")
+                 "expr.compile.s", "flow.traces.time-limit",
+                 "flow.steps.time-limit", "flow.traces.closure-detected",
+                 "flow.steps.closure-detected")
+TRACED_VALUES = ("flow.step_us.geodesic", "flow.step_us.jacobi")
 
 
 def parse_args(argv):
@@ -106,6 +110,9 @@ def summary_traced(pairs):
             side_out[name + "_per_op"] = round(statistics.median(
                 r["metrics"][name]["value"] / r["attempted"]
                 for r in results), 6)
+        for name in TRACED_VALUES:
+            side_out[name] = round(statistics.median(
+                r["metrics"][name]["value"] for r in results), 6)
         out[side] = side_out
     return out
 

@@ -7,7 +7,9 @@ compiles a tree (or a bundle of trees sharing subexpressions) to one plain
 Python function; common subexpressions are emitted once, keyed by node
 identity, so fields built with shared subtrees stay cheap at runtime, and
 the rest is written inline.  The same emitter (emit) writes bundles into
-code generated elsewhere, such as the flow module's integrator steps.
+code generated elsewhere, such as the flow module's integrator steps,
+whose right-hand sides are trees over the state leaves _VX, _VY, _JN and
+_JP besides x and y.
 
 Fields round-trip through a prefix serialization, e.g.::
 
@@ -197,6 +199,18 @@ class Var(ScalarField):
 
     def form(self):
         return self.name, ()
+
+
+class _StateLeaf(Var):
+    """A component of the state at which the flow module's generated steps
+    evaluate their right-hand sides, besides x and y: vx, vy, jn or jp.
+    Its derivatives are 0, and no text parses to it (_ATOMS)."""
+
+    __slots__ = ()
+
+    def __init__(self, name):
+        ScalarField.__init__(self)
+        self.name = name
 
 
 class _Binary(ScalarField):
@@ -500,6 +514,8 @@ _ONE = Const(1.0)
 
 X = Var("x")
 Y = Var("y")
+# the leaves of the flow module's right-hand sides besides X and Y
+_VX, _VY, _JN, _JP = map(_StateLeaf, ("vx", "vy", "jn", "jp"))
 
 
 const = Const
@@ -630,9 +646,11 @@ def emit(fields, targets=None):
     """Python source that evaluates the fields: (lines, outs).
 
     lines are unindented statements that read the point from x and y; outs
-    holds one expression per field, valid after the lines.  With targets,
-    one name per field, the lines assign each field to its target and outs
-    are the targets.
+    holds one expression per field, valid after the lines.  The lines
+    follow the order of fields: a field's nodes are computed before those
+    only a later field reaches.  targets, if given, holds one name or None
+    per field: a line assigns a named field to its name where the field is
+    computed, and its out is the name.
 
     A subexpression used once is written inline in its parent.  These are
     statements of their own: a node shared between parents or fields (by
@@ -646,10 +664,11 @@ def emit(fields, targets=None):
     # ExpInvPoly nodes and their arguments
     cutoffs = {id(m) for node in order if isinstance(node, ExpInvPoly)
                for m in (node, node.a)}
-    named = {}
-    if targets is not None:
-        for f, t in zip(fields, targets):
-            named.setdefault(id(f), t)
+    targets = targets or [None] * len(fields)
+    named = {}      # node id -> the names it is assigned to
+    for f, t in zip(fields, targets):
+        if t is not None:
+            named.setdefault(id(f), []).append(t)
 
     lines = []
     text = {}       # node id -> source
@@ -663,20 +682,18 @@ def emit(fields, targets=None):
             if depth[id(child)] >= d:
                 d = depth[id(child)] + 1
         if key in named:
-            lines.append("%s = %s" % (named[key], src))
-            src, d = named[key], 0
+            first, *rest = named[key]
+            lines.append("%s = %s" % (first, src))
+            lines += ["%s = %s" % (t, first) for t in rest]
+            src, d = first, 0
         elif d and (uses[key] > 1 or key in cutoffs or d > _MAX_NESTING):
             name = "v%d" % next(counter)
             lines.append("%s = %s" % (name, src))
             src, d = name, 0
         text[key] = src
         depth[key] = d
-    if targets is None:
-        return lines, [text[id(f)] for f in fields]
-    for f, t in zip(fields, targets):
-        if named[id(f)] != t:
-            lines.append("%s = %s" % (t, named[id(f)]))
-    return lines, list(targets)
+    return lines, [text[id(f)] if t is None else t
+                   for f, t in zip(fields, targets)]
 
 
 def compile_function(src, name, filename, **names):

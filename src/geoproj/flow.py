@@ -17,14 +17,18 @@ step: it is straight-line code in which each stage combination, the
 system's right-hand side at that stage, the fifth-order update and the
 error estimate are written out term by term, with the zero entries of the
 tableau dropped (Dormand & Prince 1980; Hairer, Norsett & Wanner, Solving
-ODEs I, sec. II.4-5).  Each stage's right-hand side is the chart's bundle,
-written out by the expression emitter that compiled fields use
-(metric._Runtime.source), followed by the system's lines from one table
-(`_SYSTEMS`); the Jacobi system's bundle holds the Christoffel symbols and
-the curvature together, so the derivatives they share are computed once.
+ODEs I, sec. II.4-5).  Each stage's right-hand side is one expression tree
+with the chart's bundle: `_SYSTEMS` builds the system's derivative as
+trees over the chart's fields (the Christoffel symbols and, for the Jacobi
+system, the curvature) and the state's components, and
+metric._Runtime.source writes them with the emitter compiled fields use.
+So a constant entry of the chart, such as a Christoffel symbol its
+symmetry makes 0, folds away with every term it kills, and a node the
+bundle and the system share is computed once.  The stage finiteness tests,
+the curvature's degeneracy test and the error norm stay source text.
 No stage calls anything but the elementary functions.  The step names the
-state s and its components s0, s1, ..., so the bundle and the system's
-lines read each stage's point as the chart's own x and y.  The same source
+state s and its components s0, s1, ..., so the right-hand side reads each
+stage's point as the chart's own x and y.  The same source
 generates the plain rhs(s) that starts a trace.  The step is compiled, by
 expr.compile_function, on a chart runtime's first trace of the system and
 kept on the runtime.  An
@@ -95,7 +99,8 @@ from typing import Optional
 
 import numpy as np
 
-from .expr import EVAL_ERRORS, compile_function
+from .expr import (EVAL_ERRORS, X, Y, _JN, _JP, _VX, _VY, compile_function,
+                   sqrt)
 from .metric import DomainError, degeneracy_ratio
 
 __all__ = [
@@ -286,39 +291,46 @@ def _rms(v):
     return math.sqrt(sum(x * x for x in v) / len(v))
 
 
-# The right-hand sides as source: per system, the names of the state's
-# components, the names of the chart's bundle it reads (metric._Runtime.source
-# sets them), the lines that combine them, one expression per component of
-# the derivative and the start values of the components after x, y, vx, vy.
-# Their names must differ from the generated step's own:
-# h, s, k1, s<j>, z<j>, k<i>_<j>, a_s<j>, a_z<j>, e<j>, err, atol, rtol, the
-# bundle's v<i> and r, and the compile namespace's (isfinite, pack, sqrt, ...);
+# The right-hand sides as trees: per system, the state's components as
+# leaves, whether it reads the curvature kq, the function that builds one
+# tree per component of the derivative from the chart's fields (name ->
+# field, see metric._Runtime._fields), and the start values of the
+# components after x, y, vx, vy.  Each tree is built as its formula reads,
+# in Python's left-to-right operation order, and the folds of the tree
+# constructors drop every term a constant field kills.  The components'
+# names must differ from the generated step's own: h, s, k1, s<j>, z<j>,
+# k<i>_<j>, a_s<j>, a_z<j>, e<j>, err, atol, rtol, the bundle's E, F, G,
+# det, v<i> and r, and the compile namespace's (isfinite, pack, sqrt, ...);
 # the state is s, so x and y are the chart's own coordinates.
-_ACCELERATION = ("-(a * vx * vx + 2.0 * b * vx * vy + c * vy * vy)",
-                 "-(d * vx * vx + 2.0 * e * vx * vy + f * vy * vy)")
-_SYSTEMS = {
-    "geodesic": (
-        ("x", "y", "vx", "vy"),
-        ("a", "b", "c", "d", "e", "f"),
-        (),
-        ("vx", "vy") + _ACCELERATION, ()),
+def _acceleration(t):
+    return (-(t["a"] * _VX * _VX + 2.0 * t["b"] * _VX * _VY
+              + t["c"] * _VY * _VY),
+            -(t["d"] * _VX * _VX + 2.0 * t["e"] * _VX * _VY
+              + t["f"] * _VY * _VY))
+
+
+def _jacobi(t):
     # a Jacobi field with J(0) = 0 on a surface is J = alpha gamma' + jn N,
     # N parallel and transverse to gamma'; only jn decides conjugacy, and
     #   jn'' = -K g(gamma', gamma') jn,  jp = jn',  jn(0) = 0, jp(0) = 1
     # for every causal character of the geodesic (do Carmo, Riemannian
     # Geometry ch. 5; O'Neill, Semi-Riemannian Geometry ch. 10)
-    "jacobi": (
-        ("x", "y", "vx", "vy", "jn", "jp"),
-        ("E", "F", "G", "a", "b", "c", "d", "e", "f", "kq"),
-        ("ev = E * vx * vx + 2.0 * F * vx * vy + G * vy * vy",),
-        ("vx", "vy") + _ACCELERATION + ("jp", "-kq * ev * jn"), (0.0, 1.0)),
+    ev = t["E"] * _VX * _VX + 2.0 * t["F"] * _VX * _VY + t["G"] * _VY * _VY
+    return (_VX, _VY) + _acceleration(t) + (_JP, -t["kq"] * ev * _JN)
+
+
+def _arclength(t):
     # the geodesic divided by its chart speed |(vx, vy)|: the parameter is
     # the chart image's Euclidean arc length; vx, vy stay the affine velocity
-    "arclength": (
-        ("x", "y", "vx", "vy"),
-        ("a", "b", "c", "d", "e", "f"),
-        ("w = 1.0 / sqrt(vx * vx + vy * vy)",),
-        ("vx * w", "vy * w") + tuple("w * " + a for a in _ACCELERATION), ()),
+    w = 1.0 / sqrt(_VX * _VX + _VY * _VY)
+    return (_VX * w, _VY * w) + tuple(w * a for a in _acceleration(t))
+
+
+_SYSTEMS = {
+    "geodesic": ((X, Y, _VX, _VY), False,
+                 lambda t: (_VX, _VY) + _acceleration(t), ()),
+    "jacobi": ((X, Y, _VX, _VY, _JN, _JP), True, _jacobi, (0.0, 1.0)),
+    "arclength": ((X, Y, _VX, _VY), False, _arclength, ()),
 }
 
 
@@ -330,9 +342,9 @@ def _abs(v):
 
 def _step_source(names, body, outs):
     """Source of bind(atol, rtol) -> (rhs, attempt) for one system on one
-    chart: names are the state's components, body the lines that evaluate
-    the right-hand side's terms (the chart's bundle written out, then the
-    system's own lines) and outs the derivative's components.
+    chart: names are the state's components, and body and outs the lines
+    and the derivative's components metric._Runtime.source writes for the
+    system's right-hand side.
 
     rhs(s) is the system's derivative at the state s, as a tuple.
     attempt(h, s, k1) evaluates stages 2 to 7 of one DP5 step from s with
@@ -397,8 +409,10 @@ def _binder(rt, system):
     built on the runtime's first trace of the system, kept in rt.compiled."""
     fn = rt.compiled.get(system)
     if fn is None:
-        names, bundle, body, outs, _ = _SYSTEMS[system]
-        src = _step_source(names, rt.source(bundle) + list(body), outs)
+        leaves, curvature, build, _ = _SYSTEMS[system]
+        names = [v.name for v in leaves]
+        body, outs = rt.source(build, curvature)
+        src = _step_source(names, body, outs)
         fn = rt.compiled[system] = rt.compile(
             src, "bind", "<geoproj.flow dp5 %s>" % system,
             isfinite=isfinite, FloatingPointError=FloatingPointError,
@@ -600,7 +614,7 @@ def _run(chart, system, state, span, observer=None):
     if not rt.in_domain(state.x, state.y):
         raise DomainError("initial state (%g, %g) is outside chart %r"
                           % (state.x, state.y, chart.name))
-    y0 = (state.x, state.y, state.vx, state.vy) + _SYSTEMS[system][4]
+    y0 = (state.x, state.y, state.vx, state.vy) + _SYSTEMS[system][3]
     return GeodesicTrace(chart.name, *_adaptive_rk(system, rt, state.t, y0,
                                                    state.t + span, observer))
 
@@ -623,7 +637,8 @@ def find_conjugate_points(chart, state, t_max):
     Integrates the normal part jn of the Jacobi field with J(0) = 0 (see
     _SYSTEMS); conjugate points are the zeros of jn for t > 0, bracketed by
     sign changes between accepted steps and refined by bisection on jn's
-    interpolant.  Returns (times, trace), the jacobi system's trace.
+    interpolant, until the bracket is 1e-8 wide or rounding stops it from
+    shrinking.  Returns (times, trace), the jacobi system's trace.
     """
     if state.vx == 0.0 and state.vy == 0.0:
         raise ValueError("zero initial velocity has no geodesic")
@@ -641,6 +656,8 @@ def find_conjugate_points(chart, state, t_max):
             lo, hi, wlo = float(a), float(b), wa
             while hi - lo > 1e-8:
                 mid = 0.5 * (lo + hi)
+                if not lo < mid < hi:
+                    break   # the float spacing here exceeds 1e-8
                 wm = jt.dense(mid, 4)
                 if wm == 0.0:
                     lo = hi = mid
@@ -698,9 +715,8 @@ def detect_closure(chart, state, t_max, tol=1e-6):
     if state.vx == 0.0 and state.vy == 0.0:
         raise ValueError("zero initial velocity has no geodesic")
     px, py = chart.periods
-    x0, y0 = state.x, state.y
-    v0 = np.array([state.vx, state.vy])
-    v_scale = max(float(np.hypot(*v0)), 1e-12)
+    x0, y0, vx0, vy0 = state.x, state.y, state.vx, state.vy
+    v_scale = max(float(np.hypot(vx0, vy0)), 1e-12)
 
     def wrap(d, period):
         if period is None:
@@ -715,7 +731,7 @@ def detect_closure(chart, state, t_max, tol=1e-6):
     def distance_of(yv):
         dx = wrap(yv[0] - x0, px)
         dy = wrap(yv[1] - y0, py)
-        dv = math.hypot(yv[2] - v0[0], yv[3] - v0[1]) / v_scale
+        dv = math.hypot(yv[2] - vx0, yv[3] - vy0) / v_scale
         return math.hypot(dx, dy) + dv
 
     arm_radius = max(1e-3, 10.0 * tol)

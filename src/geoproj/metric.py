@@ -64,32 +64,15 @@ _degenerate = expr.compile_function(
     "def degenerate(det, E, F, G):\n    return %s\n" % _DEGENERATE,
     "degenerate", "<geoproj.metric degenerate>", max=max)
 
-# The names _Runtime.source can set: the coefficients E, F, G, the
-# Christoffel symbols G^1_11, G^1_12, G^1_22, G^2_11, G^2_12, G^2_22 as a
-# to f, the Gaussian curvature kq, and the coefficient jet kq is built from.
+# The chart's fields by name (_Runtime._fields): the coefficients E, F, G,
+# the Christoffel symbols G^1_11, G^1_12, G^1_22, G^2_11, G^2_12, G^2_22 as
+# a to f, det and, with the curvature, kq.
 _CHRISTOFFEL = ("E", "F", "G", "a", "b", "c", "d", "e", "f")
-_CURVATURE_JET = ("E", "F", "G", "Eu", "Ev", "Fu", "Fv", "Gu", "Gv",
-                  "Evv", "Fuv", "Guu")
-
-
-def _curvature_lines():
-    """Source that sets kq, the Gaussian curvature, from the coefficient jet
-    at the point (x, y): the determinant formula in E, F, G and their
-    first and second derivatives, valid for either signature.  It raises
-    DegenerateMetricError where the coefficient matrix degenerates."""
-    return [
-        "det = E * G - F * F",
-        "if %s:" % _DEGENERATE,
-        "    raise DegenerateMetricError('metric is numerically degenerate"
-        " at (%g, %g)' % (x, y))",
-        "aa = -0.5 * Evv + Fuv - 0.5 * Guu",
-        "m1 = (aa * (E * G - F * F)"
-        " - 0.5 * Eu * ((Fv - 0.5 * Gu) * G - F * 0.5 * Gv)"
-        " + (Fu - 0.5 * Ev) * ((Fv - 0.5 * Gu) * F - E * 0.5 * Gv))",
-        "m2 = (- 0.5 * Ev * (0.5 * Ev * G - F * 0.5 * Gu)"
-        " + 0.5 * Gu * (0.5 * Ev * F - E * 0.5 * Gu))",
-        "kq = (m1 - m2) / (det * det)",
-    ]
+# the names the curvature's lines set before its degeneracy test
+_GUARDED = ("E", "F", "G", "det")
+_GUARD = ["if %s:" % _DEGENERATE,
+          "    raise DegenerateMetricError('metric is numerically degenerate"
+          " at (%g, %g)' % (x, y))"]
 
 
 def degeneracy_ratio(E, F, G):
@@ -144,9 +127,9 @@ class _Runtime:
     """Compiled evaluators attached to one chart.
 
     christoffel, curvature and in_domain are the standalone evaluators.
-    source() writes the chart's fields as source lines; christoffel,
-    curvature and the DP5 steps of the flow module are compiled from it
-    through compile() and kept in compiled, by name.
+    source() writes trees built over the chart's fields as source lines;
+    christoffel, curvature and the DP5 steps of the flow module are
+    compiled from it through compile() and kept in compiled, by name.
     """
 
     def __init__(self, chart):
@@ -178,39 +161,57 @@ class _Runtime:
 
         self.in_domain = in_domain
 
-    def _fields(self, second):
-        """The chart's fields by name over _CHRISTOFFEL and _CURVATURE_JET,
-        the second derivatives only if second; each is taken once."""
+    def _fields(self, curvature):
+        """The chart's fields by name over _CHRISTOFFEL and det, with the
+        curvature also kq; each is taken once.
+
+        kq is the determinant formula for the Gaussian curvature in E, F,
+        G and their first and second derivatives, valid for either
+        signature; its terms 0.5 Ev, Fu - 0.5 Ev and the like are the
+        nodes the Christoffel symbols are built from.
+        """
         c = self._chart
         E, F, G = c.g11, c.g12, c.g22
         Eu, Ev, Fu, Fv, Gu, Gv = (f.diff(v) for f in (E, F, G) for v in "xy")
         det = E * G - F * F
         i11, i12, i22 = G / det, -F / det, E / det
-        b111, b112, b121 = 0.5 * Eu, Fu - 0.5 * Ev, 0.5 * Ev
-        b122, b221, b222 = 0.5 * Gu, Fv - 0.5 * Gu, 0.5 * Gv
-        table = dict(E=E, F=F, G=G, Eu=Eu, Ev=Ev, Fu=Fu, Fv=Fv, Gu=Gu, Gv=Gv,
+        b111, b121, b122, b222 = 0.5 * Eu, 0.5 * Ev, 0.5 * Gu, 0.5 * Gv
+        b112, b221 = Fu - b121, Fv - b122
+        table = dict(E=E, F=F, G=G, det=det,
                      a=i11 * b111 + i12 * b112, b=i11 * b121 + i12 * b122,
                      c=i11 * b221 + i12 * b222, d=i12 * b111 + i22 * b112,
                      e=i12 * b121 + i22 * b122, f=i12 * b221 + i22 * b222)
-        if second:
-            table.update(Evv=Ev.diff("y"), Fuv=Fu.diff("y"), Guu=Gu.diff("x"))
+        if curvature:
+            aa = -0.5 * Ev.diff("y") + Fu.diff("y") - 0.5 * Gu.diff("x")
+            m1 = (aa * det - b111 * (b221 * G - F * 0.5 * Gv)
+                  + b112 * (b221 * F - E * 0.5 * Gv))
+            m2 = (-0.5 * Ev * (b121 * G - F * 0.5 * Gu)
+                  + b122 * (b121 * F - E * 0.5 * Gu))
+            table["kq"] = (m1 - m2) / (det * det)
         return table
 
-    def source(self, names):
-        """Source lines that set each of names at the point (x, y).
+    def source(self, build, curvature=False):
+        """(lines, outs): source lines that evaluate, at the point (x, y),
+        the fields build(table) returns, and one expression per field,
+        valid after the lines.  table maps names to the chart's fields (see
+        _fields), kq among them with curvature.
 
-        names are drawn from _CHRISTOFFEL and "kq".  The fields are emitted
-        as one bundle, so the derivatives the Christoffel symbols and the
-        curvature share are computed once.
+        The fields are emitted as one bundle, so a term that a constant
+        entry kills is folded away when the fields are built, and a node
+        they share is computed once.  With curvature the lines first set
+        E, F, G and det and raise DegenerateMetricError where the metric
+        degenerates.
         """
-        want = [n for n in names if n != "kq"]
-        tail = []
-        if "kq" in names:
-            want += [n for n in _CURVATURE_JET if n not in want]
-            tail = _curvature_lines()
-        fields = self._fields("kq" in names)
-        lines, _ = expr.emit([fields[n] for n in want], want)
-        return lines + tail
+        table = self._fields(curvature)
+        fields = list(build(table))
+        if not curvature:
+            return expr.emit(fields)
+        lines, outs = expr.emit(
+            [table[n] for n in _GUARDED] + fields,
+            _GUARDED + (None,) * len(fields))
+        at = 1 + max(i for i, line in enumerate(lines)
+                     if line.split(" = ", 1)[0] in _GUARDED)
+        return lines[:at] + _GUARD + lines[at:], outs[len(_GUARDED):]
 
     def compile(self, src, name, filename, **names):
         """The function defined by source that uses source() lines."""
@@ -218,12 +219,14 @@ class _Runtime:
             src, name, filename, max=max,
             DegenerateMetricError=DegenerateMetricError, **names)
 
-    def _evaluator(self, name, names, result):
-        """name(x, y) -> result, where result reads the source() of names,
+    def _evaluator(self, name, build, result, curvature=False):
+        """name(x, y) -> result % the outs of source(build, curvature),
         compiled and kept in compiled."""
-        body = "".join("    %s\n" % line for line in self.source(names))
+        lines, outs = self.source(build, curvature)
+        body = "".join("    %s\n" % line for line in lines)
         self.compiled[name] = fn = self.compile(
-            "def %s(x, y):\n%s    return %s\n" % (name, body, result),
+            "def %s(x, y):\n%s    return %s\n"
+            % (name, body, result % ", ".join(outs)),
             name, "<geoproj.metric %s>" % name)
         return fn
 
@@ -231,14 +234,14 @@ class _Runtime:
         """Returns (E, F, G, G^1_11, G^1_12, G^1_22, G^2_11, G^2_12, G^2_22)
         from one function, compiled on the first call."""
         fn = self.compiled.get("christoffel") or self._evaluator(
-            "christoffel", _CHRISTOFFEL, "(%s,)" % ", ".join(_CHRISTOFFEL))
+            "christoffel", lambda t: [t[n] for n in _CHRISTOFFEL], "(%s,)")
         return fn(x, y)
 
     def curvature(self, x, y):
         """The Gaussian curvature from one function, compiled on the first
         call."""
         fn = self.compiled.get("curvature") or self._evaluator(
-            "curvature", ("kq",), "kq")
+            "curvature", lambda t: [t["kq"]], "%s", curvature=True)
         return fn(x, y)
 
 

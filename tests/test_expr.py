@@ -151,6 +151,27 @@ def test_parse_macros_and_errors():
             expr.parse_prefix(bad)
 
 
+@pytest.mark.parametrize("name", ["vx", "vy", "jn", "jp"])
+def test_parse_refuses_the_state_components_of_the_flow_steps(name):
+    # the flow module's right-hand sides read these leaves; no chart text
+    # may name them
+    for text in (name, "(* x %s)" % name):
+        with pytest.raises(expr.ExpressionError, match="unknown token"):
+            expr.parse_prefix(text)
+    with pytest.raises(expr.ExpressionError):
+        expr.Var(name)
+
+
+def test_emit_names_a_target_where_it_is_computed():
+    s = expr.sin(expr.X)
+    u = s * expr.Y
+    lines, outs = expr.emit([s, u, s, u + 1.0], ["p", None, "q", None])
+    # q names the node p does, right after it; an unnamed field is an
+    # expression over the names
+    assert lines == ["p = sin(x)", "q = p", "v0 = (p * y)"]
+    assert outs == ["p", "v0", "q", "(v0 + 1.0)"]
+
+
 def _distinct_nodes(field):
     seen = {}
     todo = [field]

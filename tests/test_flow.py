@@ -3,6 +3,7 @@ import gc
 import io
 import math
 import re
+import signal
 import weakref
 
 import numpy as np
@@ -506,9 +507,18 @@ def _bits(values):
     return [float(v).hex() for v in values]
 
 
+def _constant_zero(field):
+    return isinstance(field, expr.Const) and field.value == 0.0
+
+
 def _reference_rhs(chart, state):
     """The geodesic or Jacobi right-hand side from metric.christoffel and
-    metric.gaussian_curvature, in the generated step's operation order."""
+    metric.gaussian_curvature, in the generated step's operation order.
+
+    Where the curvature is the constant 0, as on the flat chart, the step
+    folds jn'' = -kq * ev * jn to 0.0, where the product is a zero with
+    the sign of -ev * jn: so does the reference.
+    """
     x, y, vx, vy = state[:4]
     gam = metric.christoffel(chart, (x, y))
     a, b, c = (float(v) for v in (gam[0, 0, 0], gam[0, 0, 1], gam[0, 1, 1]))
@@ -521,6 +531,8 @@ def _reference_rhs(chart, state):
     E, F, G = chart.coefficients_at((x, y))
     kq = metric.gaussian_curvature(chart, (x, y))
     ev = E * vx * vx + 2.0 * F * vx * vy + G * vy * vy
+    if _constant_zero(chart.runtime()._fields(True)["kq"]):
+        return out + (jp, 0.0)
     return out + (jp, -kq * ev * jn)
 
 
@@ -569,19 +581,87 @@ def test_system_names_do_not_collide_with_the_generated_step():
     namespace = set(expr._COMPILE_NS) | _COMPILE_EXTRAS
     charts = [zoo.build_bundle(name).chart
               for name in sorted(zoo.catalogue())]
-    for system, (names, bundle, body, outs, _) in flow._SYSTEMS.items():
-        own = set(names) | _bound_names(body)
+    for system, (leaves, curvature, build, _) in flow._SYSTEMS.items():
+        names = [v.name for v in leaves]
+        own = set(names)
         for chart in charts:
-            source = chart.runtime().source(bundle)
-            bundle_names = _bound_names(source)
+            body, outs = chart.runtime().source(build, curvature)
+            bundle_names = _bound_names(body)
             for name in sorted(own):
                 assert not _STEP_NAMES.match(name), (system, name)
                 assert name not in namespace, (system, name)
                 assert name not in bundle_names, (system, name, chart.name)
             # every other name the step binds is one _STEP_NAMES lists
-            step = flow._step_source(names, source + list(body), outs)
+            step = flow._step_source(names, body, outs)
             for name in _bound_names([step]) - own - bundle_names:
                 assert _STEP_NAMES.match(name), (system, name)
+
+
+def _step(chart, system):
+    leaves, curvature, build, _ = flow._SYSTEMS[system]
+    return flow._step_source([v.name for v in leaves],
+                             *chart.runtime().source(build, curvature))
+
+
+def _literal_zero(node):
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    return isinstance(node, ast.Constant) and node.value == 0.0
+
+
+def _zero_reads(step):
+    """The assignments of the step that compute with a zero: a binary
+    operation with an operand 0.0, -0.0 or a name assigned one.  The error
+    norm's a_s<j> and a_z<j>, which take abs(v) as 0.0 - v, are exempt."""
+    assigns = [node for node in ast.walk(ast.parse(step))
+               if isinstance(node, ast.Assign)]
+    zeros = {t.id for a in assigns if _literal_zero(a.value)
+             for t in a.targets}
+    out = []
+    for a in assigns:
+        target = a.targets[0]
+        if isinstance(target, ast.Name) and re.match(r"a_[sz]\d+\Z",
+                                                     target.id):
+            continue
+        for node in ast.walk(a.value):
+            if isinstance(node, ast.BinOp) and any(
+                    _literal_zero(v) or isinstance(v, ast.Name)
+                    and v.id in zeros for v in (node.left, node.right)):
+                out.append(ast.unparse(a))
+    return out
+
+
+def test_the_steps_read_none_of_the_charts_constant_zeros():
+    # the round sphere has F = 0, and four of its six Christoffel symbols
+    # and seven of its nine jet derivatives are 0: its geodesic and Jacobi
+    # steps compute with none of them
+    chart = zoo.build_bundle("tannery").chart
+    E, F, G = chart.g11, chart.g12, chart.g22
+    jet = [f.diff(v) for f in (E, F, G) for v in "xy"] + [
+        E.diff("y").diff("y"), F.diff("x").diff("y"), G.diff("x").diff("x")]
+    table = chart.runtime()._fields(True)
+    assert _constant_zero(F)
+    assert sum(map(_constant_zero, jet)) == 7
+    assert sum(_constant_zero(table[n]) for n in "abcdef") == 4
+    for system in ("geodesic", "jacobi"):
+        assert _zero_reads(_step(chart, system)) == [], system
+
+
+def test_every_step_keeps_its_finiteness_and_degeneracy_tests():
+    # each of stages 2 to 7 tests all its components; the Jacobi system's
+    # rhs and each of its six stages test the metric for degeneracy
+    for name in sorted(zoo.catalogue()):
+        chart = zoo.build_bundle(name).chart
+        for system, (leaves, *_) in flow._SYSTEMS.items():
+            step = _step(chart, system)
+            for i in range(2, 8):
+                test = " + ".join("k%d_%d * 0.0" % (i, j)
+                                  for j in range(len(leaves)))
+                assert step.count("if not isfinite(%s):\n            raise "
+                                  "FloatingPointError('stage %d is not "
+                                  "finite')" % (test, i)) == 1, (name, i)
+            assert step.count("if %s:" % metric._DEGENERATE) == (
+                7 if system == "jacobi" else 0), (name, system)
 
 
 @pytest.mark.parametrize("g22, degenerate", [(1e-13, True), (1e-11, False)])
@@ -703,6 +783,27 @@ def test_bisection_reads_jn_bit_for_bit():
     for t in ts:
         t = float(t)
         assert jt.dense(t, 4).hex() == float(jt.dense(t)[4]).hex()
+
+
+@pytest.mark.parametrize("t0, tol", [(0.0, 1e-8), (2e8, 3e-8), (1e12, 0.0)])
+def test_bisection_ends_where_the_float_spacing_exceeds_its_width(t0, tol):
+    # from t = 1.3e8 on, adjacent floats lie more than 1e-8 apart, so the
+    # bracket can stop shrinking before it is 1e-8 wide; the alarm turns a
+    # bisection that never ends into a failure
+    def stuck(signum, frame):
+        raise TimeoutError("find_conjugate_points did not return")
+
+    old = signal.signal(signal.SIGALRM, stuck)
+    signal.alarm(20)
+    try:
+        times, _ = find_conjugate_points(
+            sphere_chart(), GeodesicState(math.pi / 2, 0.0, 0.0, 1.0, t=t0),
+            4.0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert len(times) == 1
+    assert abs(times[0] - (t0 + math.pi)) <= tol
 
 
 def test_conjugate_point_on_sphere_at_pi():

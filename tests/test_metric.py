@@ -286,9 +286,9 @@ def test_chart_file_shares_nodes_across_its_texts():
 
 
 def _geodesic_step_source(chart):
-    names, bundle, body, outs, _ = flow._SYSTEMS["geodesic"]
-    return flow._step_source(names, chart.runtime().source(bundle)
-                             + list(body), outs)
+    leaves, curvature, build, _ = flow._SYSTEMS["geodesic"]
+    return flow._step_source([v.name for v in leaves],
+                             *chart.runtime().source(build, curvature))
 
 
 @pytest.mark.parametrize("name", sorted(zoo.catalogue()))
