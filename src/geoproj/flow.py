@@ -106,7 +106,7 @@ from .metric import DomainError, degeneracy_ratio
 __all__ = [
     "Termination", "DROP_REASONS", "GeodesicState", "GeodesicTrace",
     "ClosureReport", "integrate_geodesic", "integrate_by_arclength",
-    "find_conjugate_points", "detect_closure", "golden_min", "trace_to_csv",
+    "find_conjugate_points", "detect_closure", "brent_min", "trace_to_csv",
 ]
 
 
@@ -672,28 +672,69 @@ def find_conjugate_points(chart, state, t_max):
     return times, jt
 
 
-def golden_min(f, a, b, tol):
-    """Golden-section search for a minimum of f on [a, b].
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 
-    Narrows the bracket until it is at most tol wide, or until rounding
-    stops it from shrinking (tol below the float spacing at a and b).
-    Returns (t, f(t)) for the better of the two interior probes.
+
+def brent_min(f, a, b, tol):
+    """Brent's minimiser for f on [a, b]: parabolic steps through the three
+    best points, golden-section steps where a parabola would not shrink
+    the bracket fast enough (Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 5).
+
+    Narrows the bracket around the best point t until t is at most tol / 2
+    from either end, so the bracket is at most tol wide, or until rounding
+    stops it: no probe comes closer to t than the larger of tol / 4 and the
+    float spacing at t.  Returns (t, f(t)).
     """
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - inv * (b - a)
-    x2 = a + inv * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol and a < x1 < x2 < b:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv * (b - a)
-            f1 = f(x1)
+    # t is the best point so far, w the second best and v the previous w
+    t = w = v = a + _GOLDEN * (b - a)
+    ft = fw = fv = f(t)
+    # the last step, and the one before it (after a golden-section step,
+    # the side of the bracket that step divided)
+    step = prev = 0.0
+    while True:
+        mid = 0.5 * (a + b)
+        near = max(0.25 * tol, math.ulp(t))
+        if max(t - a, b - t) <= 2.0 * near:
+            return t, ft
+        parabolic = False
+        if abs(prev) > near:
+            r = (t - w) * (ft - fv)
+            q = (t - v) * (ft - fw)
+            p = (t - v) * q - (t - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            # accept the parabola's vertex when it lies inside the bracket
+            # and the step is under half the step before last
+            parabolic = (abs(p) < abs(0.5 * q * prev)
+                         and q * (a - t) < p < q * (b - t))
+            prev = step
+        if parabolic:
+            step = p / q
+            if t + step - a < 2.0 * near or b - (t + step) < 2.0 * near:
+                step = near if t < mid else -near
         else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv * (b - a)
-            f2 = f(x2)
-    t = x1 if f1 <= f2 else x2
-    return t, min(f1, f2)
+            prev = (b - t) if t < mid else (a - t)
+            step = _GOLDEN * prev
+        u = t + (step if abs(step) >= near else math.copysign(near, step))
+        fu = f(u)
+        if fu <= ft:
+            if u < t:
+                b = t
+            else:
+                a = t
+            v, fv, w, fw, t, ft = w, fw, t, ft, u, fu
+        else:
+            if u < t:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == t:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == t or v == w:
+                v, fv = u, fu
 
 
 def detect_closure(chart, state, t_max, tol=1e-6):
@@ -709,6 +750,8 @@ def detect_closure(chart, state, t_max, tol=1e-6):
     The return distance is watched on a grid finer than the accepted steps,
     through the dense output: on stretches the integrator resolves exactly
     the steps grow so large that every step endpoint would miss the dip.
+    A dip on that grid is refined by brent_min on the dense output, to a
+    bracket at most 1e-10 wide in t.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
@@ -756,8 +799,8 @@ def detect_closure(chart, state, t_max, tol=1e-6):
             if ta is None or not (db <= da and db <= dc):
                 continue
 
-            tstar, dstar = golden_min(lambda t: distance_of(dense(t)),
-                                      ta, tc, 1e-10)
+            tstar, dstar = brent_min(lambda t: distance_of(dense(t)),
+                                     ta, tc, 1e-10)
             best = min(best, dstar)
             if dstar <= tol:
                 closure = (float(tstar - state.t), float(dstar))

@@ -21,7 +21,7 @@ import numpy as np
 from . import expr, sampling
 from .expr import X, Y
 # integrate_geodesic is unused here: perfbench/spans.py wraps it by this name
-from .flow import golden_min, integrate_by_arclength, integrate_geodesic
+from .flow import brent_min, integrate_by_arclength, integrate_geodesic
 from .integrals import (DegenerateRatioError, check_conservation,
                         darboux_integral)
 from .metric import ChartMap, DomainError, christoffel, pullback
@@ -315,14 +315,23 @@ def _profile_values(field, name, var):
 def liouville_isometry_search(h1, h2, period):
     """Search for a swap or anti-swap isometry of the separable metric.
 
-    Scans the offset k over 512 points of one period, refines the best
-    candidates by golden-section search, and accepts when the combined
-    residual (profile match after the swap plus the forced 2k-periodicity
-    of h1, both sampled at 256 points) drops below 1e-8.  Reports the
-    smallest accepted k.  Constant profile pairs are flagged degenerate:
-    every offset works and the returned k is not meaningful.  A profile
-    that raises or gives a value that is not finite at a sample point
-    raises expr.EvaluationError naming the profile and the point.
+    Scans the offset k over 512 points of one period, once per
+    orientation, and refines the best scanned offset of each by Brent's
+    minimiser (flow.brent_min) on the bracket of one grid step either
+    side of it.  The bracket is taken cyclically: at the scan's first
+    offset it reaches below k = 0, so a minimum at or just below 0 lies
+    inside it; a refined k is reported modulo the period, in [0, period).
+    An orientation is accepted when its combined residual (profile match
+    after the swap plus the forced 2k-periodicity of h1, both sampled at
+    256 points) is at most 1e-8.  The swap is reported when it is
+    accepted, the anti-swap when only it is; when neither is, the result
+    is not found and carries the smaller of the two residuals.  So two
+    orientations that both hold at rounding level report the swap.
+    Constant profile pairs are flagged degenerate: every offset works, so
+    the best scanned offset (0 for constant profiles) is reported
+    unrefined, and k is not meaningful.  A profile that raises or gives a
+    value that is not finite at a sample point raises expr.EvaluationError
+    naming the profile and the point.
 
     Each profile is compiled into one loop over a list of arguments
     (_profile_loop), so a list of sample points costs one Python call.
@@ -337,8 +346,8 @@ def liouville_isometry_search(h1, h2, period):
     offsets with residuals equal to rounding is refined.  The scan takes
     the offsets in blocks of 32, which bounds its temporary memory, and
     computes the periodicity term, which does not depend on the
-    orientation, once for both.  A golden-section probe is one offset off
-    the grid: its 256 arguments go to the loop as they are.
+    orientation, once for both.  A refinement probe is one offset off the
+    grid: its 256 arguments go to the loop as they are.
     """
     period = float(period)
     if not (0.0 < period < math.inf):
@@ -388,21 +397,19 @@ def liouville_isometry_search(h1, h2, period):
     best = {}
     for o, (kind, orient) in enumerate((("swap", +1), ("anti-swap", -1))):
         vals = np.concatenate([s[o] for s in scanned])
-        i = int(np.argmin(vals))
-        lo = float(ks[max(i - 1, 0)])
-        hi = float(ks[min(i + 1, n_k - 1)])
-        if hi <= lo:
-            hi = lo + period / n_k
-        k_ref, _ = golden_min(lambda k: total(k, orient)[0], lo, hi,
-                              1e-13)
-        if abs(k_ref) < 1e-12 or abs(k_ref - period) < 1e-12:
-            k_ref = abs(k_ref) % period
+        k_ref = float(ks[int(np.argmin(vals))])
+        if not degenerate:
+            k_ref, _ = brent_min(lambda k: total(k, orient)[0],
+                                 k_ref - period / n_k, k_ref + period / n_k,
+                                 1e-13)
         res, c = total(k_ref, orient)
-        best[kind] = (res, k_ref % period, c)
+        k = k_ref % period   # a k_ref just below 0 can round to period
+        best[kind] = (res, k if k < period else 0.0, c)
 
-    kind = min(best, key=lambda kk: best[kk][0])
+    accepted = [kk for kk in best if best[kk][0] <= 1e-8]
+    found = bool(accepted)
+    kind = accepted[0] if found else min(best, key=lambda kk: best[kk][0])
     res, k, c = best[kind]
-    found = res <= 1e-8
     return LiouvilleSymmetry(
         found=found, kind=kind if found else None,
         k=k if found else math.nan, c=c if found else math.nan,

@@ -297,6 +297,9 @@ def liouville_search_reference(h1, h2, period):
     residual calls the compiled profiles once per sample point, repeated
     arguments included, at the rounded sums xs + k and xs + 2k.  Kept to
     pin the grid scan bit for bit where its grid points are those sums.
+    The refinement (flow.brent_min on the cyclic bracket of one grid step
+    either side of the best scanned offset) and the rule that picks the
+    reported orientation are the search's own.
     """
     period = float(period)
     if period <= 0.0:
@@ -326,21 +329,20 @@ def liouville_search_reference(h1, h2, period):
     best = {}
     for kind, orient in (("swap", +1), ("anti-swap", -1)):
         vals = np.array([total(float(k), orient) for k in ks])
-        i = int(np.argmin(vals))
-        lo = ks[max(i - 1, 0)]
-        hi = ks[min(i + 1, grid - 1)]
-        if hi <= lo:
-            hi = lo + period / grid
-        k_ref, _ = flow.golden_min(lambda k: total(k, orient), lo, hi, 1e-13)
-        if abs(k_ref) < 1e-12 or abs(k_ref - period) < 1e-12:
-            k_ref = abs(k_ref) % period
+        k_ref = float(ks[int(np.argmin(vals))])
+        if not degenerate:
+            k_ref, _ = flow.brent_min(lambda k: total(k, orient),
+                                      k_ref - period / grid,
+                                      k_ref + period / grid, 1e-13)
         res = total(k_ref, orient)
         _, c = _swap_residual(h1v, h2_at, xs, k_ref, orient)
-        best[kind] = (res, k_ref % period, c)
+        k = k_ref % period
+        best[kind] = (res, k if k < period else 0.0, c)
 
-    kind = min(best, key=lambda kk: best[kk][0])
+    accepted = [kk for kk in best if best[kk][0] <= 1e-8]
+    found = bool(accepted)
+    kind = accepted[0] if found else min(best, key=lambda kk: best[kk][0])
     res, k, c = best[kind]
-    found = res <= 1e-8
     return projective.LiouvilleSymmetry(
         found=found, kind=kind if found else None,
         k=k if found else math.nan, c=c if found else math.nan,

@@ -896,13 +896,44 @@ def test_closure_refuses_a_zero_velocity_like_the_conjugate_scan():
             search(chart, s0, 10.0)
 
 
-def test_golden_min_stops_where_rounding_stops_the_bracket():
+def test_brent_min_stops_where_rounding_stops_the_bracket():
     # at 1e6 the float spacing (1.2e-10) exceeds the stop width, so the
     # bracket can never get that narrow
-    t, f = flow.golden_min(lambda s: (s - 1e6 - 0.25) ** 2,
-                           1e6, 1e6 + 1.0, 1e-13)
+    t, f = flow.brent_min(lambda s: (s - 1e6 - 0.25) ** 2,
+                          1e6, 1e6 + 1.0, 1e-13)
     assert abs(t - 1e6 - 0.25) < 1e-9
     assert f < 1e-18
+
+
+def _counted(f):
+    calls = []
+
+    def probe(t):
+        calls.append(t)
+        return f(t)
+    return probe, calls
+
+
+def test_brent_min_takes_parabolic_steps_on_a_smooth_minimum():
+    # golden section alone takes 50 probes to narrow [0, 1] to 1e-10
+    probe, calls = _counted(lambda s: 4.0 * (s - 1.0 / 3.0) ** 2)
+    t, f = flow.brent_min(probe, 0.0, 1.0, 1e-10)
+    assert abs(t - 1.0 / 3.0) <= 1e-10
+    assert f == 4.0 * (t - 1.0 / 3.0) ** 2
+    assert len(calls) <= 10
+
+
+@pytest.mark.parametrize("t0", [0.3, 1e-12, 1.0 - 1e-12, 0.123456789])
+def test_brent_min_reaches_tol_on_a_v_shaped_minimum(t0):
+    # the closure distance near a return is |t - t0| times a speed: no
+    # parabola fits it, so the stop must come from the bracket width, not
+    # from a relative tolerance (scipy's bounded rule, sqrt(eps) |t| plus
+    # xatol / 3, stops up to 7.8e-9 away for t0 in [0.2, 0.9])
+    probe, calls = _counted(lambda s: 2.0 * abs(s - t0))
+    t, f = flow.brent_min(probe, 0.0, 1.0, 1e-10)
+    assert abs(t - t0) <= 1e-10
+    assert f == 2.0 * abs(t - t0)
+    assert all(0.0 < s < 1.0 for s in calls)
 
 
 def test_tight_tolerances_reduce_error(monkeypatch):

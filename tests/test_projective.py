@@ -344,6 +344,92 @@ def test_liouville_search_finds_an_anti_swap():
     assert result.candidates["swap"]["residual"] > 1e-3
 
 
+def test_liouville_search_reports_the_swap_when_both_orientations_hold():
+    # on these pairs the anti-swap also holds, at rounding level like the
+    # swap, so the smaller residual would pick either one by accident
+    both = []
+    for name, (h1, h2, period) in SEARCH_PAIRS.items():
+        result = liouville_isometry_search(h1, h2, period)
+        if all(c["residual"] <= 1e-8 for c in result.candidates.values()):
+            both.append(name)
+            assert result.kind == "swap", name
+            assert result.k == result.candidates["swap"]["k"], name
+    assert sorted(both) == ["constant", "period-0.3", "quarter-shift",
+                            "smooth-bump"]
+
+
+def test_liouville_search_refines_across_k_zero():
+    # the anti-swap total is 2 - cos 2 pi (k + d) - cos 4 pi k with
+    # d = 5/1024: its minimum lies at k = -9.765e-4, between the scan's
+    # offsets -1/512 and 0, and the best scanned offset is 0
+    d = 5.0 / 1024.0
+    h1 = 2.0 + expr.sin(2.0 * math.pi * X)
+    h2 = 2.0 + expr.sin(2.0 * math.pi * (d - Y))
+    result = liouville_isometry_search(h1, h2, period=1.0)
+    anti = result.candidates["anti-swap"]
+    k = anti["k"]
+    closed = (2.0 - math.cos(2.0 * math.pi * (k + d))
+              - math.cos(4.0 * math.pi * k))
+    assert 0.0 <= k < 1.0
+    assert abs(k - 0.99902) < 1e-5
+    assert abs(anti["residual"] - 3.765e-4) < 1e-7
+    assert abs(anti["residual"] - closed) < 1e-12
+    assert not result.found
+
+
+def _counting_brent(monkeypatch):
+    """Count the residual probes brent_min makes for the search."""
+    brent, probes = projective.brent_min, []
+
+    def counted(f, a, b, tol):
+        def probe(k):
+            probes.append(k)
+            return f(k)
+        return brent(probe, a, b, tol)
+
+    monkeypatch.setattr(projective, "brent_min", counted)
+    return probes
+
+
+def test_liouville_refinement_probe_budget(monkeypatch):
+    # the benchmark's two searches took 207 golden-section probes
+    probes = _counting_brent(monkeypatch)
+    for name in ("quarter-shift", "mismatched"):
+        liouville_isometry_search(*SEARCH_PAIRS[name])
+    assert len(probes) <= 80
+
+
+def test_liouville_search_degenerate_pair_is_not_refined(monkeypatch):
+    probes = _counting_brent(monkeypatch)
+    result = liouville_isometry_search(*SEARCH_PAIRS["constant"])
+    assert result.degenerate and result.k == 0.0
+    assert probes == []
+
+
+@pytest.mark.parametrize("name", ["anti-swap", "period-0.3", "quarter-shift",
+                                  "smooth-bump", "two-harmonic"])
+def test_liouville_refinement_matches_scipy_bounded(monkeypatch, name):
+    # an independent minimiser on the same bracket and the same residual
+    # must land on the same k for every accepted candidate
+    minimize_scalar = pytest.importorskip("scipy.optimize").minimize_scalar
+    brent, refined = projective.brent_min, []
+
+    def compared(f, a, b, tol):
+        t, ft = brent(f, a, b, tol)
+        ref = minimize_scalar(f, bounds=(a, b), method="bounded",
+                              options={"xatol": tol})
+        refined.append((t, ft, float(ref.x)))
+        return t, ft
+
+    monkeypatch.setattr(projective, "brent_min", compared)
+    liouville_isometry_search(*SEARCH_PAIRS[name])
+    accepted = [(t, ft, t_ref) for t, ft, t_ref in refined if ft <= 1e-8]
+    assert accepted
+    for t, ft, t_ref in accepted:
+        assert abs(t - t_ref) <= 1e-10
+        assert ft <= 1e-20
+
+
 @pytest.mark.parametrize("period, expect_equal",
                          [(2.0 ** e, True) for e in range(-3, 4)]
                          + [(0.3, False)])
@@ -364,10 +450,10 @@ def test_shifted_sample_points_are_grid_points_on_power_of_two_periods_only(
 
 @pytest.mark.parametrize("name", ["quarter-shift", "mismatched"])
 def test_liouville_scan_evaluates_each_grid_point_once(monkeypatch, name):
-    # the evaluations before the first golden-section refinement are the
-    # scan's: h2 at 1022 grid points and their negatives, h1 at 767
+    # the evaluations before the first refinement are the scan's: h2 at
+    # 1022 grid points and their negatives, h1 at 767
     counts = {"scan": 0, "refining": False}
-    make_loop, golden = projective._profile_loop, projective.golden_min
+    make_loop, brent = projective._profile_loop, projective.brent_min
 
     def counting_loop(field, var):
         loop = make_loop(field, var)
@@ -378,12 +464,12 @@ def test_liouville_scan_evaluates_each_grid_point_once(monkeypatch, name):
             return loop(args, out)
         return counted
 
-    def flagged_golden(*args, **kwargs):
+    def flagged_brent(*args, **kwargs):
         counts["refining"] = True
-        return golden(*args, **kwargs)
+        return brent(*args, **kwargs)
 
     monkeypatch.setattr(projective, "_profile_loop", counting_loop)
-    monkeypatch.setattr(projective, "golden_min", flagged_golden)
+    monkeypatch.setattr(projective, "brent_min", flagged_brent)
     liouville_isometry_search(*SEARCH_PAIRS[name])
     assert counts["refining"]
     assert 0 < counts["scan"] <= 2 * 1022 + 767
