@@ -128,7 +128,7 @@ class _Runtime:
 
     christoffel, curvature and in_domain are the standalone evaluators.
     source() writes trees built over the chart's fields as source lines;
-    christoffel, curvature and the DP5 steps of the flow module are
+    christoffel, curvature and the DOP853 steps of the flow module are
     compiled from it through compile() and kept in compiled, by name.
     """
 

@@ -347,7 +347,8 @@ def liouville_isometry_search(h1, h2, period):
     the offsets in blocks of 32, which bounds its temporary memory, and
     computes the periodicity term, which does not depend on the
     orientation, once for both.  A refinement probe is one offset off the
-    grid: its 256 arguments go to the loop as they are.
+    grid: its 256 arguments go to the loop as they are, and the refined
+    residual and c are those of the best probe, not evaluated again.
     """
     period = float(period)
     if not (0.0 < period < math.inf):
@@ -398,11 +399,18 @@ def liouville_isometry_search(h1, h2, period):
     for o, (kind, orient) in enumerate((("swap", +1), ("anti-swap", -1))):
         vals = np.concatenate([s[o] for s in scanned])
         k_ref = float(ks[int(np.argmin(vals))])
-        if not degenerate:
-            k_ref, _ = brent_min(lambda k: total(k, orient)[0],
-                                 k_ref - period / n_k, k_ref + period / n_k,
-                                 1e-13)
-        res, c = total(k_ref, orient)
+        if degenerate:
+            res, c = total(k_ref, orient)
+        else:
+            # c of each probe, by offset: brent_min returns its best probe
+            cs = {}
+
+            def residual(k):
+                r, cs[k] = total(k, orient)
+                return r
+            k_ref, res = brent_min(residual, k_ref - period / n_k,
+                                   k_ref + period / n_k, 1e-13)
+            c = cs[k_ref]
         k = k_ref % period   # a k_ref just below 0 can round to period
         best[kind] = (res, k if k < period else 0.0, c)
 

@@ -122,10 +122,10 @@ def test_singularity_on_null_plane_blowup():
 
 
 # Attempted steps (n_accepted + n_rejected) of the blow-up above when the
-# trace ran on until its step size fell below h_min (1796), and when a step
-# below 3e-5 of the trace's largest ended it (735).  The stall rule must
+# trace ran on until its step size fell below h_min (273), and when a step
+# below 3e-5 of the trace's largest ended it (106).  The stall rule must
 # save at least a quarter of the latter.
-NULL_PLANE_STEPS_AT_COLLAPSE = 735
+NULL_PLANE_STEPS_AT_COLLAPSE = 106
 
 
 def test_null_plane_blowup_exits_on_step_collapse():
@@ -146,8 +146,13 @@ def test_pole_grazing_geodesic_reaches_time_limit(c):
     s0 = GeodesicState(math.pi / 2, 0.0, -math.sqrt(1.0 - vy * vy), vy)
     tr = integrate_geodesic(m, s0, 3.0)
     assert tr.termination == Termination.TIME_LIMIT
-    # the closest step end lies within 1e-9 of the closest approach
-    assert float(np.min(tr.ys[:, 0])) == pytest.approx(c, abs=1e-9)
+    # the dense output's minimum of x over the steps around the closest
+    # step end lies within 1e-9 of the closest approach; the step ends
+    # themselves pass up to 3e-7 from it
+    i = int(np.argmin(tr.ys[:, 0]))
+    _, closest = flow.brent_min(lambda t: tr.dense(t, 0), float(tr.ts[i - 1]),
+                                float(tr.ts[i + 1]), 1e-12)
+    assert closest == pytest.approx(c, abs=1e-9)
 
 
 @pytest.mark.parametrize("state, want", [
@@ -203,7 +208,7 @@ def test_drop_reason_of_abandoned_traces(monkeypatch):
     tr = integrate_geodesic(cp, GeodesicState(1e-2, 1e-3, -1.0, 0.0), 1.0)
     assert tr.termination == Termination.SINGULARITY
     assert tr.drop_reason == "singularity"
-    monkeypatch.setattr(flow, "MAX_STEPS", 50)
+    monkeypatch.setattr(flow, "MAX_STEPS", 20)
     tr = integrate_geodesic(sphere_chart(),
                             GeodesicState(math.pi / 2, 0.0, 0.3, 1.0), 10.0)
     assert tr.termination == Termination.STEP_BUDGET
@@ -212,13 +217,14 @@ def test_drop_reason_of_abandoned_traces(monkeypatch):
 
 
 def test_step_budget_ends_the_trace(monkeypatch):
-    monkeypatch.setattr(flow, "MAX_STEPS", 50)
+    # the trace takes 47 attempted steps without the budget
+    monkeypatch.setattr(flow, "MAX_STEPS", 20)
     m = sphere_chart()
     s0 = GeodesicState(math.pi / 2, 0.0, 0.3, 1.0)
     tr = integrate_geodesic(m, s0, 10.0)
     assert tr.termination == Termination.STEP_BUDGET
     assert tr.termination.value == "step-budget"
-    assert tr.n_accepted + tr.n_rejected == 50
+    assert tr.n_accepted + tr.n_rejected == 20
     assert tr.ts[-1] < 10.0
 
 
@@ -239,13 +245,13 @@ GOLDEN_TERMINATIONS = {
     "clairaut-truncation": "TTTTTTTTTTTTTTTTTTTT",
 }
 GOLDEN_SINGULAR_STEPS_AT_COLLAPSE = {
-    ("band", 8): 819, ("band", 14): 833,
-    ("punctured-family", 1): 683,
-    ("projective-shift", 7): 757, ("projective-shift", 8): 851,
-    ("projective-shift", 9): 783, ("projective-shift", 12): 793,
-    ("projective-shift", 13): 819, ("projective-shift", 14): 759,
-    ("projective-shift", 17): 859, ("projective-shift", 18): 839,
-    ("projective-shift", 19): 761,
+    ("band", 8): 118, ("band", 14): 116,
+    ("punctured-family", 1): 115,
+    ("projective-shift", 7): 312, ("projective-shift", 8): 116,
+    ("projective-shift", 9): 293, ("projective-shift", 12): 294,
+    ("projective-shift", 13): 331, ("projective-shift", 14): 128,
+    ("projective-shift", 17): 118, ("projective-shift", 18): 129,
+    ("projective-shift", 19): 293,
 }
 
 
@@ -351,6 +357,63 @@ def test_final_states_match_scipy_dop853():
         assert err < 1e-9, (name, err)
 
 
+def test_dop853_tableau_equals_scipys():
+    # the coefficients as published with dop853.f, which scipy's DOP853
+    # carries too: every float the same
+    dop = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+    assert flow._C == tuple(dop.C.tolist())
+    assert flow._ROWS == tuple(tuple(dop.A[i, :i].tolist())
+                               for i in range(16))
+    assert flow._B == tuple(dop.B.tolist())
+    assert flow._ER == tuple(dop.E5[:12].tolist())
+    assert dop.E5[12] == 0.0 and dop.E3[12] == 0.0
+    assert tuple(b - c for b, c in zip(flow._B, flow._BHH)) == tuple(
+        dop.E3[:12].tolist())
+    assert flow._D == tuple(tuple(row) for row in dop.D.tolist())
+
+
+def test_dop853_tableau_order_conditions():
+    # each stage's weights sum to its node; the order-8 weights integrate
+    # c^k exactly from 0 to 1 for k < 8, the 3rd-order weights for k < 3,
+    # and the 5th-order error weights, a difference of two such rules,
+    # give 0 for k < 5
+    def quadrature(weights, k):
+        return math.fsum(w * c ** k for w, c in zip(weights, flow._C))
+
+    assert len(flow._C) == len(flow._ROWS) == 16
+    for i in range(1, 16):
+        assert len(flow._ROWS[i]) == i
+        assert math.fsum(flow._ROWS[i]) == pytest.approx(flow._C[i],
+                                                         rel=0.0, abs=1e-14)
+    assert flow._B == flow._ROWS[12]
+    for k in range(8):
+        assert quadrature(flow._B, k) == pytest.approx(1.0 / (k + 1),
+                                                       rel=0.0, abs=1e-15)
+    for k in range(3):
+        assert quadrature(flow._BHH, k) == pytest.approx(1.0 / (k + 1),
+                                                         rel=0.0, abs=1e-15)
+    for k in range(5):
+        assert abs(quadrature(flow._ER, k)) <= 1e-15
+    # the order-8 rule is no better than order 8
+    assert abs(quadrature(flow._B, 8) - 1.0 / 9.0) > 1e-6
+    # the dense output integrates c^k exactly for k < 7 from 0 to u: its
+    # weight of stage i at u, read off _interpolate's coefficients
+    # y1 - y0, h k1 - (y1 - y0), 2 (y1 - y0) - h (k13 + k1) and h D k
+    for u in (0.1, 0.37, 0.5, 0.8):
+        v = 1.0 - u
+        weights = []
+        for i in range(16):
+            b = flow._B[i] if i < 12 else 0.0
+            k1, k13 = float(i == 0), float(i == 12)
+            d3, d4, d5, d6 = (row[i] for row in flow._D)
+            weights.append(u * (b + v * (k1 - b + u * (
+                2.0 * b - k1 - k13 + v * (d3 + u * (d4 + v * (
+                    d5 + u * d6)))))))
+        for k in range(7):
+            assert quadrature(weights, k) == pytest.approx(
+                u ** (k + 1) / (k + 1), rel=0.0, abs=1e-14), (u, k)
+
+
 def test_arclength_trace_runs_the_equator_at_unit_chart_speed():
     m = sphere_chart()
     tr = integrate_by_arclength(m, GeodesicState(math.pi / 2, 0.3, 0.0, 1.0),
@@ -425,12 +488,15 @@ def test_flows_refuse_a_span_not_positive_and_finite(span):
 
 
 def test_rhs_evaluations_per_trace(monkeypatch):
-    # two evaluations to start (the initial slope and the step-size guess)
-    # and six per attempted step, FSAL supplying the seventh; a trace that
-    # leaves the domain also ran the six of the step it dropped.  They are
-    # counted through the sine the sphere's bundle calls, patched into the
-    # compile namespace before the runtime's steps are built; one rhs call
-    # tells how many sines an evaluation takes.
+    # two evaluations to start (the initial slope and the step-size guess),
+    # stages 2 to 12 per attempted step and stage 13 per step whose error
+    # passed, which FSAL hands to the next step as its stage 1: 12 per
+    # accepted step and 11 per rejected one.  A trace that leaves the
+    # domain also ran the 12 of the step it dropped.  The dense output
+    # counts the stages 14 to 16 it evaluates for each step it is asked
+    # about.  They are counted through the sine the sphere's bundle calls,
+    # patched into the compile namespace before the runtime's steps are
+    # built; one rhs call tells how many sines an evaluation takes.
     m = sphere_chart()
     calls = [0]
 
@@ -450,13 +516,25 @@ def test_rhs_evaluations_per_trace(monkeypatch):
     def check(tr, system, sines, dropped=0):
         per = sines_per_evaluation(system, tuple(tr.ys[0]))
         assert per > 0
-        assert tr.n_rhs == 2 + 6 * (tr.n_accepted + tr.n_rejected + dropped)
-        assert sines == per * tr.n_rhs
+        assert tr.n_rhs == (2 + 12 * (tr.n_accepted + dropped)
+                            + 11 * tr.n_rejected)
+        assert sines == per * (tr.n_rhs + tr.dense.n_rhs)
+        return per
 
     calls[0] = 0
     tr = integrate_geodesic(m, GeodesicState(1.68, 5.89, -1.0, 0.0315), 1.0)
     assert tr.termination == Termination.TIME_LIMIT and tr.n_rejected > 0
-    check(tr, "geodesic", calls[0])
+    per = check(tr, "geodesic", calls[0])
+    assert tr.dense.n_rhs == 0
+    # two times in one step and one in another build two interpolants
+    calls[0] = 0
+    a, b = float(tr.ts[1]), float(tr.ts[2])
+    for t in (a + 0.25 * (b - a), a + 0.5 * (b - a), 0.5 * float(tr.ts[4]
+                                                           + tr.ts[5])):
+        tr.dense(t)
+    tr.dense.positions([a + 0.75 * (b - a)])
+    assert tr.dense.n_rhs == 6
+    assert calls[0] == per * 6
 
     calls[0] = 0
     _, jt = find_conjugate_points(m, GeodesicState(1.2, 0.4, 0.3, 0.5), 4.0)
@@ -470,11 +548,11 @@ def test_rhs_evaluations_per_trace(monkeypatch):
 
 
 def test_non_finite_stage_2_rejects_the_step(monkeypatch):
-    # stage 2 weighs nothing in the 5th-order update and the error
-    # estimate; its own finiteness test rejects the step.  The non-finite
-    # value comes from the sine the sphere's bundle calls once per
-    # evaluation, patched into the compile namespace before the runtime's
-    # step is built.
+    # stage 2 weighs nothing in the order-8 update and the error estimate;
+    # the finiteness test of the right-hand side it calls rejects the
+    # step.  The non-finite value comes from the sine the sphere's bundle
+    # calls once per evaluation, patched into the compile namespace before
+    # the runtime's step is built.
     m = sphere_chart()
     calls = [0]
     nan_on = [0]
@@ -488,7 +566,8 @@ def test_non_finite_stage_2_rejects_the_step(monkeypatch):
     y = (1.2, 0.3, 0.4, 0.5)
     nan_on[0] = 2
     k1 = rhs(y)
-    with pytest.raises(FloatingPointError, match="stage 2 is not finite"):
+    with pytest.raises(FloatingPointError,
+                       match="right-hand side is not finite"):
         attempt(0.1, y, k1)
 
     # the first attempt of a trace evaluates its stage 2 on the third call,
@@ -551,14 +630,17 @@ def test_inlined_bundles_equal_the_runtime_evaluators_bit_for_bit():
                     _reference_rhs(chart, state)), (name, system, state)
 
 
-# the names the generated step binds for itself: the step size h, the state
-# s, the first stage k1, the components s<j> and z<j>, the stages k<i>_<j>,
-# the error terms a_s<j>, a_z<j>, e<j> and err, the tolerances, the bundle's
-# v<i> and r, and the functions bind, rhs and attempt
-_STEP_NAMES = re.compile(r"(h|s|k1|err|atol|rtol|r|bind|rhs|attempt"
-                         r"|[sze]\d+|k\d+_\d+|a_[sz]\d+|v\d+)\Z")
+# the names the generated step binds for itself: the step size h, the states
+# s and z and their components s<j> and z<j>, the first stage k1, the
+# stages k<i>_<j>, the derivative's components f<j>, the error terms
+# a_s<j>, a_z<j>, w<j>, e<j>, g<j>, e, g and err, the interpolant's
+# coefficients c<m>_<j>, the tolerances, the bundle's v<i> and r, and the
+# functions bind, rhs, attempt and interpolant
+_STEP_NAMES = re.compile(r"(h|s|z|k1|e|g|err|atol|rtol|r|bind|rhs|attempt"
+                         r"|interpolant|[szefgw]\d+|[kc]\d+_\d+|a_[sz]\d+"
+                         r"|v\d+)\Z")
 # what flow._binder and metric._Runtime.compile add to the compile namespace
-_COMPILE_EXTRAS = {"isfinite", "FloatingPointError", "pack", "max",
+_COMPILE_EXTRAS = {"isfinite", "FloatingPointError", "pack", "pack_c", "max",
                    "DegenerateMetricError"}
 
 
@@ -648,20 +730,30 @@ def test_the_steps_read_none_of_the_charts_constant_zeros():
 
 
 def test_every_step_keeps_its_finiteness_and_degeneracy_tests():
-    # each of stages 2 to 7 tests all its components; the Jacobi system's
-    # rhs and each of its six stages test the metric for degeneracy
+    # rhs tests all its components for finiteness, and for the Jacobi
+    # system the metric for degeneracy, once; stages 2 to 12 of the step
+    # and 14 to 16 of the interpolant each call it, and nothing else
+    # evaluates the bundle
+    def stages(source, n):
+        return [i for i in range(2, 17) if "%s, = rhs((" % ", ".join(
+            "k%d_%d" % (i, j) for j in range(n)) in source]
+
+    for n in (4, 6):
+        dense = flow._interpolant_source(n)
+        assert stages(dense, n) == [14, 15, 16]
+        assert dense.count(" = rhs((") == 3
     for name in sorted(zoo.catalogue()):
         chart = zoo.build_bundle(name).chart
         for system, (leaves, *_) in flow._SYSTEMS.items():
             step = _step(chart, system)
-            for i in range(2, 8):
-                test = " + ".join("k%d_%d * 0.0" % (i, j)
-                                  for j in range(len(leaves)))
-                assert step.count("if not isfinite(%s):\n            raise "
-                                  "FloatingPointError('stage %d is not "
-                                  "finite')" % (test, i)) == 1, (name, i)
+            test = " + ".join("f%d * 0.0" % j for j in range(len(leaves)))
+            assert step.count("if not isfinite(%s):\n        raise "
+                              "FloatingPointError('right-hand side is not "
+                              "finite')" % test) == 1, (name, system)
+            assert stages(step, len(leaves)) == list(range(2, 13))
+            assert step.count(" = rhs((") == 11, (name, system)
             assert step.count("if %s:" % metric._DEGENERATE) == (
-                7 if system == "jacobi" else 0), (name, system)
+                1 if system == "jacobi" else 0), (name, system)
 
 
 @pytest.mark.parametrize("g22, degenerate", [(1e-13, True), (1e-11, False)])
