@@ -34,7 +34,8 @@ import sys
 import numpy
 
 SECONDS = 36
-TRACED_PER_OP = ("projective.liouville_search.s", "expr.compile.calls",
+TRACED_PER_OP = ("projective.map_check.s", "metric.pullback.calls",
+                 "projective.liouville_search.s", "expr.compile.calls",
                  "expr.compile.s", "flow.traces.time-limit",
                  "flow.steps.time-limit", "flow.traces.closure-detected",
                  "flow.steps.closure-detected")

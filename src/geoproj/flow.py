@@ -859,6 +859,9 @@ def find_conjugate_points(chart, state, t_max):
 
 
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
+# brent_min stops where the values at its three parabola points lie within
+# this many ulps of the best
+_FLAT_ULPS = 4
 
 
 def brent_min(f, a, b, tol):
@@ -870,7 +873,13 @@ def brent_min(f, a, b, tol):
     Narrows the bracket around the best point t until t is at most tol / 2
     from either end, so the bracket is at most tol wide, or until rounding
     stops it: no probe comes closer to t than the larger of tol / 4 and the
-    float spacing at t.  Returns (t, f(t)).
+    float spacing at t.  It also stops, returning the best probe, where f
+    is flat to rounding: once the three points the parabola goes through,
+    t, w and v, are distinct and f(w) and f(v) both read within
+    _FLAT_ULPS ulps of f(t).  Two points are not enough: the first
+    golden-section probe mirrors the first point about the middle of the
+    bracket, so on a minimum near the middle the two read alike without f
+    being flat.  Returns (t, f(t)).
     """
     # t is the best point so far, w the second best and v the previous w
     t = w = v = a + _GOLDEN * (b - a)
@@ -921,6 +930,10 @@ def brent_min(f, a, b, tol):
                 v, fv, w, fw = w, fw, u, fu
             elif fu <= fv or v == t or v == w:
                 v, fv = u, fu
+        flat = _FLAT_ULPS * math.ulp(ft)
+        if t != w != v != t and abs(fw - ft) <= flat \
+                and abs(fv - ft) <= flat:
+            return t, ft
 
 
 def detect_closure(chart, state, t_max, tol=1e-6):

@@ -309,25 +309,37 @@ class MetricChart:
 
 @dataclass
 class ChartMap:
-    """A smooth map between plane charts, with symbolic components."""
+    """A smooth map between plane charts, with symbolic components.
+
+    apply and jacobian read the one compiled bundle jet, so they raise
+    where any of its entries does.
+    """
 
     name: str
     fx: ScalarField
     fy: ScalarField
     inverse: Optional["ChartMap"] = None
-    _jac: Optional[Callable] = dc_field(default=None, repr=False, compare=False)
+    _jet: Optional[Callable] = dc_field(default=None, repr=False, compare=False)
+
+    @property
+    def jet(self):
+        """The function (x, y) -> (u, v, ux, uy, vx, vy, uxx, uxy, uyy,
+        vxx, vxy, vyy), where (u, v) = (fx, fy) and a suffix names a
+        partial derivative, compiled on first use."""
+        if self._jet is None:
+            ux, uy, vx, vy = (f.diff(v) for f in (self.fx, self.fy)
+                              for v in "xy")
+            self._jet = expr.compile_fields(
+                [self.fx, self.fy, ux, uy, vx, vy, ux.diff("x"),
+                 ux.diff("y"), uy.diff("y"), vx.diff("x"), vx.diff("y"),
+                 vy.diff("y")])
+        return self._jet
 
     def apply(self, point):
-        x, y = point
-        return (self.fx(x, y), self.fy(x, y))
+        return self.jet(*point)[:2]
 
     def jacobian(self, point):
-        if self._jac is None:
-            self._jac = expr.compile_fields(
-                [self.fx.diff("x"), self.fx.diff("y"),
-                 self.fy.diff("x"), self.fy.diff("y")])
-        x, y = point
-        a, b, c, d = self._jac(x, y)
+        a, b, c, d = self.jet(*point)[2:6]
         return np.array([[a, b], [c, d]])
 
 

@@ -3,8 +3,13 @@
 Three graded relations, in decreasing strength: isometry (same metric after
 a coordinate change), affinity (same parametrised geodesics), projective
 equivalence (same geodesics up to reparametrisation).  Isometry and affinity
-are decided by direct coefficient or connection comparison along a map;
-projective equivalence by conserving the pair integral and by shooting the
+along a map phi compare g with phi^* g at sampled points p, without building
+phi^* g as a chart: its coefficients are J^T g(phi(p)) J and its connection
+(J^-1)^k_c (G^c_ab(phi(p)) J^a_i J^b_j + d_i d_j phi^c) by the chain rule,
+with phi, its Jacobian J and its second derivatives from the map's one
+compiled bundle (ChartMap.jet), and p lies in phi^* g's domain when phi(p)
+lies in g's, as pullback's substituted domain has it.  Projective
+equivalence is decided by conserving the pair integral and by shooting the
 same initial conditions through both flows and comparing the traced curves.
 The Liouville symmetry search at the bottom looks for the specific swap maps
 that exchange the two profile functions of a separable metric.
@@ -13,6 +18,7 @@ that exchange the two profile functions of a separable metric.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -20,11 +26,12 @@ import numpy as np
 
 from . import expr, sampling
 from .expr import X, Y
-# integrate_geodesic is unused here: perfbench/spans.py wraps it by this name
+# integrate_geodesic and pullback are unused here: perfbench/spans.py wraps
+# them by these names
 from .flow import brent_min, integrate_by_arclength, integrate_geodesic
 from .integrals import (DegenerateRatioError, check_conservation,
                         darboux_integral)
-from .metric import ChartMap, DomainError, christoffel, pullback
+from .metric import ChartMap, DomainError, pullback
 
 __all__ = [
     "EquivalenceReport", "MapCheck", "LiouvilleSymmetry",
@@ -179,60 +186,116 @@ class MapCheck:
         }
 
 
-def _comparison_points(g, pulled, n, seed):
-    rng = np.random.default_rng(sampling.resolve_seed(seed))
-    inside = pulled.runtime().in_domain
-    pts = []
-    attempts = 0
-    while len(pts) < n and attempts < 200 * n:
-        attempts += 1
-        try:
-            p = sampling.sample_points(g, 1, rng)[0]
-        except DomainError:
-            break
-        if inside(*p):
-            pts.append(p)
-    return pts
+def _congruence(m11, m12, m22, ux, uy, vx, vy):
+    """The entries 11, 12 and 22 of J^T M J, for the symmetric M with
+    entries m11, m12, m22 and J = [[ux, uy], [vx, vy]]."""
+    return (m11 * ux * ux + 2.0 * m12 * ux * vx + m22 * vx * vx,
+            m11 * ux * uy + m12 * (ux * vy + uy * vx) + m22 * vx * vy,
+            m11 * uy * uy + 2.0 * m12 * uy * vy + m22 * vy * vy)
+
+
+def _pulled_coefficients(coeffs, jet):
+    """(E, F, G) of phi^* g at p by the chain rule, J^T g(phi(p)) J, where
+    jet is phi.jet at p and coeffs is g's coefficient evaluator."""
+    u, v, ux, uy, vx, vy = jet[:6]
+    return _congruence(*coeffs(u, v), ux, uy, vx, vy)
+
+
+def _pulled_connection(christoffel_at, jet):
+    """The Christoffel symbols of phi^* g at p by the chain rule, in the
+    order of the runtime's christoffel evaluator (G^1_11, G^1_12, G^1_22,
+    G^2_11, G^2_12, G^2_22):
+
+        Gbar^k_ij = (J^-1)^k_c (G^c_ab(phi(p)) J^a_i J^b_j + d_i d_j phi^c)
+
+    where jet is phi.jet at p and christoffel_at is g's runtime evaluator.
+    A singular J raises ZeroDivisionError."""
+    u, v, ux, uy, vx, vy, uxx, uxy, uyy, vxx, vxy, vyy = jet
+    _, _, _, a, b, c, d, e, f = christoffel_at(u, v)
+    t1 = _congruence(a, b, c, ux, uy, vx, vy)
+    t2 = _congruence(d, e, f, ux, uy, vx, vy)
+    t1 = (t1[0] + uxx, t1[1] + uxy, t1[2] + uyy)
+    t2 = (t2[0] + vxx, t2[1] + vxy, t2[2] + vyy)
+    det = ux * vy - uy * vx
+    return (tuple((vy * p - uy * q) / det for p, q in zip(t1, t2))
+            + tuple((ux * q - vx * p) / det for p, q in zip(t1, t2)))
 
 
 def _map_check(kind, g, phi, tol, n, seed, values, scale):
-    """Worst relative gap between values(g, p) and values(phi^* g, p).
+    """Worst relative gap between g and phi^* g at up to n points of g.
 
-    The gap at a sampled point p is max |a - b| / scale(a, b).
+    The points p are drawn one by one from g's sample box into g's domain,
+    with up to 200 n draws.  phi^* g is not built: at each p,
+    values(x, y, jet) gives the tuples a of g at p and b of phi^* g at p
+    by the chain rule from jet = phi.jet(x, y), and the gap is
+    max |a - b| / scale(a, b).  p belongs to phi^* g's domain when g's
+    in_domain holds at phi(p), the rule pullback's substituted domain
+    states; other points are drawn again.  A point where the jet raises or
+    is not finite, where J is singular, or where values raises or gives a
+    value that is not finite counts, with a gap of inf.
     """
-    pulled = pullback(g, phi, name="%s*%s" % (phi.name, g.name))
-    worst = 0.0
-    pts = _comparison_points(g, pulled, n, seed)
-    for p in pts:
-        a, b = values(g, p), values(pulled, p)
-        worst = max(worst, float(np.max(np.abs(a - b)) / scale(a, b)))
-    passed = bool(pts) and worst <= tol
-    return MapCheck(kind, g.name, phi.name, worst if pts else math.inf,
-                    tol, len(pts), passed)
+    rng = np.random.default_rng(sampling.resolve_seed(seed))
+    inside = g.runtime().in_domain
+    jet_at = phi.jet
+    worst, n_points, attempts = 0.0, 0, 0
+    while n_points < n and attempts < 200 * n:
+        attempts += 1
+        try:
+            x, y = sampling.sample_points(g, 1, rng)[0]
+        except DomainError:
+            break
+        gap = math.inf
+        try:
+            jet = jet_at(x, y)
+            if all(map(math.isfinite, jet)):
+                if not inside(jet[0], jet[1]):
+                    continue
+                if jet[2] * jet[5] != jet[3] * jet[4]:
+                    a, b = values(x, y, jet)
+                    if all(map(math.isfinite, a + b)):
+                        gap = (max(map(abs, map(operator.sub, a, b)))
+                               / scale(a, b))
+        except expr.EVAL_ERRORS:
+            pass
+        n_points += 1
+        worst = max(worst, gap)
+    return MapCheck(kind, g.name, phi.name,
+                    worst if n_points else math.inf, tol, n_points,
+                    bool(n_points) and worst <= tol)
 
 
 def check_isometry(g, phi, tol=1e-8, n=40, seed=None):
     """Is phi an isometry, pulling g back to itself?
 
-    Compares coefficient triples of g and of its pullback along phi at
-    sampled points, normalised by the local coefficient scale.
+    Compares g's coefficients (E, F, G) at sampled points p with those of
+    phi^* g, J^T g(phi(p)) J by the chain rule, normalised by the larger
+    of the two coefficient scales.  phi^* g's domain is where phi(p) lies
+    in g's domain; a point where phi or J is not finite, or J is singular,
+    fails the check (see _map_check).
     """
+    coeffs = g.runtime().coeffs
     return _map_check(
         "isometry", g, phi, tol, n, seed,
-        lambda chart, p: np.array(chart.coefficients_at(p)),
-        lambda a, b: max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-12))
+        lambda x, y, jet: (coeffs(x, y), _pulled_coefficients(coeffs, jet)),
+        lambda a, b: max(1e-12, *map(abs, a + b)))
 
 
 def check_affinity(g, phi, tol=1e-6, n=40, seed=None):
     """Does phi preserve the parametrised geodesics (the connection)?
 
-    Compares the Christoffel symbols of g with those of its pullback along
-    phi at sampled points.  Isometries pass, and so do the affine maps that
-    rescale the metric without bending its geodesics; a merely projective
-    map fails.
+    Compares g's Christoffel symbols at sampled points p with those of
+    phi^* g, taken by the chain rule from g's symbols at phi(p), J and the
+    second derivatives of phi (_pulled_connection), relative to the
+    larger of 1 and g's largest symbol.  Isometries pass, and so do the
+    affine maps that rescale the metric without bending its geodesics; a
+    merely projective map fails.  The domain rule and the failing points
+    are those of check_isometry.
     """
-    return _map_check("affinity", g, phi, tol, n, seed, christoffel,
-                      lambda a, b: max(np.max(np.abs(a)), 1.0))
+    chris = g.runtime().christoffel
+    return _map_check(
+        "affinity", g, phi, tol, n, seed,
+        lambda x, y, jet: (chris(x, y)[3:], _pulled_connection(chris, jet)),
+        lambda a, b: max(1.0, *map(abs, a)))
 
 
 # ---------------------------------------------------------------------------

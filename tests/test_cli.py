@@ -374,6 +374,33 @@ def test_translation_verdicts(capsys):
     assert json.loads(out)["verdict"] == "equivalent"
 
 
+@pytest.mark.parametrize("kind", ["isometry", "affine"])
+def test_bad_map_check_exits_1_with_a_failing_report(capsys, monkeypatch,
+                                                     kind):
+    # a map with a singular Jacobian and one whose value is not finite
+    # give a failing report, not a traceback
+    from geoproj import expr, zoo
+    from geoproj.metric import ChartMap
+    build = zoo.build_bundle
+
+    def with_bad_maps(name, **kwargs):
+        bundle = build(name, **kwargs)
+        bundle.maps["collapse"] = ChartMap("collapse", expr.const(0.3),
+                                           expr.const(0.2))
+        bundle.maps["log"] = ChartMap("log", expr.log(expr.X - 10.0),
+                                      expr.Y)
+        return bundle
+
+    monkeypatch.setattr(zoo, "build_bundle", with_bad_maps)
+    for name in ("collapse", "log"):
+        rc, out, err = run_cli(capsys, "check", kind, "--chart",
+                               "projective-shift", "--map", name)
+        assert rc == 1 and err == ""
+        report = json.loads(out)
+        # the infinite residual prints as null
+        assert report["pass"] is False and report["max_residual"] is None
+
+
 def test_explicit_zero_flags_are_usage_errors(capsys):
     rc, out, err = run_cli(capsys, "check", "projective", "--chart", "band",
                            "--chart-b", "flat", "--tmax", "0")

@@ -1028,6 +1028,28 @@ def test_brent_min_reaches_tol_on_a_v_shaped_minimum(t0):
     assert all(0.0 < s < 1.0 for s in calls)
 
 
+def test_brent_min_stops_where_the_values_are_flat_to_rounding():
+    # a constant reads alike at the first three distinct points; the
+    # bracket rule alone would go on to a bracket 1e-10 wide
+    probe, calls = _counted(lambda s: 1.5)
+    t, f = flow.brent_min(probe, 0.0, 1.0, 1e-10)
+    assert len(calls) == 3 and len(set(calls)) == 3
+    assert f == 1.5 and t == calls[-1]
+
+
+def test_brent_min_is_not_stopped_by_two_mirrored_probes():
+    # the first golden-section probe mirrors the first point about the
+    # middle, so on a minimum there the two can read alike without f
+    # being flat: here a residual known to six decimals reads 0.013932 at
+    # both.  The flat stop must wait for a third point.
+    def f(s):
+        return round((s - 0.5) ** 2, 6)
+    probe, calls = _counted(f)
+    t, ft = flow.brent_min(probe, 0.0, 1.0, 1e-10)
+    assert f(calls[0]) == f(calls[1]) > 0.0
+    assert abs(t - 0.5) < 1e-3 and ft == 0.0
+
+
 def test_tight_tolerances_reduce_error(monkeypatch):
     m = sphere_chart()
     alpha = 0.35

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from geoproj import expr, flow, projective, zoo
+from geoproj import expr, flow, integrals, projective, sampling, zoo
 from geoproj.expr import X, Y
 from geoproj.integrals import (check_conservation, integral_pullback,
                                liouville_integral)
@@ -139,15 +139,33 @@ def test_equivalence_inconclusive_when_ratio_collapses():
     assert "ratio" in report.reason
 
 
+def _conservation_terminations(monkeypatch):
+    """Record how each conservation trace ends."""
+    trace_of, ends = integrals.integrate_geodesic, []
+
+    def recorded(*args):
+        trace = trace_of(*args)
+        ends.append(trace.termination)
+        return trace
+
+    monkeypatch.setattr(integrals, "integrate_geodesic", recorded)
+    return ends
+
+
 def test_exhausted_step_budget_gives_a_verdict(monkeypatch):
-    # most traces run out of their 50 steps; the decider drops them and
+    # most traces run out of their steps; the decider drops them and
     # reports that it has too little evidence instead of raising
     base, _ = zoo.band_chart(a=1.0, l=0.0)
     other, _ = zoo.band_chart(a=2.0, l=0.3)
+    ends = _conservation_terminations(monkeypatch)
+    check_projective_equivalence(base, other, n_traces=6, seed=7)
+    assert ends and flow.Termination.STEP_BUDGET not in ends
     # five of the six conservation traces take more than 12 attempted
     # steps
+    del ends[:]
     monkeypatch.setattr(flow, "MAX_STEPS", 12)
     report = check_projective_equivalence(base, other, n_traces=6, seed=7)
+    assert ends.count(flow.Termination.STEP_BUDGET) == 5
     assert report.verdict == INCONCLUSIVE
     assert report.n_conserved < 5
     assert "too few usable traces" in report.reason
@@ -228,6 +246,113 @@ def test_shift_translation_projective_but_nothing_stronger():
     report = check_projective_equivalence(g, moved, n_traces=12,
                                           t_max=0.7, seed=2)
     assert report.verdict == EQUIVALENT
+
+
+BEND = ChartMap("bend", X + 0.1 * Y * Y, Y)
+WARP = ChartMap("warp", X + 0.2 * expr.sin(Y), Y + 0.1 * X * X)
+
+
+def _chain_rule_cases():
+    """(id, chart, map) for every catalogue map, the Liouville swap and
+    anti-swap, and two nonlinear maps on two charts."""
+    cases = []
+    for name in sorted(zoo.catalogue()):
+        bundle = zoo.build_bundle(name)
+        cases += [("%s:%s" % (name, key), bundle.chart, cmap)
+                  for key, cmap in bundle.maps.items()]
+    liouville, _ = zoo.liouville_chart()
+    cases += [("liouville:" + kind, liouville, liouville_swap_map(0.25, kind))
+              for kind in ("swap", "anti-swap")]
+    cases += [("%s:%s" % (chart.name, m.name), chart, m)
+              for chart in (flat_chart(), liouville) for m in (BEND, WARP)]
+    return cases
+
+
+def _close(got, want, rel=1e-12):
+    scale = max(map(abs, want))
+    return max(abs(a - b) for a, b in zip(got, want)) <= rel * scale
+
+
+def test_map_check_chain_rule_matches_the_pulled_chart():
+    # the chain-rule coefficients and connection the map checks compare
+    # against those that pullback's chart compiles from its substituted
+    # fields, and the domain rule against the chart's substituted domain
+    cases = _chain_rule_cases()
+    assert any(name.startswith("projective-shift") for name, _, _ in cases)
+    for name, g, phi in cases:
+        pulled = pullback(g, phi)
+        rt, prt = g.runtime(), pulled.runtime()
+        used = 0
+        for x, y in sampling.sample_points(g, 60, np.random.default_rng(3)):
+            jet = phi.jet(x, y)
+            inside = rt.in_domain(jet[0], jet[1])
+            assert inside == prt.in_domain(x, y), (name, x, y)
+            if not inside:
+                continue
+            used += 1
+            got = projective._pulled_coefficients(rt.coeffs, jet)
+            assert _close(got, pulled.coefficients_at((x, y))), (name, x, y)
+            got = projective._pulled_connection(rt.christoffel, jet)
+            assert _close(got, prt.christoffel(x, y)[3:]), (name, x, y)
+        assert used >= 30, name
+
+
+def test_map_check_domain_is_the_pulled_domain():
+    # the bend pushes part of the sphere's sample box over the pole
+    # x = pi: those points lie outside phi^* g's domain and are drawn
+    # again.  (Near the pole the pulled chart's determinant cancels, so
+    # its connection is no 1e-12 oracle there.)
+    g, phi = sphere_chart(), BEND
+    prt, rt = pullback(g, phi).runtime(), g.runtime()
+    points = sampling.sample_points(g, 200, np.random.default_rng(5))
+    outside = 0
+    for x, y in points:
+        inside = prt.in_domain(x, y)
+        assert rt.in_domain(*phi.apply((x, y))) == inside, (x, y)
+        outside += not inside
+    assert 20 <= outside <= 180
+    result = check_isometry(g, phi, n=30, seed=5)
+    assert result.n_points == 30 and not result.passed
+
+
+def test_chart_map_jet_keeps_apply_and_jacobian():
+    # the one bundle gives the values the fields compiled one by one give
+    for p in [(0.3, -1.2), (1.7, 0.4)]:
+        assert WARP.apply(p) == (WARP.fx(*p), WARP.fy(*p))
+        jac = [f.diff(v)(*p) for f in (WARP.fx, WARP.fy) for v in "xy"]
+        assert WARP.jacobian(p).ravel().tolist() == jac
+        assert WARP.jet(*p)[6:] == (0.0, 0.0, -0.2 * math.sin(p[1]),
+                                    0.2, 0.0, 0.0)
+
+
+def _plus_big(v):
+    # (v + 1e100)^4 as products of nodes: inf at every point, with no
+    # constant that folds to inf when the map is differentiated
+    s = v + 1e100
+    return (s * s) * (s * s)
+
+
+# maps that are no diffeomorphism at any point of the sample box
+BAD_MAPS = {
+    "constant": ChartMap("constant", expr.const(0.3), expr.const(0.2)),
+    "rank-one": ChartMap("rank-one", X + Y, X + Y),
+    "overflow": ChartMap("overflow", _plus_big(X), Y),
+    "log-of-negative": ChartMap("log-of-negative", expr.log(X - 10.0), Y),
+    "exp-overflow": ChartMap("exp-overflow", expr.exp(1000.0 + X * X), Y),
+}
+
+
+@pytest.mark.parametrize("check", [check_isometry, check_affinity])
+@pytest.mark.parametrize("name", sorted(BAD_MAPS))
+def test_bad_map_gives_a_failing_check(check, name):
+    # a singular Jacobian, a value that is not finite and a value that
+    # raises each make the point fail, with an infinite residual
+    liouville, _ = zoo.liouville_chart()
+    for g in (flat_chart(), liouville):
+        result = check(g, BAD_MAPS[name], n=10)
+        assert not result.passed
+        assert result.max_residual == math.inf
+        assert result.n_points == 10
 
 
 def test_map_check_json_shape():
@@ -403,6 +528,16 @@ def test_liouville_refinement_probe_budget(monkeypatch):
     for name in ("quarter-shift", "mismatched"):
         liouville_isometry_search(*SEARCH_PAIRS[name])
     assert len(probes) <= 80
+
+
+def test_liouville_refinement_stops_where_the_residual_is_flat(monkeypatch):
+    # the mismatched pair's residuals flatten to rounding long before the
+    # bracket narrows to 1e-13: the search took 46 probes without the
+    # flat stop
+    probes = _counting_brent(monkeypatch)
+    result = liouville_isometry_search(*SEARCH_PAIRS["mismatched"])
+    assert not result.found
+    assert len(probes) <= 35
 
 
 def test_liouville_search_degenerate_pair_is_not_refined(monkeypatch):
