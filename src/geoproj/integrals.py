@@ -54,6 +54,7 @@ class FiberIntegral:
     l1: ScalarField = _ZERO
     l2: ScalarField = _ZERO
     c: ScalarField = _ZERO
+    # the compiled fields: a function whose first six outputs they are
     _fn: Optional[object] = dc_field(default=None, repr=False, compare=False)
 
     def _compiled(self):
@@ -64,7 +65,7 @@ class FiberIntegral:
 
     def value(self, point, v):
         x, y = point
-        q11, q12, q22, l1, l2, c = self._compiled()(x, y)
+        q11, q12, q22, l1, l2, c = self._compiled()(x, y)[:6]
         return (q11 * v[0] * v[0] + 2.0 * q12 * v[0] * v[1] + q22 * v[1] * v[1]
                 + l1 * v[0] + l2 * v[1] + c)
 
@@ -126,18 +127,26 @@ def darboux_integral(g, gbar):
     Raises DegenerateRatioError when the ratio, sampled on the 6 x 6 grid of
     g's sample box, collapses toward zero (relative to its own largest
     sampled magnitude), since the integral then degenerates along the flow.
+    The six integral fields and the ratio are compiled as one bundle: the
+    grid reads the ratio from it, skipping a point where it raises or the
+    ratio is not finite, and the integral evaluates its fields with it.
     """
     det_g = g.g11 * g.g22 - g.g12 * g.g12
     det_b = gbar.g11 * gbar.g22 - gbar.g12 * gbar.g12
     ratio = det_g / det_b
+    w = expr.pow23(ratio)
+    fields = [w * gbar.g11, w * gbar.g12, w * gbar.g22, _ZERO, _ZERO, _ZERO]
+    fn = expr.compile_fields(fields + [ratio])
 
     pts = [p for p in g.grid_points(6) if gbar.runtime().in_domain(*p)]
     vals = []
     for p in pts:
         try:
-            vals.append(abs(expr.evaluate(ratio, p)))
-        except expr.EvaluationError:
+            r = fn(*p)[6]
+        except expr.EVAL_ERRORS:
             continue
+        if math.isfinite(r):
+            vals.append(abs(r))
     if len(vals) < 3:
         raise DegenerateRatioError(
             "determinant ratio of %r and %r cannot be sampled on a shared grid"
@@ -148,9 +157,8 @@ def darboux_integral(g, gbar):
             "determinant ratio of %r and %r collapses on the sample grid "
             "(min %.3g, max %.3g)" % (g.name, gbar.name, lo, hi))
 
-    w = expr.pow23(ratio)
     return FiberIntegral("pair-integral[%s|%s]" % (g.name, gbar.name),
-                         q11=w * gbar.g11, q12=w * gbar.g12, q22=w * gbar.g22)
+                         *fields, _fn=fn)
 
 
 def metric_from_quadratic_integral(chart, integral, name=None):

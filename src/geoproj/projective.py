@@ -232,11 +232,16 @@ def _map_check(kind, g, phi, tol, n, seed, values, scale):
     in_domain holds at phi(p), the rule pullback's substituted domain
     states; other points are drawn again.  A point where the jet raises or
     is not finite, where J is singular, or where values raises or gives a
-    value that is not finite counts, with a gap of inf.
+    value that is not finite counts, with a gap of inf.  A map whose jet
+    cannot be built (differentiating it folds a constant to a value that
+    is not finite) fails with no point checked and a residual of inf.
     """
+    try:
+        jet_at = phi.jet
+    except expr.ExpressionError:
+        return MapCheck(kind, g.name, phi.name, math.inf, tol, 0, False)
     rng = np.random.default_rng(sampling.resolve_seed(seed))
     inside = g.runtime().in_domain
-    jet_at = phi.jet
     worst, n_points, attempts = 0.0, 0, 0
     while n_points < n and attempts < 200 * n:
         attempts += 1
@@ -378,20 +383,19 @@ def _profile_values(field, name, var):
 def liouville_isometry_search(h1, h2, period):
     """Search for a swap or anti-swap isometry of the separable metric.
 
-    Scans the offset k over 512 points of one period, once per
-    orientation, and refines the best scanned offset of each by Brent's
-    minimiser (flow.brent_min) on the bracket of one grid step either
-    side of it.  The bracket is taken cyclically: at the scan's first
-    offset it reaches below k = 0, so a minimum at or just below 0 lies
-    inside it; a refined k is reported modulo the period, in [0, period).
-    An orientation is accepted when its combined residual (profile match
-    after the swap plus the forced 2k-periodicity of h1, both sampled at
-    256 points) is at most 1e-8.  The swap is reported when it is
-    accepted, the anti-swap when only it is; when neither is, the result
-    is not found and carries the smaller of the two residuals.  So two
-    orientations that both hold at rounding level report the swap.
-    Constant profile pairs are flagged degenerate: every offset works, so
-    the best scanned offset (0 for constant profiles) is reported
+    Finds the best of 512 offsets k over one period, once per
+    orientation, and refines it by Brent's minimiser (flow.brent_min) on
+    the bracket of one grid step either side of it.  The bracket is taken
+    cyclically: at the first offset it reaches below k = 0, so a minimum
+    at or just below 0 lies inside it; a refined k is reported modulo the
+    period, in [0, period).  An orientation is accepted when its combined
+    residual (profile match after the swap plus the forced 2k-periodicity
+    of h1, both sampled at 256 points) is at most 1e-8.  The swap is
+    reported when it is accepted, the anti-swap when only it is; when
+    neither is, the result is not found and carries the smaller of the two
+    residuals.  So two orientations that both hold at rounding level
+    report the swap.  Constant profile pairs are flagged degenerate: every
+    offset works, so the best offset (0 for constant profiles) is reported
     unrefined, and k is not meaningful.  A profile that raises or gives a
     value that is not finite at a sample point raises expr.EvaluationError
     naming the profile and the point.
@@ -400,23 +404,42 @@ def liouville_isometry_search(h1, h2, period):
     (_profile_loop), so a list of sample points costs one Python call.
     The sample points xs and the offsets ks lie on one grid, points[n] =
     n * period / 512, as xs[i] = points[2i] and ks[j] = points[j].  The
-    scan reads xs[i] + ks[j] as points[2i + j] and xs[i] + 2 ks[j] as
+    search reads xs[i] + ks[j] as points[2i + j] and xs[i] + 2 ks[j] as
     points[2i + 2j], so it evaluates h2 once per grid point and its
     negative (the anti-swap's argument -xs - k) and h1 once per even grid
-    point, and builds the residual rows by indexing.  On a power-of-two
-    period each sum is the grid point bit for bit; on other periods the
-    two can differ in the last bit, which can only change which of two
-    offsets with residuals equal to rounding is refined.  The scan takes
-    the offsets in blocks of 32, which bounds its temporary memory, and
-    computes the periodicity term, which does not depend on the
-    orientation, once for both.  A refinement probe is one offset off the
-    grid: its 256 arguments go to the loop as they are, and the refined
-    residual and c are those of the best probe, not evaluated again.
+    point.  On a power-of-two period each sum is the grid point bit for
+    bit; on other periods the two can differ in the last bit, which can
+    only change which of two offsets with residuals equal to rounding is
+    refined.
+
+    The best offset of an orientation is found in two steps.  A screen
+    gives each offset's total from sliding sums over the grids: with a the
+    256 shifted h2 values of the offset, b = h1(xs) and e = h1(xs + 2k),
+    the total is (sum a^2 - 2 sum ab + sum e^2 - 2 sum eb + 2 sum b^2) / 256
+    - ((sum a - sum b) / 256)^2, and each sum over the 512 offsets is one
+    np.correlate per offset parity.  Each of the screened total and the
+    exact one (the row formula swap_term + period_term) rounds to within
+    6.2 gamma w / 256 of the true total, where gamma = m u / (1 - m u)
+    bounds the relative error of a sum of m <= 260 terms in any order, u
+    is the unit roundoff and w = sum a^2 + sum e^2 + 2 sum b^2.  An offset
+    is a candidate when its screened total less err = 32 gamma w / 256 +
+    1e-300 (the 1e-300 covers underflow) is at most the smallest screened
+    total plus its err, or when one of these is not finite.  The exact
+    rows' sums of squares stay below 8 w, and err is formed from 16 w, so
+    no exact row overflows where err is finite.  The exact rows are
+    computed at the candidates only, and the first candidate with the
+    smallest exact total is the offset np.argmin over all 512 exact totals
+    would pick.  Each orientation keeps one or two candidates on the
+    benchmark's pairs; constant profiles keep all 512.
+
+    A refinement probe is one offset off the grid: its 256 arguments go
+    to the loop as they are, and the refined residual and c are those of
+    the best probe, not evaluated again.
     """
     period = float(period)
     if not (0.0 < period < math.inf):
         raise ValueError("period must be positive and finite")
-    n_x, n_k, block = 256, 512, 32
+    n_x, n_k = 256, 512
     points = np.arange(2 * (n_x - 1 + n_k - 1) + 1) * (period / n_k)
     xs, ks = points[:2 * n_x:2], points[:n_k]
 
@@ -430,38 +453,65 @@ def liouville_isometry_search(h1, h2, period):
     degenerate = (float(np.var(h1v)) < 1e-18
                   and float(np.var(h2v)) < 1e-18)
 
+    def mean(a):
+        """The mean of each row, bit for bit as np.mean(a, axis=1)."""
+        return np.add.reduce(a, axis=1) / n_x
+
     def swap_term(h2_vals):
         """Mean-square failure of h2(o(x, k)) = h1(x) + c and the constant
         c, per row of h2_vals (one row per offset)."""
         diff = h2_vals - h1v
-        c = np.mean(diff, axis=1)
-        return np.mean((diff - c[:, None]) ** 2, axis=1), c
+        c = mean(diff)
+        return mean((diff - c[:, None]) ** 2), c
 
     def period_term(h1_vals):
         """Mean-square failure of the 2k-periodicity of h1 the swap
         condition forces, per row of h1_vals = h1(xs + 2k)."""
-        return np.mean((h1_vals - h1v) ** 2, axis=1)
+        return mean((h1_vals - h1v) ** 2)
 
     def total(k, orient):
         r, c = swap_term(h2_at(xs + k if orient > 0 else -xs - k)[None])
         p = period_term(h1_at(xs + 2.0 * k)[None])
         return float(r[0] + p[0]), float(c[0])
 
+    ones = np.ones(n_x)
     cols = np.arange(n_x)
+    u = 2.0 ** -53
+    gamma = (n_x + 4) * u / (1.0 - (n_x + 4) * u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sb, sb2 = np.add.reduce(h1v), np.dot(h1v, h1v)
+        se2 = np.correlate(h1_even * h1_even, ones)
+        period_sum = se2 - 2.0 * np.correlate(h1_even, h1v) + sb2
 
-    def scan(j):
-        """The swap and the anti-swap totals at the offsets ks[j]."""
-        shifted = 2 * cols + j
-        p = period_term(h1_even[cols + j])
-        return [swap_term(vals[shifted])[0] + p
-                for vals in (h2_grid, h2_grid_neg)]
+    def sliding(grid, weights):
+        """sum_i grid[2i + j] weights[i] for each offset j."""
+        out = np.empty(n_k)
+        for q in (0, 1):
+            out[q::2] = np.correlate(grid[q::2], weights)
+        return out
 
-    scanned = [scan(np.arange(j, j + block)[:, None])
-               for j in range(0, n_k, block)]
+    def best_offset(grid):
+        """The offset np.argmin picks among all exact totals of the
+        orientation whose shifted h2 values are grid[2i + j]."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            sa, sa2 = sliding(grid, ones), sliding(grid * grid, ones)
+            m = (sa - sb) / n_x
+            screened = ((sa2 - 2.0 * sliding(grid, h1v) + sb2 + period_sum)
+                        / n_x - m * m)
+            err = 16.0 * (sa2 + se2 + 2.0 * sb2) * (2.0 * gamma / n_x) \
+                + 1e-300
+            lo, hi = screened - err, screened + err
+        bad = ~(np.isfinite(lo) & np.isfinite(hi))
+        cut = np.min(hi[~bad]) if not bad.all() else math.inf
+        js = np.flatnonzero(bad | (lo <= cut))[:, None]
+        exact = (swap_term(grid[2 * cols + js])[0]
+                 + period_term(h1_even[cols + js]))
+        return int(js[np.argmin(exact), 0])
+
     best = {}
-    for o, (kind, orient) in enumerate((("swap", +1), ("anti-swap", -1))):
-        vals = np.concatenate([s[o] for s in scanned])
-        k_ref = float(ks[int(np.argmin(vals))])
+    for kind, orient, grid in (("swap", +1, h2_grid),
+                               ("anti-swap", -1, h2_grid_neg)):
+        k_ref = float(ks[best_offset(grid)])
         if degenerate:
             res, c = total(k_ref, orient)
         else:

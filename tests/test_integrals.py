@@ -124,6 +124,31 @@ def test_darboux_integral_degenerate_ratio_raises():
         darboux_integral(g, bad)
 
 
+def test_darboux_integral_compiles_one_bundle(monkeypatch):
+    # the ratio the grid samples and the six fields the integral evaluates
+    # come from one compiled function, and its values are those of the six
+    # fields compiled on their own
+    m = lumpy_chart()
+    mbar = zoo.projective_shift().chart
+    for chart in (m, mbar):
+        chart.runtime()
+    compiled, compile_function = [], expr.compile_function
+
+    def counted(*args, **kwargs):
+        compiled.append(args[1])
+        return compile_function(*args, **kwargs)
+
+    monkeypatch.setattr(expr, "compile_function", counted)
+    i = darboux_integral(m, mbar)
+    p, v = (0.2, -0.4), (0.8, 0.5)
+    got = i.value(p, v)
+    assert compiled == ["_compiled"]
+    monkeypatch.undo()
+    alone = integrals.FiberIntegral("alone", i.q11, i.q12, i.q22,
+                                    i.l1, i.l2, i.c)
+    assert float.hex(got) == float.hex(alone.value(p, v))
+
+
 def test_liouville_integral_conserved_and_printed_variant_drifts():
     h1 = 2.0 + expr.sin(4.0 * math.pi * expr.X)
     h2 = 5.0 - expr.sin(4.0 * math.pi * expr.Y)

@@ -339,6 +339,8 @@ BAD_MAPS = {
     "overflow": ChartMap("overflow", _plus_big(X), Y),
     "log-of-negative": ChartMap("log-of-negative", expr.log(X - 10.0), Y),
     "exp-overflow": ChartMap("exp-overflow", expr.exp(1000.0 + X * X), Y),
+    # differentiating folds 1e300 * 1e300 to inf, so the jet is not built
+    "jet-folds-to-inf": ChartMap("jet-folds-to-inf", X * 1e300 * 1e300, Y),
 }
 
 
@@ -346,13 +348,14 @@ BAD_MAPS = {
 @pytest.mark.parametrize("name", sorted(BAD_MAPS))
 def test_bad_map_gives_a_failing_check(check, name):
     # a singular Jacobian, a value that is not finite and a value that
-    # raises each make the point fail, with an infinite residual
+    # raises each make the point fail, with an infinite residual; a map
+    # with no jet fails with no point checked
     liouville, _ = zoo.liouville_chart()
-    for g in (flat_chart(), liouville):
+    for g in (flat_chart(), liouville, zoo.projective_shift().chart):
         result = check(g, BAD_MAPS[name], n=10)
         assert not result.passed
         assert result.max_residual == math.inf
-        assert result.n_points == 10
+        assert result.n_points == (0 if name == "jet-folds-to-inf" else 10)
 
 
 def test_map_check_json_shape():
@@ -425,6 +428,15 @@ SEARCH_PAIRS = {
                    5.0 - expr.sin(2.0 * math.pi / 0.3 * Y), 0.3),
     "period-2pi/3": (2.0 + expr.sin(3.0 * X),
                      2.0 + expr.cos(6.0 * Y), 2.0 * math.pi / 3.0),
+    # two exact minima per period and orientation (the swap at k = 0.25
+    # and 0.75, the anti-swap at 0 and 0.5), whose totals differ by
+    # rounding only; the screened totals put the later one first, so the
+    # screen must keep both for the exact step
+    "two-minima": (0.7 + expr.sin(4.0 * math.pi * X),
+                   1.9 - expr.sin(4.0 * math.pi * Y), 1.0),
+    # squares overflow, so no screened total is finite; every total is inf
+    "huge-profiles": (1e200 * (2.0 + expr.sin(4.0 * math.pi * X)),
+                      1e200 * (5.0 - expr.sin(4.0 * math.pi * Y)), 0.5),
 }
 
 
@@ -486,7 +498,7 @@ def test_liouville_search_reports_the_swap_when_both_orientations_hold():
             assert result.kind == "swap", name
             assert result.k == result.candidates["swap"]["k"], name
     assert sorted(both) == ["constant", "period-0.3", "quarter-shift",
-                            "smooth-bump"]
+                            "smooth-bump", "two-minima"]
 
 
 def test_liouville_search_refines_across_k_zero():
